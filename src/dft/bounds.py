@@ -2,10 +2,13 @@
 
 The bounds are configuration, not logic: they cap how large a form the
 desk-scale enumerations will touch.  Environment variables override the
-defaults process-wide; individual calls can pass explicit values.
+defaults process-wide and must be integers of at least 1; individual
+calls can pass explicit values.
 """
 
 import os
+
+from .errors import ValidityError
 
 DEFAULT_SPAN_ORDER = 4096      # lift spans over prime-order isotropic subgroups
 DEFAULT_ENUM_ORDER = 256       # full enumeration of all isotropic subgroups
@@ -17,7 +20,13 @@ def _env_int(name, default):
     raw = os.environ.get(name)
     if raw is None:
         return default
-    return int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValidityError(f"{name}={raw!r} is not an integer") from None
+    if value < 1:
+        raise ValidityError(f"{name}={raw!r} must be at least 1")
+    return value
 
 
 def max_span_order():

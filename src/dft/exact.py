@@ -1,46 +1,127 @@
 """Certified rank and kernel for collections of 0/1 indicator columns.
 
-The columns to be spanned are supports (index tuples) in Z^n.  Rank is
-computed by row reduction modulo a word-size prime; a full modular rank
-already certifies full rational rank.  When the span is deficient, the
-kernel of the transposed system is reconstructed from the modular RREF
-by rational reconstruction and then *verified exactly* against every
-column, which certifies the rank from both sides:
+The columns to be spanned are supports in Z^n, held as CSR index arrays
+(``IndicatorColumns``).  Rank is computed by row reduction modulo a
+word-size prime; a full modular rank already certifies full rational rank.
+When the span is deficient, the kernel of the transposed system is
+reconstructed from the modular RREF by rational reconstruction (combined
+over further primes by CRT when one prime is not enough), each kernel
+vector is scaled to integers, and the k x n integer matrix K is then
+*verified exactly* against every column, which certifies the rank from
+both sides:
 
-    rank_mod_p <= rank_Q <= n - #(verified independent kernel vectors).
+    rank_mod_p <= rank_Q <= n - #(rows of the verified K).
 
 Verification is the only gate; a wrong prime can cost time, never
-correctness.  Pivot choices are deterministic, so bases and membership
-vectors are reproducible.
+correctness.  Its column sums run in int64 only while max|K| times the
+longest column stays below 2^63, and in Python integers otherwise.
+
+Block reduction runs through float64 matrix products.  With 20-bit primes
+one residue product is below 2^40, so a sum of at most 4096 of them stays
+below 2^52 and is exact; longer contractions are cut into chunks of 4096
+terms with a reduction mod p between chunks (``_matmul_mod``).
+
+Pivot choices are deterministic, so bases and membership vectors are
+reproducible.  References for modular rank, CRT and rational
+reconstruction: von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm
 
 import numpy as np
 
-# 20-bit primes: residue products summed over <= 4096 terms stay below
-# 2^53, so block reduction can run through exact float64 matrix products.
 PRIMES = (1048573, 1048571, 1048559, 1048549, 1048517,
           1048507, 1048447, 1048433, 1048423, 1048391)
 
 _BLOCK = 512
+# terms per float64 contraction: 4096 * (2^20)^2 = 2^52 < 2^53
+_TERMS = 4096
+# entries gathered per step of the bulk annihilation check
+_CHECK_ENTRIES = 1 << 16
+# residues and kernel entries stay int64 below this; Python ints above
+_INT64_SAFE = 1 << 62
+
+
+@dataclass(frozen=True)
+class IndicatorColumns:
+    """0/1 columns in CSR form: column j has ones at
+    ``indices[indptr[j]:indptr[j + 1]]``."""
+
+    indices: np.ndarray   # int64
+    indptr: np.ndarray    # int64, one more entry than there are columns
+
+    @classmethod
+    def from_supports(cls, supports) -> IndicatorColumns:
+        supports = [tuple(s) for s in supports]
+        indptr = np.zeros(len(supports) + 1, dtype=np.int64)
+        np.cumsum([len(s) for s in supports], out=indptr[1:])
+        indices = np.fromiter(chain.from_iterable(supports), dtype=np.int64,
+                              count=int(indptr[-1]))
+        return cls(indices, indptr)
+
+    @classmethod
+    def from_blocks(cls, blocks) -> IndicatorColumns:
+        """One column per row of each 2-D integer block, in order."""
+        widths = np.array([b.shape[1] for b in blocks], dtype=np.int64)
+        indptr = np.zeros(sum(len(b) for b in blocks) + 1, dtype=np.int64)
+        np.cumsum(np.repeat(widths, [len(b) for b in blocks]), out=indptr[1:])
+        indices = np.concatenate([b.ravel() for b in blocks]
+                                 + [np.zeros(0, dtype=np.int64)])
+        return cls(indices.astype(np.int64, copy=False), indptr)
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self)))
+
+    def __getitem__(self, j: int) -> tuple[int, ...]:
+        """The support of column j as a tuple of row indices."""
+        return tuple(self.indices[self.indptr[j]:self.indptr[j + 1]].tolist())
+
+    def block(self, start: int, stop: int, n: int) -> np.ndarray:
+        """Columns start..stop-1 as dense 0/1 rows of length n."""
+        lengths = np.diff(self.indptr[start:stop + 1])
+        out = np.zeros((stop - start, n), dtype=np.int64)
+        out[np.repeat(np.arange(stop - start), lengths),
+            self.indices[self.indptr[start]:self.indptr[stop]]] = 1
+        return out
+
+
+def _as_columns(columns) -> IndicatorColumns:
+    if isinstance(columns, IndicatorColumns):
+        return columns
+    return IndicatorColumns.from_supports(columns)
 
 
 @dataclass
 class SpanResult:
     dim: int
     rank: int
-    pivot_columns: tuple[int, ...]          # ids of a certified column basis
-    kernel: tuple[dict[int, Fraction], ...]  # verified exact kernel basis
-    membership: np.ndarray                   # bool[n]; e_i in the span
+    pivot_columns: tuple[int, ...]   # ids of a certified column basis
+    kernel: np.ndarray               # k x dim integers, verified kernel basis
+    membership: np.ndarray           # bool[n]; e_i in the span
+    primes_used: int = 0             # primes whose modular echelon ran
+    fallback_used: bool = False      # every prime failed: _exact_fallback ran
 
     @property
     def full(self) -> bool:
         return self.rank == self.dim
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p for residue matrices, exact for primes below 2^20."""
+    out = None
+    for s in range(0, a.shape[1], _TERMS):
+        part = (a[:, s:s + _TERMS].astype(np.float64)
+                @ b[s:s + _TERMS].astype(np.float64)).astype(np.int64) % p
+        out = part if out is None else (out + part) % p
+    return out
 
 
 class _Echelon:
@@ -71,10 +152,8 @@ class _Echelon:
 
     def reduce(self, block: np.ndarray) -> np.ndarray:
         if self.rank:
-            # exact: entries < 2^20, accumulation over <= 4096 terms < 2^53
-            coef = block[:, self.pivcols].astype(np.float64)
-            prod = coef @ self.rows.astype(np.float64)
-            block = (block - prod.astype(np.int64)) % self.p
+            block = block - _matmul_mod(block[:, self.pivcols], self.rows,
+                                        self.p)
         return block % self.p
 
     def insert_block(self, block: np.ndarray, ids) -> None:
@@ -103,18 +182,13 @@ class _Echelon:
             if self.rank == self.n:
                 return
 
-    def kernel_residues(self):
-        """Modular kernel basis: free column -> residue dict over pivcols."""
-        free = [c for c in range(self.n) if c not in set(self.pivcols)]
-        out = []
-        for f in free:
-            entries = {f: 1}
-            col = self.rows[:, f]
-            for r, c in enumerate(self.pivcols):
-                if col[r]:
-                    entries[c] = int((-col[r]) % self.p)
-            out.append(entries)
-        return out
+    def kernel_residues(self) -> tuple[np.ndarray, np.ndarray]:
+        """Free columns and the k x rank residue matrix of the modular
+        kernel: vector j is 1 at free[j] and residues[j, r] at pivcols[r]."""
+        free = np.ones(self.n, dtype=bool)
+        free[self.pivcols] = False
+        free = np.flatnonzero(free)
+        return free, np.ascontiguousarray((-self.rows[:, free].T) % self.p)
 
 
 def _rational_reconstruct(x: int, m: int):
@@ -133,112 +207,154 @@ def _rational_reconstruct(x: int, m: int):
     return Fraction(a1, b1)
 
 
-def _columns_to_block(columns, n):
-    block = np.zeros((len(columns), n), dtype=np.int64)
-    for i, support in enumerate(columns):
-        block[i, list(support)] = 1
-    return block
+def _crt(r1: np.ndarray, m1: int, r2: np.ndarray, m2: int) -> np.ndarray:
+    """Residues mod m1*m2 from residues mod coprime m1 and m2 (< 2^20)."""
+    inv = pow(m1 % m2, -1, m2)
+    t = ((r2 - r1 % m2) * inv) % m2
+    if m1 * m2 >= _INT64_SAFE:
+        r1, t = r1.astype(object), t.astype(object)
+    return r1 + m1 * t
+
+
+def _int_matrix(K: np.ndarray) -> np.ndarray:
+    """K as int64 when its entries allow, else as Python integers."""
+    if K.dtype == object and (not K.size or np.abs(K).max() < _INT64_SAFE):
+        return K.astype(np.int64)
+    return K
+
+
+def _reconstruct_kernel(residues, modulus, free, pivcols, n):
+    """Integer kernel rows from their residues mod ``modulus``, or None if
+    an entry has no rational preimage within the reconstruction bound.
+
+    Row j is scaled by the lcm of its denominators, so its entry at
+    free[j] is that lcm.  Entries within +-sqrt(modulus/2) are their own
+    preimages; only the rest go through ``_rational_reconstruct``.
+    """
+    bound = isqrt(modulus // 2)
+    high = residues >= modulus - bound
+    num = np.where(high, residues - modulus, residues)
+    hard = np.argwhere(~(high | (residues <= bound)))
+    scale = np.ones(len(free), dtype=np.int64)
+    if len(hard):
+        vals = {}
+        lcms: dict[int, int] = {}
+        for i, j in hard.tolist():
+            val = _rational_reconstruct(int(residues[i, j]), modulus)
+            if val is None:
+                return None
+            vals[i, j] = val
+            lcms[i] = lcm(lcms.get(i, 1), val.denominator)
+        if max(lcms.values()) * bound >= _INT64_SAFE:
+            num, scale = num.astype(object), scale.astype(object)
+        for i, mult in lcms.items():
+            num[i] *= mult
+            scale[i] = mult
+        for (i, j), val in vals.items():
+            num[i, j] = val.numerator * (lcms[i] // val.denominator)
+    K = np.zeros((len(free), n), dtype=num.dtype)
+    K[:, pivcols] = num
+    K[np.arange(len(free)), free] = scale
+    return _int_matrix(K)
+
+
+def annihilates(K: np.ndarray, columns) -> bool:
+    """Whether every row of the integer matrix K sums to zero over every
+    column, exactly.
+
+    Sums run in int64 while max|K| times the longest column is below 2^63,
+    in Python integers otherwise.  Columns are taken in chunks so that at
+    most about 2^16 entries of K are gathered at a time.
+    """
+    columns = _as_columns(columns)
+    k, ncols = len(K), len(columns)
+    if not k or not ncols:
+        return True
+    indptr = columns.indptr
+    lengths = np.diff(indptr)
+    if K.dtype != object and (int(np.abs(K).max()) * int(lengths.max())
+                              >= 1 << 63):
+        K = K.astype(object)
+    step = max(1, _CHECK_ENTRIES // k)
+    start = 0
+    while start < ncols:
+        stop = int(np.searchsorted(indptr, indptr[start] + step,
+                                   side="right")) - 1
+        stop = min(max(stop, start + 1), ncols)
+        a, b = indptr[start], indptr[stop]
+        if b > a:
+            # reduceat misreads empty segments: give it only non-empty ones
+            starts = indptr[start:stop][lengths[start:stop] > 0] - a
+            sums = np.add.reduceat(K[:, columns.indices[a:b]], starts, axis=1)
+            if sums.any():
+                return False
+        start = stop
+    return True
 
 
 def _run_echelon(n, columns, p, early_stop):
     ech = _Echelon(n, p)
     for start in range(0, len(columns), _BLOCK):
-        chunk = columns[start:start + _BLOCK]
-        block = _columns_to_block(chunk, n)
-        ech.insert_block(block, range(start, start + len(chunk)))
+        stop = min(start + _BLOCK, len(columns))
+        ech.insert_block(columns.block(start, stop, n), range(start, stop))
         if early_stop and ech.rank == n:
             break
     return ech
 
 
-def _verify_kernel(vector: dict[int, Fraction], columns) -> bool:
-    den = 1
-    for v in vector.values():
-        den = lcm(den, v.denominator)
-    ints = {i: int(v * den) for i, v in vector.items() if v}
-    for support in columns:
-        total = 0
-        for i in support:
-            total += ints.get(i, 0)
-        if total:
-            return False
-    return True
-
-
-def _crt_pair(r1, m1, r2, m2):
-    # assumes gcd(m1, m2) = 1
-    inv = pow(m1 % m2, -1, m2)
-    t = ((r2 - r1) * inv) % m2
-    return r1 + m1 * t
+def _full(n, ech, primes_used) -> SpanResult:
+    return SpanResult(n, n, tuple(ech.pivot_ids),
+                      np.zeros((0, n), dtype=np.int64),
+                      np.ones(n, dtype=bool), primes_used)
 
 
 def span_of_indicator_columns(n: int, columns) -> SpanResult:
-    """Certified span data for 0/1 columns given as sorted index tuples."""
-    columns = list(columns)
-    if not columns:
-        kernel = tuple({i: Fraction(1)} for i in range(n))
-        return SpanResult(n, 0, (), kernel,
+    """Certified span data for 0/1 columns, given as ``IndicatorColumns``
+    or as a list of index tuples."""
+    columns = _as_columns(columns)
+    if not len(columns):
+        return SpanResult(n, 0, (), np.eye(n, dtype=np.int64),
                           np.zeros(n, dtype=bool))
 
     ech = _run_echelon(n, columns, PRIMES[0], early_stop=True)
     if ech.rank == n:
-        return SpanResult(n, n, tuple(ech.pivot_ids), (),
-                          np.ones(n, dtype=bool))
+        return _full(n, ech, 1)
 
     # Deficient modulo the first prime (the early stop never fired, so the
     # run saw every column): reconstruct and verify the kernel.
     base = ech
-    residues = base.kernel_residues()
+    free, residues = base.kernel_residues()
     modulus = PRIMES[0]
+    used = 1
     for extra in (None,) + PRIMES[1:]:
         if extra is not None:
+            used += 1
             run = _run_echelon(n, columns, extra, early_stop=False)
             if run.rank == n:
-                return SpanResult(n, n, tuple(run.pivot_ids), (),
-                                  np.ones(n, dtype=bool))
+                return _full(n, run, used)
             if run.pivcols == base.pivcols:
-                new = run.kernel_residues()
-                residues = [
-                    {c: _crt_pair(old.get(c, 0), modulus, cur.get(c, 0), extra)
-                     for c in set(old) | set(cur)}
-                    for old, cur in zip(residues, new)]
+                residues = _crt(residues, modulus,
+                                run.kernel_residues()[1], extra)
                 modulus *= extra
             elif run.rank > base.rank:
-                base, residues, modulus = run, run.kernel_residues(), extra
+                base, modulus = run, extra
+                free, residues = run.kernel_residues()
             else:
                 continue
-        kernel = _reconstruct_kernel(residues, modulus, columns)
-        if kernel is not None:
-            rank = n - len(kernel)
-            membership = np.ones(n, dtype=bool)
-            for vec in kernel:
-                for i in vec:
-                    membership[i] = False
-            return SpanResult(n, rank, tuple(base.pivot_ids), tuple(kernel),
-                              membership)
+        kernel = _reconstruct_kernel(residues, modulus, free, base.pivcols, n)
+        if kernel is not None and annihilates(kernel, columns):
+            return SpanResult(n, n - len(kernel), tuple(base.pivot_ids),
+                              kernel, ~(kernel != 0).any(axis=0), used)
 
-    return _exact_fallback(n, columns)
-
-
-def _reconstruct_kernel(residues, modulus, columns):
-    kernel = []
-    for res in residues:
-        vec = {}
-        for c, r in res.items():
-            val = _rational_reconstruct(r, modulus)
-            if val is None:
-                return None
-            if val:
-                vec[c] = val
-        if not _verify_kernel(vec, columns):
-            return None
-        kernel.append(vec)
-    return tuple(kernel)
+    res = _exact_fallback(n, columns)
+    res.primes_used = used
+    return res
 
 
 def _exact_fallback(n: int, columns) -> SpanResult:
     """Plain fraction-free RREF; only reached if every prime failed."""
-    rows = [[Fraction(0)] * n for _ in range(0)]
+    columns = _as_columns(columns)
+    rows: list[list[Fraction]] = []
     pivcols: list[int] = []
     pivot_ids: list[int] = []
     for cid, support in enumerate(columns):
@@ -263,16 +379,12 @@ def _exact_fallback(n: int, columns) -> SpanResult:
         pivcols.append(piv)
         pivot_ids.append(cid)
     free = [c for c in range(n) if c not in set(pivcols)]
-    kernel = []
-    for f in free:
-        vec = {f: Fraction(1)}
+    kernel = np.zeros((len(free), n), dtype=object)
+    for j, f in enumerate(free):
+        den = lcm(1, *(r[f].denominator for r in rows))
+        kernel[j, f] = den
         for r, c in zip(rows, pivcols):
-            if r[f]:
-                vec[c] = -r[f]
-        kernel.append(vec)
-    membership = np.ones(n, dtype=bool)
-    for vec in kernel:
-        for i in vec:
-            membership[i] = False
-    return SpanResult(n, len(pivcols), tuple(pivot_ids), tuple(kernel),
-                      membership)
+            kernel[j, c] = int(-r[f] * den)
+    kernel = _int_matrix(kernel)
+    return SpanResult(n, len(pivcols), tuple(pivot_ids), kernel,
+                      ~(kernel != 0).any(axis=0), fallback_used=True)

@@ -23,8 +23,9 @@ import numpy as np
 from . import bounds
 from .errors import (BoundExceeded, EvenLength, HypothesisFailed, NotACycle,
                      NotIsotropic, NotNested, ValidityError)
-from .exact import SpanResult, span_of_indicator_columns
-from .fqm import (DiscriminantForm, Element, Subgroup, is_isotropic,
+from .exact import (IndicatorColumns, SpanResult, annihilates,
+                    span_of_indicator_columns)
+from .fqm import (DiscriminantForm, Element, Subgroup, is_isotropic, mod1,
                   orthogonal_complement, quotient_form, subgroup,
                   subgroup_from_generators)
 from .ntheory import prime_power
@@ -183,9 +184,11 @@ def descent_matrix(form: DiscriminantForm, H: Subgroup) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def span_columns(form: DiscriminantForm, subgroups) -> list[tuple[int, ...]]:
-    """All lift-matrix columns (coset supports) for the given subgroups."""
-    cols = []
+def span_columns(form: DiscriminantForm, subgroups) -> IndicatorColumns:
+    """All lift-matrix columns (coset supports) for the given subgroups,
+    subgroup by subgroup, each subgroup's cosets in order of their least
+    member."""
+    blocks = []
     every = np.arange(form.order)
     for H in subgroups:
         h_idx = [form.index(h) for h in H.elements]
@@ -194,29 +197,29 @@ def span_columns(form: DiscriminantForm, subgroups) -> list[tuple[int, ...]]:
             mask &= form.b_row_num(form.index(g)) == 0
         perp = every[mask]
         stacked = np.stack([form.add_index_vec(perp, j) for j in h_idx])
-        reps = stacked.min(axis=0)
-        is_rep = perp == reps
-        for col in stacked[:, is_rep].T:
-            cols.append(tuple(sorted(int(x) for x in col)))
-    return cols
+        is_rep = perp == stacked.min(axis=0)
+        blocks.append(np.sort(stacked[:, is_rep].T, axis=1))
+    return IndicatorColumns.from_blocks(blocks)
 
 
-def _span_data(form: DiscriminantForm):
+def _span_data(form: DiscriminantForm, max_order=None):
     cached = getattr(form, "_lift_span_data", None)
     if cached is not None:
         return cached
-    if form.order > bounds.max_span_order():
+    limit = bounds.max_span_order() if max_order is None else max_order
+    if form.order > limit:
         raise BoundExceeded(
-            f"|D| = {form.order} exceeds the span bound {bounds.max_span_order()}")
+            f"|D| = {form.order} exceeds the span bound {limit}")
     cols = span_columns(form, prime_order_subgroups(form))
     result = span_of_indicator_columns(form.order, cols)
     form._lift_span_data = (cols, result)
     return cols, result
 
 
-def lift_span(form: DiscriminantForm) -> SpanResult:
-    """Certified span of all prime-order isotropic lifts (cached)."""
-    return _span_data(form)[1]
+def lift_span(form: DiscriminantForm, max_order=None) -> SpanResult:
+    """Certified span of all prime-order isotropic lifts (cached); the span
+    bound is ``max_order`` if given, else the process-wide one."""
+    return _span_data(form, max_order)[1]
 
 
 @dataclass
@@ -257,12 +260,8 @@ def spans_agree_with_all_subgroups(form: DiscriminantForm) -> bool:
     res = lift_span(form)
     if res.full:
         return True
-    all_cols = span_columns(form, isotropic_subgroups(form))
-    for support in all_cols:
-        for vec in res.kernel:
-            if sum(vec.get(i, Fraction(0)) for i in support):
-                return False
-    return True
+    return annihilates(res.kernel,
+                       span_columns(form, isotropic_subgroups(form)))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +452,7 @@ def rank5_expression(form: DiscriminantForm, gamma: Element):
 
     # counts: a0 over pairs inside the isotropic set, a_l and b_l over
     # shifted norm classes; all must be positive and choice-independent
-    target0 = mod_fr(Fraction(-2 * j, p))
+    target0 = mod1(Fraction(-2 * j, p))
     a0_vals = {sum(1 for beta in iso if bnum(beta, mu) == target0)
                for mu in iso}
     if len(a0_vals) != 1 or 0 in a0_vals:
@@ -461,11 +460,11 @@ def rank5_expression(form: DiscriminantForm, gamma: Element):
     a0 = a0_vals.pop()
     a_l, b_l = {}, {}
     for el in range(1, p):
-        norm = mod_fr(Fraction(-2 * el * j, p))
+        norm = mod1(Fraction(-2 * el * j, p))
         alphas = [e for e in block if e != form.zero and form.q(e) == norm]
         if not alphas:
             raise HypothesisFailed(f"no block elements of norm {norm}")
-        targ = mod_fr(Fraction(-2 * el * j, p))
+        targ = mod1(Fraction(-2 * el * j, p))
         counts_a = {sum(1 for mu in iso if bnum(alpha, mu) == targ)
                     for alpha in alphas}
         counts_b = {sum(1 for mu in iso if bnum(alpha, mu) == 0)
@@ -491,7 +490,7 @@ def rank5_expression(form: DiscriminantForm, gamma: Element):
             H = subgroup_from_generators(form, [form.add(g_over, beta)])
             terms.append((H, form.add(gamma, mu), coeff_w))
     for el in range(1, p):
-        norm = mod_fr(Fraction(-2 * el * j, p))
+        norm = mod1(Fraction(-2 * el * j, p))
         coeff_u = Fraction((p - 1) * a_l[el], a0 * p * b_l[el] * size)
         shift = form.smul(1 + el * (n // p), gamma)
         for mu in iso:
@@ -511,10 +510,6 @@ def rank5_expression(form: DiscriminantForm, gamma: Element):
     if {e: c for e, c in total.items() if c} != {gamma: Fraction(1)}:
         raise HypothesisFailed("expansion does not collapse to e^gamma")
     return terms
-
-
-def mod_fr(x: Fraction) -> Fraction:
-    return Fraction(x.numerator % x.denominator, x.denominator)
 
 
 # ---------------------------------------------------------------------------

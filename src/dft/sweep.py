@@ -16,6 +16,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import bounds
 from .classify import small_type
@@ -53,13 +54,14 @@ class SweepConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def evaluate_symbol(text: str) -> dict:
-    """Self-contained verification record for one symbol."""
+def evaluate_symbol(text: str, span_order: int | None = None) -> dict:
+    """Self-contained verification record for one symbol; ``span_order``
+    overrides the process-wide span bound."""
     t0 = time.perf_counter()
     sym = parse_symbol(text)
     form = build_form(sym)
     verdict = small_type(sym)
-    span = lift_span(form)
+    span = lift_span(form, span_order)
     record = {
         "kind": "record",
         "symbol": text,
@@ -101,8 +103,6 @@ def _load_existing(path: str, config_hash: str) -> dict[str, dict]:
 
 def run_sweep(config: SweepConfig, log=None) -> dict:
     """Execute the sweep, write the JSONL output, return the summary."""
-    os.environ["DFT_MAX_SPAN_ORDER"] = str(config.span_order)
-    os.environ["DFT_MAX_ENUM_ORDER"] = str(config.enum_order)
     t0 = time.perf_counter()
     symbols = [str(s) for s in enumerate_symbols(config.max_order,
                                                  config.primes)]
@@ -112,11 +112,14 @@ def run_sweep(config: SweepConfig, log=None) -> dict:
     if log:
         log(f"sweep: {len(symbols)} symbols, {len(todo)} to compute, "
             f"jobs={config.jobs}")
+    # the records consult only the span bound; the enumeration bound is
+    # part of the configuration hash but no record depends on it
+    evaluate = partial(evaluate_symbol, span_order=config.span_order)
     if config.jobs > 1 and len(todo) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            fresh = list(pool.map(evaluate_symbol, todo, chunksize=8))
+            fresh = list(pool.map(evaluate, todo, chunksize=8))
     else:
-        fresh = [evaluate_symbol(s) for s in todo]
+        fresh = [evaluate(s) for s in todo]
     records = dict(existing)
     records.update({rec["symbol"]: rec for rec in fresh})
 

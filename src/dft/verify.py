@@ -25,6 +25,7 @@ import numpy as np
 from .classify import (build_graph_cached, contains_isotropic_elementary,
                        max_isotropic_rank, no_cube_catalog_check, small_type)
 from .errors import DftError, HypothesisFailed
+from .exact import annihilates
 from .fqm import (DiscriminantForm, build_form, direct_sum, milgram_check,
                   orthogonal_complement, subgroup_from_generators)
 from .lifts import (check_transitivity, e_gamma_in_image, isotropic_subgroups,
@@ -240,10 +241,9 @@ def _check_duality(max_order: int = 96) -> CheckResult:
         res = lift_span(form)
         if res.rank + len(res.kernel) != form.order:
             return CheckResult("span-kernel-duality", False, str(sym))
-        for vec in res.kernel:
-            for cid in res.pivot_columns:
-                if sum(vec.get(i, Fraction(0)) for i in cols[cid]):
-                    return CheckResult("span-kernel-duality", False, str(sym))
+        if not annihilates(res.kernel,
+                           [cols[cid] for cid in res.pivot_columns]):
+            return CheckResult("span-kernel-duality", False, str(sym))
         checked += 1
     return CheckResult("span-kernel-duality", True, f"{checked} forms")
 

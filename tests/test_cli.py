@@ -1,8 +1,10 @@
 import json
+import os
 
 import pytest
 
 from dft.cli import main
+from dft.errors import BoundExceeded
 from dft.sweep import SweepConfig, run_sweep
 
 
@@ -64,6 +66,30 @@ def test_bound_exceeded_exits_3(capsys, monkeypatch):
     code, out = run_cli(capsys, "image", "2_II^+6")
     assert code == 3
     assert out["error"]["type"] == "BoundExceeded"
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_bound_value_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("DFT_MAX_SPAN_ORDER", value)
+    code, out = run_cli(capsys, "image", "3^+1")
+    assert code == 2
+    assert out["error"]["type"] == "ValidityError"
+
+
+def test_sweep_passes_bounds_without_touching_environment(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.delenv("DFT_MAX_SPAN_ORDER", raising=False)
+    monkeypatch.delenv("DFT_MAX_ENUM_ORDER", raising=False)
+    before = dict(os.environ)
+    run_sweep(SweepConfig(max_order=9, primes=(3,), span_order=9,
+                          enum_order=9, out=str(tmp_path / "s.jsonl")))
+    assert dict(os.environ) == before
+    # the workers see the configured bound: |D| = 9 exceeds a span bound 4
+    for jobs in (1, 2):
+        with pytest.raises(BoundExceeded):
+            run_sweep(SweepConfig(max_order=9, primes=(3,), span_order=4,
+                                  jobs=jobs, out=str(tmp_path / "t.jsonl")))
+    assert dict(os.environ) == before
 
 
 def test_graph_command(capsys, tmp_path):

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from dft.exact import (_exact_fallback, _rational_reconstruct,
+from dft.exact import (PRIMES, IndicatorColumns, _exact_fallback,
+                       _matmul_mod, _rational_reconstruct, annihilates,
                        span_of_indicator_columns)
 
 
@@ -18,7 +20,7 @@ def test_full_rank_case():
     cols = [(0,), (1,), (0, 2)]
     res = span_of_indicator_columns(3, cols)
     assert res.full and res.rank == 3
-    assert res.membership.all() and res.kernel == ()
+    assert res.membership.all() and res.kernel.shape == (0, 3)
 
 
 def test_known_deficient_case():
@@ -28,9 +30,9 @@ def test_known_deficient_case():
     assert res.rank == 2
     assert len(res.kernel) == 2
     assert list(res.membership) == [False, False, False, False]
-    for vec in res.kernel:
+    for row in res.kernel:
         for support in cols:
-            assert sum(vec.get(i, Fraction(0)) for i in support) == 0
+            assert sum(int(row[i]) for i in support) == 0
 
 
 def test_rational_reconstruction():
@@ -57,9 +59,9 @@ def test_matches_exact_fallback(data):
     assert np.array_equal(fast.membership, slow.membership)
     # verified kernels annihilate every column on both routes
     for res in (fast, slow):
-        for vec in res.kernel:
+        for row in res.kernel:
             for support in cols:
-                assert sum(vec.get(i, Fraction(0)) for i in support) == 0
+                assert sum(int(row[i]) for i in support) == 0
 
 
 def test_pivot_columns_are_a_basis():
@@ -68,3 +70,71 @@ def test_pivot_columns_are_a_basis():
     assert res.rank == 4
     assert len(res.pivot_columns) == 4
     assert sorted(res.pivot_columns) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("shift", [1, 2])
+def test_matmul_mod_is_exact_past_one_float64_chunk(shift):
+    # 9000 products near 2^40 sum past 2^53; one float64 product rounds
+    # the odd residue p - 2 (36000 in place of 35992 mod p)
+    p = PRIMES[0]
+    r = p - shift
+    a = np.full((1, 9000), r, dtype=np.int64)
+    b = np.full((9000, 1), r, dtype=np.int64)
+    assert _matmul_mod(a, b, p)[0, 0] == (9000 * r * r) % p
+
+
+def test_indicator_columns_round_trip():
+    supports = [(0, 2), (), (1,), (0, 1, 3)]
+    cols = IndicatorColumns.from_supports(supports)
+    assert len(cols) == 4 and list(cols) == supports
+    assert cols[3] == (0, 1, 3) and cols[1] == ()
+    assert cols.block(1, 4, 4).tolist() == [[0, 0, 0, 0], [0, 1, 0, 0],
+                                            [1, 1, 0, 1]]
+    blocks = IndicatorColumns.from_blocks([np.array([[0, 2], [1, 3]])])
+    assert list(blocks) == [(0, 2), (1, 3)]
+
+
+def test_annihilates():
+    K = np.array([[1, -1, 0], [0, 0, 2]])
+    assert annihilates(K, [(0, 1), (), (0, 1)])
+    assert not annihilates(K, [(0, 1), (), (2,)])
+    # an empty column between two others must not shift the sums
+    assert not annihilates(np.array([[0, 5]]), [(0,), (), (1,)])
+    # 8 * 2^61 = 2^64 wraps to 0 in int64; the check must not trust that
+    assert not annihilates(np.full((1, 8), 2 ** 61), [tuple(range(8))])
+    # many columns, checked in chunks: only the last one fails
+    many = [(0, 1)] * 300000 + [(2,)]
+    assert annihilates(K[:1], many[:-1])
+    assert not annihilates(K, many)
+
+
+def fibonacci_columns(n):
+    """n - 1 columns in dimension n with a one-dimensional kernel whose
+    entries grow like the Fibonacci numbers: column k covers k + 1 and
+    every earlier index whose kernel entry has the dominant sign."""
+    v = [1]
+    cols = []
+    for k in range(n - 1):
+        pos = [i for i in range(k + 1) if v[i] > 0]
+        neg = [i for i in range(k + 1) if v[i] < 0]
+        side = pos if sum(v[i] for i in pos) >= -sum(v[i] for i in neg) else neg
+        cols.append(tuple(side) + (k + 1,))
+        v.append(-sum(v[i] for i in side))
+    return cols
+
+
+@pytest.mark.parametrize("n, primes, fallback", [
+    (20, 2, False),                   # two primes and one CRT step
+    (60, 5, False),                   # CRT modulus past 2^63: Python ints
+    (160, len(PRIMES), True),         # every prime fails: Fraction RREF
+])
+def test_certificate_paths(n, primes, fallback):
+    cols = fibonacci_columns(n)
+    res = span_of_indicator_columns(n, cols)
+    assert (res.primes_used, res.fallback_used) == (primes, fallback)
+    slow = res if fallback else _exact_fallback(n, cols)
+    assert res.rank == slow.rank == n - 1
+    assert np.array_equal(res.membership, slow.membership)
+    for row in res.kernel:
+        for support in cols:
+            assert sum(int(row[i]) for i in support) == 0

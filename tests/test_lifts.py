@@ -12,6 +12,7 @@ from dft.lifts import (check_transitivity, descent_matrix, e_gamma_in_image,
                        odd_cycle_expression, prime_order_subgroups,
                        rank5_expression, spans_agree_with_all_subgroups)
 from dft.symbols import parse_symbol
+from dft.verify import _check_duality
 
 
 def build(text):
@@ -85,9 +86,14 @@ def test_span_certificate_sides():
     assert res.rank + len(res.kernel) == d.order
     assert 0 < res.rank < d.order
     cols, _ = d._lift_span_data
-    for vec in res.kernel:
+    for row in res.kernel:
         for support in cols:
-            assert sum(vec.get(i, Fraction(0)) for i in support) == 0
+            assert sum(int(row[i]) for i in support) == 0
+
+
+def test_span_kernel_duality_check():
+    result = _check_duality(max_order=32)
+    assert result.passed, result.detail
 
 
 def test_spans_agree_with_all_subgroups_small():
