@@ -9,11 +9,10 @@ matrices are checked in exact cyclotomic arithmetic, and the structural
 
 from .symbols import (GenusSymbol, JordanComponent, enumerate_symbols,
                       format_symbol, normalize_oddity, parse_symbol)
-from .fqm import (DiscriminantForm, GeneratorForm, Subgroup, TableForm,
-                  b_value, build_form, direct_sum, element_order, level,
-                  milgram_check, order, orthogonal_complement, p_part,
-                  q_value, quotient_form, signature, subgroup,
-                  subgroup_from_generators)
+from .fqm import (DiscriminantForm, Subgroup, b_value, build_form,
+                  direct_sum, element_order, level, milgram_check, order,
+                  orthogonal_complement, p_part, q_value, quotient_form,
+                  signature, subgroup, subgroup_from_generators)
 from .lifts import (LiftMap, check_transitivity, descent_matrix,
                     e_gamma_in_image, image_rank, isotropic_elements,
                     isotropic_subgroups, kernel_vector, lift_matrix,

@@ -25,7 +25,7 @@ import numpy as np
 from . import bounds
 from .errors import BoundExceeded, NotTwoAdic, ValidityError
 from .fqm import DiscriminantForm, Element
-from .ntheory import legendre, kronecker2, prime_power
+from .ntheory import legendre, kronecker2, prime_power, prime_power_factors
 from .symbols import EVEN, ODD, GenusSymbol
 
 # ---------------------------------------------------------------------------
@@ -438,20 +438,6 @@ class IsotropyGraph:
         while prev[path[-1]] is not None:
             path.append(prev[path[-1]])
         return path[::-1]
-
-
-def prime_power_factors(n: int) -> tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
 
 
 def build_isotropy_graph(form: DiscriminantForm) -> IsotropyGraph:

@@ -19,6 +19,7 @@ from .errors import (BoundExceeded, DftError, RelationFailed,
                      SymbolSyntaxError, ValidityError)
 from .fqm import build_form
 from .lifts import isotropic_elements, isotropic_subgroups, lift_span
+from .ntheory import prime_power_factors
 from .sweep import SweepConfig, run_sweep
 from .symbols import parse_symbol
 from .verify import run_suite
@@ -85,8 +86,7 @@ def cmd_image(args) -> int:
         "rank": span.rank,
         "full_image": span.full,
     }
-    two_adic = form.level == 1 or all(
-        p == 2 for p in _prime_factors(form.level))
+    two_adic = all(p == 2 for p in prime_power_factors(form.level))
     if two_adic:
         graph = build_graph_cached(form)
         verdicts = np.array([not graph.bipartite[int(c)]
@@ -100,19 +100,6 @@ def cmd_image(args) -> int:
                             for i in np.nonzero(~span.membership)[0]]
     _emit(out)
     return EXIT_OK
-
-
-def _prime_factors(n: int):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 def cmd_graph(args) -> int:

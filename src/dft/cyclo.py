@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -196,15 +196,8 @@ class Cyclotomic:
         return Cyclotomic(M, [self.coeffs[(-a) % M] for a in range(M)])
 
     def is_zero(self) -> bool:
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        u = np.array(ints, dtype=object)
-        acc = np.zeros(self.conductor, dtype=object)
-        for j, c in _cofactor_terms(self.conductor):
-            acc += c * np.roll(u, j)
-        return not acc.any()
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return vanishes(self.conductor, [int(c * den) for c in self.coeffs])
 
     def __eq__(self, other):
         if not isinstance(other, (Cyclotomic, int, Fraction)):

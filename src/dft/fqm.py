@@ -1,13 +1,17 @@
 """Discriminant forms (finite quadratic modules) in exact arithmetic.
 
-Forms come in two presentations sharing one interface:
+Every form has one presentation: generators g_1, ..., g_m of orders
+o_1, ..., o_m, the values q(g_i) and the Gram table b(g_i, g_j).  An
+element is its coefficient tuple (x_1, ..., x_m) with 0 <= x_i < o_i; its
+index is the mixed-radix number with those digits, the last generator
+varying fastest, and the vectorized methods work on arrays of indices.
 
-* ``GeneratorForm`` -- built from a genus symbol out of fixed Jordan
-  block models; elements are coefficient vectors against the build-order
-  generators.
-* ``TableForm`` -- element-table presented (quotients H_perp/H, p-parts,
-  products); elements are canonical representative tuples and no
-  generator recovery is attempted.
+Forms built from a genus symbol use the Jordan block models below.  A
+quotient H_perp/H gets generators of its own, of prime-power order, from
+two diagonalisations of integer relation matrices: its elements are
+coordinates in the quotient, not representatives in the parent, and
+``project`` / ``section`` are integer coordinate maps between the two.
+p-parts keep and direct sums concatenate generators.
 
 Values of q live in Q/Z as ``Fraction`` objects normalized to [0, 1).
 The signature is extracted from the Gauss sum with an exact cyclotomic
@@ -37,7 +41,7 @@ from . import cyclo
 from .bounds import DEFAULT_NONDEG_ORDER
 from .errors import (DegenerateForm, DimensionMismatch, NotIsotropic,
                      ValidityError)
-from .ntheory import legendre
+from .ntheory import legendre, prime_power, prime_power_factors
 from .symbols import ODD, GenusSymbol, unit_decomposition
 
 Element = tuple[int, ...]
@@ -48,181 +52,11 @@ def mod1(x: Fraction) -> Fraction:
 
 
 class DiscriminantForm:
-    """Shared interface; concrete storage lives in the subclasses."""
+    """A finite quadratic module given by generator orders, q on the
+    generators and the Gram table of b between them."""
 
-    _elements: tuple[Element, ...]
-
-    def __init__(self):
-        self._level: Optional[int] = None
-        self._signature: Optional[int] = None
-        self._qnum: Optional[np.ndarray] = None
-        self._index_map: Optional[dict] = None
-
-    # -- subclass obligations ------------------------------------------------
-
-    def add(self, a: Element, b: Element) -> Element:
-        raise NotImplementedError
-
-    def neg(self, a: Element) -> Element:
-        raise NotImplementedError
-
-    def q(self, a: Element) -> Fraction:
-        raise NotImplementedError
-
-    # -- generic group structure ---------------------------------------------
-
-    @property
-    def order(self) -> int:
-        return len(self._elements)
-
-    @property
-    def elements(self) -> tuple[Element, ...]:
-        return self._elements
-
-    @property
-    def zero(self) -> Element:
-        return self._elements[0]
-
-    def index(self, a: Element) -> int:
-        if self._index_map is None:
-            self._index_map = {e: i for i, e in enumerate(self._elements)}
-        try:
-            return self._index_map[tuple(a)]
-        except KeyError:
-            raise DimensionMismatch(f"{a} is not an element of this form")
-
-    def element(self, i: int) -> Element:
-        return self._elements[i]
-
-    def smul(self, k: int, a: Element) -> Element:
-        k %= self.exponent_bound()
-        acc = self.zero
-        for _ in range(k):
-            acc = self.add(acc, a)
-        return acc
-
-    def exponent_bound(self) -> int:
-        return self.order
-
-    def element_order(self, a: Element) -> int:
-        k, acc = 1, a
-        while acc != self.zero:
-            acc = self.add(acc, a)
-            k += 1
-        return k
-
-    def b(self, a: Element, c: Element) -> Fraction:
-        return mod1(self.q(self.add(a, c)) - self.q(a) - self.q(c))
-
-    # -- vectorized views (index space) ---------------------------------------
-
-    def qnum_array(self) -> np.ndarray:
-        """q numerators over the common denominator level(D)."""
-        if self._qnum is None:
-            L = self.level
-            self._qnum = np.array(
-                [int(self.q(e) * L) % L for e in self._elements], dtype=np.int64)
-        return self._qnum
-
-    def add_index_vec(self, indices: np.ndarray, j: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def neg_index_vec(self, indices: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def b_row_num(self, i: int) -> np.ndarray:
-        """Numerators of b(element(i), -) over the denominator level(D)."""
-        L = self.level
-        qn = self.qnum_array()
-        col = self.add_index_vec(np.arange(self.order), i)
-        return (qn[col] - qn[i] - qn) % L
-
-    # -- invariants ------------------------------------------------------------
-
-    @property
-    def level(self) -> int:
-        if self._level is None:
-            self._level = lcm(*(self.q(e).denominator for e in self._elements)) \
-                if self.order > 1 else 1
-        return self._level
-
-    @property
-    def signature(self) -> int:
-        if self._signature is None:
-            self._signature = self._compute_signature()
-        return self._signature
-
-    def gauss_counts(self, M: Optional[int] = None) -> np.ndarray:
-        """Multiplicities of e(q(gamma)) as powers of e(1/M)."""
-        L = self.level
-        M = M or L
-        if M % L:
-            raise ValueError("conductor must be a multiple of the level")
-        counts = np.zeros(M, dtype=np.int64)
-        np.add.at(counts, (self.qnum_array() * (M // L)) % M, 1)
-        return counts
-
-    def _compute_signature(self) -> int:
-        n = self.order
-        if n == 1:
-            return 0
-        N = self.level
-        counts = self.gauss_counts()
-        roots = np.exp(2j * np.pi * np.arange(N) / N)
-        g = complex(np.dot(counts.astype(np.float64), roots))
-        if abs(g) < 0.5:
-            if cyclo.vanishes(N, counts):
-                raise DegenerateForm("Gauss sum vanishes")
-        s_float = (cmath.phase(g) * 4.0 / cmath.pi) % 8.0
-        s = round(s_float) % 8
-        if min(abs(s_float - s), abs(s_float - s - 8), abs(s_float - s + 8)) > 0.25:
-            raise DegenerateForm(f"ambiguous Gauss sum argument {s_float}")
-        if not milgram_vector_vanishes(N, counts, n, s):
-            raise DegenerateForm(f"signature certificate failed for s={s}")
-        return s
-
-    def is_nondegenerate(self) -> bool:
-        L = self.level
-        n = self.order
-        for i in range(1, n):
-            if not self.b_row_num(i).any():
-                return False
-        return True
-
-    def __repr__(self):
-        return f"<{type(self).__name__} of order {self.order}>"
-
-
-def milgram_vector_vanishes(N: int, counts: np.ndarray, n: int, s: int) -> bool:
-    """Exact check of G^2 = n e(s/4) for G = sum counts[a] e(a/N)."""
-    sq = np.convolve(counts, counts)
-    vec = np.zeros(N, dtype=np.int64)
-    np.add.at(vec, np.arange(len(sq)) % N, sq)
-    if s % 2 == 0:
-        vec[0] -= n if s % 4 == 0 else -n
-    else:
-        if N % 4:
-            return False  # e(s/4) = +-i does not live in Q(zeta_N)
-        vec[(s * (N // 4)) % N] -= n
-    return cyclo.vanishes(N, vec)
-
-
-def milgram_check(form: DiscriminantForm) -> bool:
-    """Re-run the exact Gauss-sum certificate for the cached signature."""
-    if form.order == 1:
-        return form.signature == 0
-    return milgram_vector_vanishes(form.level, form.gauss_counts(),
-                                   form.order, form.signature)
-
-
-# ---------------------------------------------------------------------------
-# generator presentation
-# ---------------------------------------------------------------------------
-
-class GeneratorForm(DiscriminantForm):
     def __init__(self, orders: Sequence[int], qdiag: Sequence[Fraction],
                  gram: Sequence[Sequence[Fraction]], check: bool = True):
-        super().__init__()
         self.orders = tuple(int(o) for o in orders)
         self.qdiag = tuple(mod1(Fraction(x)) for x in qdiag)
         self.gram = tuple(tuple(mod1(Fraction(x)) for x in row) for row in gram)
@@ -230,11 +64,13 @@ class GeneratorForm(DiscriminantForm):
         if len(self.qdiag) != m or len(self.gram) != m or any(
                 len(r) != m for r in self.gram):
             raise ValidityError("generator data of inconsistent shape")
-        n = prod(self.orders, start=1)
-        self._n = n
+        self._n = prod(self.orders, start=1)
         self._places = tuple(prod(self.orders[i + 1:], start=1) for i in range(m))
         self._coeffs: Optional[np.ndarray] = None
-        self._elements_cache: Optional[tuple[Element, ...]] = None
+        self._elements: Optional[tuple[Element, ...]] = None
+        self._level: Optional[int] = None
+        self._signature: Optional[int] = None
+        self._qnum: Optional[np.ndarray] = None
         if check:
             self._check_consistency()
 
@@ -255,24 +91,33 @@ class GeneratorForm(DiscriminantForm):
     # -- structure -------------------------------------------------------------
 
     @property
-    def _elements(self) -> tuple[Element, ...]:  # type: ignore[override]
-        if self._elements_cache is None:
-            self._elements_cache = tuple(
-                tuple(self.coeff_matrix()[i].tolist()) for i in range(self._n))
-        return self._elements_cache
-
-    @property
     def order(self) -> int:
         return self._n
 
+    @property
+    def elements(self) -> tuple[Element, ...]:
+        if self._elements is None:
+            self._elements = tuple(map(tuple, self.coeff_matrix().tolist()))
+        return self._elements
+
+    @property
+    def zero(self) -> Element:
+        return (0,) * len(self.orders)
+
     def coeff_matrix(self) -> np.ndarray:
+        """Coefficient rows of all elements, in index order."""
         if self._coeffs is None:
-            m = len(self.orders)
             idx = np.arange(self._n, dtype=np.int64)
-            cols = [(idx // self._places[i]) % self.orders[i] for i in range(m)]
-            self._coeffs = (np.stack(cols, axis=1) if m else
+            cols = [(idx // p) % o for p, o in zip(self._places, self.orders)]
+            self._coeffs = (np.stack(cols, axis=1) if cols else
                             np.zeros((self._n, 0), dtype=np.int64))
         return self._coeffs
+
+    def indices(self, coeffs: np.ndarray) -> np.ndarray:
+        """Element indices of coefficient rows, entries taken mod the orders."""
+        digits = np.asarray(coeffs, dtype=np.int64) % np.array(
+            self.orders, dtype=np.int64)
+        return digits @ np.array(self._places, dtype=np.int64)
 
     def _reduce(self, a) -> Element:
         if len(a) != len(self.orders):
@@ -287,10 +132,6 @@ class GeneratorForm(DiscriminantForm):
     def element(self, i: int) -> Element:
         i = int(i)
         return tuple((i // p) % o for p, o in zip(self._places, self.orders))
-
-    @property
-    def zero(self) -> Element:
-        return (0,) * len(self.orders)
 
     def add(self, a: Element, b: Element) -> Element:
         a, b = self._reduce(a), self._reduce(b)
@@ -333,7 +174,43 @@ class GeneratorForm(DiscriminantForm):
                         total += x * y * self.gram[i][j]
         return mod1(total)
 
-    # -- vectorized ---------------------------------------------------------------
+    # -- vectorized views (index space) ---------------------------------------
+
+    def _scaled_tables(self):
+        L = self.level
+        m = len(self.orders)
+        qn = np.array([int(x * L) for x in self.qdiag], dtype=np.int64)
+        gn = np.array([[int(x * L) for x in row] for row in self.gram],
+                      dtype=np.int64).reshape(m, m)
+        return L, qn, gn
+
+    def qnum_array(self) -> np.ndarray:
+        """q numerators over the common denominator level(D)."""
+        if self._qnum is None:
+            L, qn, gn = self._scaled_tables()
+            C = self.coeff_matrix()
+            total = (C * C) @ qn
+            for i in range(len(self.orders)):
+                for j in range(i + 1, len(self.orders)):
+                    if gn[i][j]:
+                        total = total + C[:, i] * C[:, j] * gn[i][j]
+            self._qnum = total % L
+        return self._qnum
+
+    def b_row_num(self, i: int) -> np.ndarray:
+        """Numerators of b(element(i), -) over the denominator level(D)."""
+        L, _, gn = self._scaled_tables()
+        vec = gn @ np.array(self.element(i), dtype=np.int64)
+        return (self.coeff_matrix() @ vec) % L
+
+    def add_index_vec(self, indices: np.ndarray, j: int) -> np.ndarray:
+        return self.indices(self.coeff_matrix()[indices]
+                            + np.array(self.element(j), dtype=np.int64))
+
+    def neg_index_vec(self, indices: np.ndarray) -> np.ndarray:
+        return self.indices(-self.coeff_matrix()[indices])
+
+    # -- invariants ------------------------------------------------------------
 
     @property
     def level(self) -> int:
@@ -343,58 +220,51 @@ class GeneratorForm(DiscriminantForm):
             self._level = lcm(*dens) if dens else 1
         return self._level
 
-    def _scaled_tables(self):
+    @property
+    def signature(self) -> int:
+        if self._signature is None:
+            self._signature = self._compute_signature()
+        return self._signature
+
+    def gauss_counts(self, M: Optional[int] = None) -> np.ndarray:
+        """Multiplicities of e(q(gamma)) as powers of e(1/M)."""
         L = self.level
-        qn = np.array([int(x * L) for x in self.qdiag], dtype=np.int64)
-        gn = np.array([[int(x * L) for x in row] for row in self.gram],
-                      dtype=np.int64)
-        return L, qn, gn
+        M = M or L
+        if M % L:
+            raise ValueError("conductor must be a multiple of the level")
+        counts = np.zeros(M, dtype=np.int64)
+        np.add.at(counts, (self.qnum_array() * (M // L)) % M, 1)
+        return counts
 
-    def qnum_array(self) -> np.ndarray:
-        if self._qnum is None:
-            L, qn, gn = self._scaled_tables()
-            C = self.coeff_matrix()
-            total = (C * C) @ qn if len(self.orders) else np.zeros(1, np.int64)
-            for i in range(len(self.orders)):
-                for j in range(i + 1, len(self.orders)):
-                    if gn[i][j]:
-                        total = total + C[:, i] * C[:, j] * gn[i][j]
-            self._qnum = total % L
-        return self._qnum
-
-    def b_row_num(self, i: int) -> np.ndarray:
-        L, _, gn = self._scaled_tables()
-        if not len(self.orders):
-            return np.zeros(1, dtype=np.int64)
-        C = self.coeff_matrix()
-        vec = gn @ np.array(self.element(i), dtype=np.int64)
-        return (C @ vec) % L
-
-    def add_index_vec(self, indices: np.ndarray, j: int) -> np.ndarray:
-        C = self.coeff_matrix()
-        ej = np.array(self.element(j), dtype=np.int64)
-        if not len(self.orders):
-            return np.asarray(indices)
-        digits = (C[indices] + ej) % np.array(self.orders, dtype=np.int64)
-        return digits @ np.array(self._places, dtype=np.int64)
-
-    def neg_index_vec(self, indices: np.ndarray) -> np.ndarray:
-        C = self.coeff_matrix()
-        if not len(self.orders):
-            return np.asarray(indices)
-        digits = (-C[indices]) % np.array(self.orders, dtype=np.int64)
-        return digits @ np.array(self._places, dtype=np.int64)
+    def _compute_signature(self) -> int:
+        n = self.order
+        if n == 1:
+            return 0
+        N = self.level
+        counts = self.gauss_counts()
+        roots = np.exp(2j * np.pi * np.arange(N) / N)
+        g = complex(np.dot(counts.astype(np.float64), roots))
+        if abs(g) < 0.5:
+            if cyclo.vanishes(N, counts):
+                raise DegenerateForm("Gauss sum vanishes")
+        s_float = (cmath.phase(g) * 4.0 / cmath.pi) % 8.0
+        s = round(s_float) % 8
+        if min(abs(s_float - s), abs(s_float - s - 8), abs(s_float - s + 8)) > 0.25:
+            raise DegenerateForm(f"ambiguous Gauss sum argument {s_float}")
+        if not milgram_vector_vanishes(N, counts, n, s):
+            raise DegenerateForm(f"signature certificate failed for s={s}")
+        return s
 
     def is_nondegenerate(self) -> bool:
-        L, _, gn = self._scaled_tables()
         if self.order == 1:
             return True
+        L, _, gn = self._scaled_tables()
         C = self.coeff_matrix()
         B = (C @ gn @ C.T) % L
         return bool(np.all(B[1:].any(axis=1)))
 
     def __eq__(self, other):
-        return (isinstance(other, GeneratorForm)
+        return (isinstance(other, DiscriminantForm)
                 and self.orders == other.orders
                 and self.qdiag == other.qdiag
                 and self.gram == other.gram)
@@ -402,61 +272,30 @@ class GeneratorForm(DiscriminantForm):
     def __hash__(self):
         return hash((self.orders, self.qdiag))
 
+    def __repr__(self):
+        return f"<{type(self).__name__} of order {self.order}>"
 
-# ---------------------------------------------------------------------------
-# table presentation
-# ---------------------------------------------------------------------------
 
-class TableForm(DiscriminantForm):
-    """Element-table presented form; elements are representative tuples."""
+def milgram_vector_vanishes(N: int, counts: np.ndarray, n: int, s: int) -> bool:
+    """Exact check of G^2 = n e(s/4) for G = sum counts[a] e(a/N)."""
+    sq = np.convolve(counts, counts)
+    vec = np.zeros(N, dtype=np.int64)
+    np.add.at(vec, np.arange(len(sq)) % N, sq)
+    if s % 2 == 0:
+        vec[0] -= n if s % 4 == 0 else -n
+    else:
+        if N % 4:
+            return False  # e(s/4) = +-i does not live in Q(zeta_N)
+        vec[(s * (N // 4)) % N] -= n
+    return cyclo.vanishes(N, vec)
 
-    def __init__(self, elements: Iterable[Element],
-                 q_fn: Callable[[Element], Fraction],
-                 add_fn: Callable[[Element, Element], Element],
-                 neg_fn: Callable[[Element], Element],
-                 check: bool = True):
-        super().__init__()
-        self._elements = tuple(sorted(tuple(e) for e in elements))
-        self._qvals = tuple(mod1(Fraction(q_fn(e))) for e in self._elements)
-        self._add_fn = add_fn
-        self._neg_fn = neg_fn
-        self._add_cols: dict[int, np.ndarray] = {}
-        if check and self.order <= DEFAULT_NONDEG_ORDER:
-            if not self.is_nondegenerate():
-                raise DegenerateForm("table form is degenerate")
 
-    def q(self, a: Element) -> Fraction:
-        return self._qvals[self.index(a)]
-
-    def add(self, a: Element, b: Element) -> Element:
-        return self._add_fn(tuple(a), tuple(b))
-
-    def neg(self, a: Element) -> Element:
-        return self._neg_fn(tuple(a))
-
-    def _add_col(self, j: int) -> np.ndarray:
-        col = self._add_cols.get(j)
-        if col is None:
-            ej = self._elements[j]
-            col = np.array([self.index(self.add(e, ej)) for e in self._elements],
-                           dtype=np.int64)
-            self._add_cols[j] = col
-        return col
-
-    def add_index_vec(self, indices: np.ndarray, j: int) -> np.ndarray:
-        return self._add_col(j)[np.asarray(indices)]
-
-    def neg_index_vec(self, indices: np.ndarray) -> np.ndarray:
-        neg = np.array([self.index(self.neg(e)) for e in self._elements],
-                       dtype=np.int64)
-        return neg[np.asarray(indices)]
-
-    @property
-    def level(self) -> int:
-        if self._level is None:
-            self._level = lcm(*(x.denominator for x in self._qvals)) \
-                if self._qvals else 1
-        return self._level
+def milgram_check(form: DiscriminantForm) -> bool:
+    """Re-run the exact Gauss-sum certificate for the cached signature."""
+    if form.order == 1:
+        return form.signature == 0
+    return milgram_vector_vanishes(form.level, form.gauss_counts(),
+                                   form.order, form.signature)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +363,16 @@ def subgroup_from_generators(form: DiscriminantForm,
 
 
 def is_isotropic(form: DiscriminantForm, H: Subgroup) -> bool:
-    return all(form.q(h) == 0 for h in H.elements)
+    qn = form.qnum_array()
+    return not any(qn[form.index(h)] for h in H.elements)
+
+
+def perp_indices(form: DiscriminantForm, gens: Iterable[Element]) -> np.ndarray:
+    """Ascending indices of the elements orthogonal to every element of gens."""
+    mask = np.ones(form.order, dtype=bool)
+    for g in gens:
+        mask &= form.b_row_num(form.index(g)) == 0
+    return np.nonzero(mask)[0]
 
 
 def orthogonal_complement(form: DiscriminantForm, S) -> Subgroup:
@@ -535,55 +383,188 @@ def orthogonal_complement(form: DiscriminantForm, S) -> Subgroup:
         gens = [tuple(S)]
     else:
         gens = [tuple(e) for e in S]
-    mask = np.ones(form.order, dtype=bool)
-    for g in gens:
-        mask &= form.b_row_num(form.index(g)) == 0
-    elts = [form.element(i) for i in np.nonzero(mask)[0]]
-    return Subgroup(tuple(sorted(elts)), _minimal_generators(form, elts))
+    elts = [form.element(i) for i in perp_indices(form, gens)]
+    return Subgroup(tuple(elts), _minimal_generators(form, elts))
 
 
 # ---------------------------------------------------------------------------
 # quotients, p-parts, direct sums
 # ---------------------------------------------------------------------------
 
+def _diagonalize(A: Sequence[Sequence[int]]):
+    """(d, P, P^-1) with P A Q = diag(d) for unimodular integer P and Q.
+
+    Smith's elimination (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4) without the divisibility chain, which no caller needs.
+    Only the row transform is returned.  Python ints, so entry growth
+    cannot overflow.
+    """
+    a = [[int(x) for x in row] for row in A]
+    n = len(a)
+    m = len(a[0]) if n else 0
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    Pinv = [row[:] for row in P]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        P[i], P[j] = P[j], P[i]
+        for row in Pinv:
+            row[i], row[j] = row[j], row[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    d = []
+    for t in range(min(n, m)):
+        nonzero = [(abs(a[i][j]), i, j) for i in range(t, n)
+                   for j in range(t, m) if a[i][j]]
+        if not nonzero:
+            break
+        _, i, j = min(nonzero)
+        swap_rows(t, i)
+        swap_cols(t, j)
+        while True:
+            for i in range(t + 1, n):
+                c = a[i][t] // a[t][t]
+                if c:
+                    a[i] = [x - c * y for x, y in zip(a[i], a[t])]
+                    P[i] = [x - c * y for x, y in zip(P[i], P[t])]
+                    for row in Pinv:
+                        row[t] += c * row[i]
+            for j in range(t + 1, m):
+                c = a[t][j] // a[t][t]
+                if c:
+                    for row in a:
+                        row[j] -= c * row[t]
+            # a remainder smaller than the pivot becomes the next pivot
+            rest = [(abs(a[i][t]), i, t) for i in range(t + 1, n) if a[i][t]]
+            rest += [(abs(a[t][j]), t, j) for j in range(t + 1, m) if a[t][j]]
+            if not rest:
+                break
+            _, i, j = min(rest)
+            swap_rows(t, i)
+            swap_cols(t, j)
+        d.append(a[t][t])
+    return d, P, Pinv
+
+
+def _dot_mod(X: np.ndarray, A: np.ndarray, mod) -> np.ndarray:
+    """(X @ A.T) % mod, exact: int64 while no sum of products can reach
+    2^62, Python ints past that."""
+    bound = (int(np.abs(X).max(initial=0)) * int(np.abs(A).max(initial=0))
+             * A.shape[1])
+    dtype = np.int64 if bound < 2 ** 62 else object
+    out = np.asarray(X).astype(dtype) @ A.astype(dtype).T
+    return (out % mod).astype(np.int64)
+
+
+def _reduced(rows, moduli, width: int) -> np.ndarray:
+    """The integer rows, row i taken mod moduli[i]; int64 when every
+    modulus is at most 2^62, Python ints otherwise."""
+    out = np.array([[x % mod for x in row] for row, mod in zip(rows, moduli)],
+                   dtype=object).reshape(len(moduli), width)
+    return out.astype(np.int64) if max(moduli, default=1) <= 2 ** 62 else out
+
+
+@dataclass(frozen=True, eq=False)
+class CoordinateMap:
+    """The homomorphism x -> outer @ (inner @ x / divisors) mod
+    target.orders from coefficient vectors of ``source`` to those of
+    ``target``.
+
+    Its domain is the set of x with inner @ x divisible by the divisors;
+    only a projection has divisors above 1, and its domain is H_perp.
+    Row j of ``inner`` is stored mod divisors[j] times the exponent of the
+    target and ``outer`` mod that exponent, and ``_dot_mod`` checks the
+    int64 bound on every product.
+    """
+
+    source: DiscriminantForm
+    target: DiscriminantForm
+    inner: np.ndarray      # k x rank(source)
+    divisors: np.ndarray   # k
+    outer: np.ndarray      # rank(target) x k
+
+    @classmethod
+    def of(cls, source, target, inner, divisors, outer) -> "CoordinateMap":
+        """The map from integer matrices given as lists of rows."""
+        exponent = lcm(*target.orders)
+        return cls(source, target,
+                   _reduced(inner, [d * exponent for d in divisors],
+                            len(source.orders)),
+                   np.array(divisors, dtype=np.int64),
+                   _reduced(outer, [exponent] * len(target.orders),
+                            len(divisors)))
+
+    def rows(self, coeffs: np.ndarray) -> np.ndarray:
+        """Images of source coefficient rows, as target coefficient rows."""
+        exponent = lcm(*self.target.orders)
+        W = _dot_mod(coeffs, self.inner, self.divisors * exponent)
+        if np.any(W % self.divisors):
+            raise DimensionMismatch("element is not orthogonal to H")
+        return _dot_mod(W // self.divisors, self.outer,
+                        np.array(self.target.orders, dtype=np.int64))
+
+    def __call__(self, e: Element) -> Element:
+        x = np.array([self.source._reduce(e)], dtype=np.int64)
+        return tuple(int(v) for v in self.rows(x)[0])
+
+
 class QuotientResult(NamedTuple):
-    form: TableForm
-    project: Callable[[Element], Element]
-    section: Callable[[Element], Element]
+    form: DiscriminantForm
+    project: CoordinateMap   # H_perp -> H_perp/H
+    section: CoordinateMap   # H_perp/H -> a representative in H_perp
 
 
 def quotient_form(form: DiscriminantForm, H: Subgroup) -> QuotientResult:
-    """The form on H_perp/H for isotropic H, with projection and section."""
+    """The form on H_perp/H for isotropic H, with projection and section.
+
+    With G the Gram numerators over L = level(D) and h_1, ..., h_r the
+    generators of H, the preimage of H_perp in Z^m is the kernel of
+    x -> (h_k G x)_k mod L.  Diagonalising its transpose, P1 (h G)^T Q1 =
+    diag(d), gives that lattice the basis V diag(s) with V = P1^T and
+    s_j = L / gcd(d_j, L).  In this basis the preimage of H (the h_k and
+    the relations o_i e_i) is a full-rank relation matrix R, and
+    P2 R Q2 = diag(s') gives H_perp/H as the sum of the Z/s'_i, each split
+    into cyclic factors of prime-power order.
+    """
     if not is_isotropic(form, H):
         raise NotIsotropic("q does not vanish on H")
-    perp = orthogonal_complement(form, H)
-    perp_idx = np.array([form.index(e) for e in perp.elements], dtype=np.int64)
-    stacked = np.stack([form.add_index_vec(perp_idx, form.index(h))
-                        for h in H.elements])
-    rep_idx = stacked.min(axis=0)
-    canon = {int(i): int(r) for i, r in zip(perp_idx, rep_idx)}
-    reps = sorted({form.element(int(r)) for r in rep_idx})
-
-    def q_fn(e: Element) -> Fraction:
-        return form.q(e)
-
-    def add_fn(a: Element, b: Element) -> Element:
-        return form.element(canon[form.index(form.add(a, b))])
-
-    def neg_fn(a: Element) -> Element:
-        return form.element(canon[form.index(form.neg(a))])
-
-    quotient = TableForm(reps, q_fn, add_fn, neg_fn)
-
-    def project(e: Element) -> Element:
-        i = form.index(e)
-        if i not in canon:
-            raise DimensionMismatch("element is not orthogonal to H")
-        return form.element(canon[i])
-
-    def section(e: Element) -> Element:
-        return quotient.element(quotient.index(e))
-
+    m = len(form.orders)
+    L, _, gn = form._scaled_tables()
+    G = gn.tolist()
+    hs = [form._reduce(h) for h in H.generators]
+    hG = [[sum(h[k] * G[k][j] for k in range(m)) for j in range(m)] for h in hs]
+    d, P1, P1inv = _diagonalize([[row[j] for row in hG] for j in range(m)])
+    s = [L // gcd(d[j], L) if j < len(d) else 1 for j in range(m)]
+    # coordinates in the basis V diag(s): y = diag(s)^-1 V^-1 x
+    Vinv = [[P1inv[k][j] for k in range(m)] for j in range(m)]
+    relations = hs + [tuple(o * (i == k) for k in range(m))
+                      for i, o in enumerate(form.orders)]
+    R = [[sum(Vinv[j][k] * v[k] for k in range(m)) // s[j] for v in relations]
+         for j in range(m)]
+    d2, P2, P2inv = _diagonalize(R)
+    factors = []                      # (prime, order, row of P2, generator)
+    for i, si in enumerate(abs(x) for x in d2):
+        y = [row[i] for row in P2inv]
+        g = [sum(P1[k][j] * s[k] * y[k] for k in range(m)) for j in range(m)]
+        for p in prime_power_factors(si):
+            pa = p
+            while si % (pa * p) == 0:
+                pa *= p
+            rest = si // pa
+            unit = rest * pow(rest, -1, pa)   # 1 mod pa, 0 mod si / pa
+            factors.append((p, pa, P2[i], [unit * x for x in g]))
+    factors.sort(key=lambda f: f[0])
+    gens = [form._reduce(f[3]) for f in factors]
+    quotient = DiscriminantForm(
+        [f[1] for f in factors], [form.q(g) for g in gens],
+        [[form.b(g, c) for c in gens] for g in gens])
+    project = CoordinateMap.of(form, quotient, Vinv, s, [f[2] for f in factors])
+    k = len(gens)
+    section = CoordinateMap.of(quotient, form, np.eye(k, dtype=int).tolist(),
+                               [1] * k, [[g[j] for g in gens] for j in range(m)])
     return QuotientResult(quotient, project, section)
 
 
@@ -593,56 +574,38 @@ class PPartResult(NamedTuple):
 
 
 def p_part(form: DiscriminantForm, p: int) -> PPartResult:
-    """The p-part of the form together with its injection into the form."""
-    if isinstance(form, GeneratorForm):
-        keep = [i for i, o in enumerate(form.orders) if o % p == 0]
-        sub = GeneratorForm([form.orders[i] for i in keep],
-                            [form.qdiag[i] for i in keep],
-                            [[form.gram[i][j] for j in keep] for i in keep])
-        m = len(form.orders)
+    """The p-part of the form together with its injection into the form.
 
-        def embed(e: Element) -> Element:
-            out = [0] * m
-            for pos, x in zip(keep, e):
-                out[pos] = x
-            return tuple(out)
+    The p-part is spanned by the generators of p-power order, so every
+    generator order divisible by p must be a power of p, as it is for
+    built forms, quotients, p-parts and their direct sums."""
+    keep = [i for i, o in enumerate(form.orders) if o % p == 0]
+    if any(prime_power(form.orders[i])[0] != p for i in keep):
+        raise ValidityError("p-part needs generators of prime-power order")
+    sub = DiscriminantForm([form.orders[i] for i in keep],
+                           [form.qdiag[i] for i in keep],
+                           [[form.gram[i][j] for j in keep] for i in keep])
+    m = len(form.orders)
 
-        return PPartResult(sub, embed)
-    nu = 0
-    n = form.order
-    while n % p == 0:
-        n //= p
-        nu += 1
-    members = [e for e in form.elements
-               if form.smul(p ** nu, e) == form.zero]
-    sub = TableForm(members, form.q, form.add, form.neg)
-    return PPartResult(sub, lambda e: e)
+    def embed(e: Element) -> Element:
+        out = [0] * m
+        for pos, x in zip(keep, e):
+            out[pos] = x
+        return tuple(out)
+
+    return PPartResult(sub, embed)
 
 
 def direct_sum(d1: DiscriminantForm, d2: DiscriminantForm) -> DiscriminantForm:
-    if isinstance(d1, GeneratorForm) and isinstance(d2, GeneratorForm):
-        m1, m2 = len(d1.orders), len(d2.orders)
-        gram = [[Fraction(0)] * (m1 + m2) for _ in range(m1 + m2)]
-        for i in range(m1):
-            for j in range(m1):
-                gram[i][j] = d1.gram[i][j]
-        for i in range(m2):
-            for j in range(m2):
-                gram[m1 + i][m1 + j] = d2.gram[i][j]
-        return GeneratorForm(d1.orders + d2.orders, d1.qdiag + d2.qdiag, gram)
-    split = len(d1.elements[0])
-
-    def q_fn(e: Element) -> Fraction:
-        return mod1(d1.q(e[:split]) + d2.q(e[split:]))
-
-    def add_fn(a: Element, b: Element) -> Element:
-        return d1.add(a[:split], b[:split]) + d2.add(a[split:], b[split:])
-
-    def neg_fn(a: Element) -> Element:
-        return d1.neg(a[:split]) + d2.neg(a[split:])
-
-    elements = [e1 + e2 for e1 in d1.elements for e2 in d2.elements]
-    return TableForm(elements, q_fn, add_fn, neg_fn)
+    m1, m2 = len(d1.orders), len(d2.orders)
+    gram = [[Fraction(0)] * (m1 + m2) for _ in range(m1 + m2)]
+    for i in range(m1):
+        for j in range(m1):
+            gram[i][j] = d1.gram[i][j]
+    for i in range(m2):
+        for j in range(m2):
+            gram[m1 + i][m1 + j] = d2.gram[i][j]
+    return DiscriminantForm(d1.orders + d2.orders, d1.qdiag + d2.qdiag, gram)
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +625,7 @@ def _odd_prime_units(p: int, rank: int, sign: int) -> list[int]:
     return units
 
 
-def build_form(sym: GenusSymbol) -> GeneratorForm:
+def build_form(sym: GenusSymbol) -> DiscriminantForm:
     """Realize a genus symbol by explicit Jordan block models."""
     orders: list[int] = []
     qdiag: list[Fraction] = []
@@ -699,7 +662,7 @@ def build_form(sym: GenusSymbol) -> GeneratorForm:
             for j in range(w):
                 gram[pos + i][pos + j] = blk[i][j]
         pos += w
-    return GeneratorForm(orders, qdiag, gram)
+    return DiscriminantForm(orders, qdiag, gram)
 
 
 # functional aliases matching the operation names

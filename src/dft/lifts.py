@@ -25,9 +25,9 @@ from .errors import (BoundExceeded, EvenLength, HypothesisFailed, NotACycle,
                      NotIsotropic, NotNested, ValidityError)
 from .exact import (IndicatorColumns, SpanResult, annihilates,
                     span_of_indicator_columns)
-from .fqm import (DiscriminantForm, Element, Subgroup, is_isotropic, mod1,
-                  orthogonal_complement, quotient_form, subgroup,
-                  subgroup_from_generators)
+from .fqm import (DiscriminantForm, Element, QuotientResult, Subgroup,
+                  is_isotropic, mod1, orthogonal_complement, perp_indices,
+                  quotient_form, subgroup, subgroup_from_generators)
 from .ntheory import prime_power
 
 # ---------------------------------------------------------------------------
@@ -56,11 +56,7 @@ def prime_order_subgroups(form: DiscriminantForm) -> list[Subgroup]:
         o = form.element_order(e)
         if prime_power(o) is None or prime_power(o)[1] != 1:
             continue
-        members = []
-        x = e
-        while x != form.zero:
-            members.append(x)
-            x = form.add(x, e)
+        members = _cyclic_members(form, e)
         key = tuple(sorted(form.index(m) for m in members))
         if key in seen:
             continue
@@ -167,12 +163,18 @@ def lift_matrix(form: DiscriminantForm, H: Subgroup) -> LiftMap:
         raise ValidityError("lifts are taken along non-trivial subgroups")
     if not is_isotropic(form, H):
         raise NotIsotropic("q does not vanish on H")
-    quotient, project, _ = quotient_form(form, H)
-    cols = []
-    for rep in quotient.elements:
-        support = sorted(form.index(form.add(rep, h)) for h in H.elements)
-        cols.append(tuple(support))
-    return LiftMap(form, H, quotient, tuple(cols))
+    return _lift_map(form, H, quotient_form(form, H))
+
+
+def _lift_map(form: DiscriminantForm, H: Subgroup,
+              quot: QuotientResult) -> LiftMap:
+    # column j is the coset projecting to quot.form.element(j): the H_perp
+    # indices grouped by projected index, ascending within each group
+    perp = perp_indices(form, H.generators)
+    target = quot.form.indices(quot.project.rows(form.coeff_matrix()[perp]))
+    groups = perp[np.argsort(target, kind="stable")]
+    cols = groups.reshape(quot.form.order, H.order).tolist()
+    return LiftMap(form, H, quot.form, tuple(map(tuple, cols)))
 
 
 def descent_matrix(form: DiscriminantForm, H: Subgroup) -> np.ndarray:
@@ -189,13 +191,9 @@ def span_columns(form: DiscriminantForm, subgroups) -> IndicatorColumns:
     subgroup by subgroup, each subgroup's cosets in order of their least
     member."""
     blocks = []
-    every = np.arange(form.order)
     for H in subgroups:
         h_idx = [form.index(h) for h in H.elements]
-        mask = np.ones(form.order, dtype=bool)
-        for g in H.generators:
-            mask &= form.b_row_num(form.index(g)) == 0
-        perp = every[mask]
+        perp = perp_indices(form, H.generators)
         stacked = np.stack([form.add_index_vec(perp, j) for j in h_idx])
         is_rep = perp == stacked.min(axis=0)
         blocks.append(np.sort(stacked[:, is_rep].T, axis=1))
@@ -529,18 +527,15 @@ def check_transitivity(form: DiscriminantForm, H: Subgroup, K: Subgroup) -> bool
         return True  # K/H trivial; the composition is the lift itself
     if H.order == 1:
         raise ValidityError("H must be non-trivial")
-    U_K = lift_matrix(form, K)
-    U_H = lift_matrix(form, H)
-    D1, project, _ = quotient_form(form, H)
-    KH = subgroup(D1, {project(e) for e in K.elements})
-    U_KH = lift_matrix(D1, KH)
-    left = U_H.matrix() @ U_KH.matrix()
-    right = U_K.matrix()
-    # identify the two presentations of the double quotient
-    K_reps = {e: i for i, e in enumerate(U_K.source.elements)}
-    perm = np.zeros(U_KH.source.order, dtype=np.int64)
-    for j, rep in enumerate(U_KH.source.elements):
-        coset = min(form.add(rep, k) for k in K.elements)
-        perm[j] = K_reps[coset]
+    QH, QK = quotient_form(form, H), quotient_form(form, K)
+    KH = subgroup_from_generators(QH.form, [QH.project(k) for k in K.generators])
+    QKH = quotient_form(QH.form, KH)
+    left = (_lift_map(form, H, QH).matrix()
+            @ _lift_map(QH.form, KH, QKH).matrix())
+    right = _lift_map(form, K, QK).matrix()
+    # identify the two presentations of the double quotient: element j of
+    # (K/H)_perp/(K/H) is project_K(section_H(section_{K/H}(j)))
+    reps = QH.section.rows(QKH.section.rows(QKH.form.coeff_matrix()))
+    perm = QK.form.indices(QK.project.rows(reps))
     # the descent identity is the transpose of the same matrix equality
     return bool(np.array_equal(left, right[:, perm]))

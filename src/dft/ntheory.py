@@ -30,6 +30,21 @@ def prime_power(q: int):
     return (q, 1)
 
 
+def prime_power_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) for an odd prime p."""
     a %= p

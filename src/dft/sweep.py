@@ -25,7 +25,7 @@ from .lifts import lift_span
 from .symbols import enumerate_symbols, parse_symbol
 
 MAX_WITNESSES = 8
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -33,8 +33,6 @@ class SweepConfig:
     max_order: int
     primes: tuple[int, ...]
     span_order: int = field(default_factory=bounds.max_span_order)
-    enum_order: int = field(default_factory=bounds.max_enum_order)
-    cyclo_order: int = field(default_factory=bounds.max_cyclo_order)
     jobs: int = 1
     out: str = "sweep.jsonl"
     resume: bool = False
@@ -45,8 +43,6 @@ class SweepConfig:
             "max_order": self.max_order,
             "primes": sorted(self.primes),
             "span_order": self.span_order,
-            "enum_order": self.enum_order,
-            "cyclo_order": self.cyclo_order,
         }
 
     def config_hash(self) -> str:
@@ -112,8 +108,6 @@ def run_sweep(config: SweepConfig, log=None) -> dict:
     if log:
         log(f"sweep: {len(symbols)} symbols, {len(todo)} to compute, "
             f"jobs={config.jobs}")
-    # the records consult only the span bound; the enumeration bound is
-    # part of the configuration hash but no record depends on it
     evaluate = partial(evaluate_symbol, span_order=config.span_order)
     if config.jobs > 1 and len(todo) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:

@@ -28,10 +28,11 @@ from .errors import DftError, HypothesisFailed
 from .exact import annihilates
 from .fqm import (DiscriminantForm, build_form, direct_sum, milgram_check,
                   orthogonal_complement, subgroup_from_generators)
-from .lifts import (check_transitivity, e_gamma_in_image, isotropic_subgroups,
-                    kernel_vector, lift_matrix, lift_span, odd_cycle_expression,
-                    perp_pair_table, prime_order_subgroups, rank5_expression,
-                    span_columns, spans_agree_with_all_subgroups)
+from .lifts import (check_transitivity, e_gamma_in_image, image_rank,
+                    isotropic_subgroups, kernel_vector, lift_matrix, lift_span,
+                    odd_cycle_expression, perp_pair_table,
+                    prime_order_subgroups, rank5_expression,
+                    spans_agree_with_all_subgroups)
 from .ntheory import prime_power
 from .symbols import GenusSymbol, enumerate_symbols, parse_symbol
 from .weil import check_lift_equivariance, check_relations
@@ -237,12 +238,11 @@ def _check_duality(max_order: int = 96) -> CheckResult:
     checked = 0
     for sym in lemma_corpus(max_order):
         form = form_of(sym)
-        cols = span_columns(form, prime_order_subgroups(form))
         res = lift_span(form)
+        _, basis = image_rank(form)
         if res.rank + len(res.kernel) != form.order:
             return CheckResult("span-kernel-duality", False, str(sym))
-        if not annihilates(res.kernel,
-                           [cols[cid] for cid in res.pivot_columns]):
+        if not annihilates(res.kernel, list(basis.column_supports)):
             return CheckResult("span-kernel-duality", False, str(sym))
         checked += 1
     return CheckResult("span-kernel-duality", True, f"{checked} forms")

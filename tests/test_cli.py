@@ -82,7 +82,7 @@ def test_sweep_passes_bounds_without_touching_environment(tmp_path,
     monkeypatch.delenv("DFT_MAX_ENUM_ORDER", raising=False)
     before = dict(os.environ)
     run_sweep(SweepConfig(max_order=9, primes=(3,), span_order=9,
-                          enum_order=9, out=str(tmp_path / "s.jsonl")))
+                          out=str(tmp_path / "s.jsonl")))
     assert dict(os.environ) == before
     # the workers see the configured bound: |D| = 9 exceeds a span bound 4
     for jobs in (1, 2):
@@ -90,6 +90,15 @@ def test_sweep_passes_bounds_without_touching_environment(tmp_path,
             run_sweep(SweepConfig(max_order=9, primes=(3,), span_order=4,
                                   jobs=jobs, out=str(tmp_path / "t.jsonl")))
     assert dict(os.environ) == before
+
+
+def test_sweep_hash_ignores_enumeration_and_cyclotomic_bounds(monkeypatch):
+    # no sweep record reads either bound, so neither may split resume files
+    config = SweepConfig(max_order=9, primes=(3,))
+    before = config.config_hash()
+    monkeypatch.setenv("DFT_MAX_ENUM_ORDER", "7")
+    monkeypatch.setenv("DFT_MAX_CYCLO_ORDER", "5")
+    assert SweepConfig(max_order=9, primes=(3,)).config_hash() == before
 
 
 def test_graph_command(capsys, tmp_path):

@@ -1,13 +1,16 @@
 import cmath
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dft.errors import DimensionMismatch, NotIsotropic
 from dft.fqm import (build_form, direct_sum, milgram_check,
-                     orthogonal_complement, p_part, q_value, quotient_form,
-                     subgroup_from_generators)
+                     orthogonal_complement, p_part, perp_indices, q_value,
+                     quotient_form, subgroup_from_generators)
+from dft.lifts import isotropic_subgroups, prime_order_subgroups
 from dft.symbols import enumerate_symbols, parse_symbol
 
 
@@ -107,12 +110,15 @@ def test_p_part_splits_generators():
     assert (two.signature + part.signature) % 8 == d.signature
 
 
-def test_p_part_of_table_form():
+def test_p_part_of_quotient_form():
     d = build("2_II^+2.3^-1")
     q, _, _ = quotient_form(d, subgroup_from_generators(d, [(1, 0, 0)]))
     part, embed = p_part(q, 3)
     assert part.order == 3 and part.signature == 2
-    assert embed(part.elements[1]) == part.elements[1]
+    for e in part.elements:
+        assert q.q(embed(e)) == part.q(e)
+    assert {embed(e) for e in part.elements} == {
+        e for e in q.elements if q.smul(3, e) == q.zero}
 
 
 def test_orthogonal_complement():
@@ -152,6 +158,58 @@ def test_quotient_signature_preserved_across_cases():
         q, _, _ = quotient_form(d, H)
         assert q.signature == d.signature
         assert q.order == d.order // H.order ** 2
+
+
+def _check_quotient(d, H, rng):
+    q, project, section = quotient_form(d, H)
+    assert q.order * H.order ** 2 == d.order == math.prod(q.orders) * H.order ** 2
+    assert q.signature == d.signature
+    perp_idx = perp_indices(d, H.generators)
+    perp = [d.element(i) for i in perp_idx]
+    for h in H.elements:
+        assert project(h) == q.zero
+    for _ in range(12):
+        a, b = rng.choice(perp), rng.choice(perp)
+        assert project(d.add(a, b)) == q.add(project(a), project(b))
+    # project maps H_perp onto Q with fibres of size |H|
+    images = q.indices(project.rows(d.coeff_matrix()[perp_idx]))
+    assert np.all(np.bincount(images, minlength=q.order) == H.order)
+    for c in q.elements:
+        assert project(section(c)) == c
+        assert q.q(c) == d.q(section(c))
+    outside = next(e for e in d.elements if any(d.b(e, g) for g in H.generators))
+    with pytest.raises(DimensionMismatch):
+        project(outside)
+
+
+def test_quotient_maps_on_prime_order_subgroups():
+    rng = random.Random(5)
+    pairs = 0
+    for sym in enumerate_symbols(64, {2, 3, 5}):
+        d = build_form(sym)
+        for H in prime_order_subgroups(d):
+            _check_quotient(d, H, rng)
+            pairs += 1
+    assert pairs > 500
+
+
+def test_quotient_maps_on_non_cyclic_subgroups():
+    rng = random.Random(6)
+    for text in ["2_II^+4", "2_II^+6", "3^+4", "4_II^+2.2_II^+2", "4_II^+4"]:
+        d = build(text)
+        subs = [H for H in isotropic_subgroups(d) if len(H.generators) > 1]
+        assert subs
+        for H in subs[::max(1, len(subs) // 6)]:
+            _check_quotient(d, H, rng)
+
+
+def test_dot_mod_is_exact_past_int64():
+    from dft.fqm import _dot_mod
+    X = np.array([[2 ** 40, 3]], dtype=np.int64)
+    A = np.array([[2 ** 40, 5], [1, 1]], dtype=np.int64)
+    mod = np.array([1000003, 7], dtype=np.int64)
+    want = [(2 ** 80 + 15) % 1000003, (2 ** 40 + 3) % 7]
+    assert _dot_mod(X, A, mod).tolist() == [want]
 
 
 def test_nondegeneracy_of_built_forms():
