@@ -450,10 +450,21 @@ def gamma_in_image_by_graph(form: DiscriminantForm, gamma: Element) -> bool:
 
 
 def build_graph_cached(form: DiscriminantForm) -> IsotropyGraph:
-    graph = getattr(form, "_isotropy_graph", None)
-    if graph is None:
+    """The isotropy graph, built once per form.
+
+    The form caches the graph's adjacency and components, not the graph:
+    the graph refers to the form, and a cycle between the two would leave
+    both, with everything else cached on the form, to the cyclic garbage
+    collector.
+    """
+    state = getattr(form, "_isotropy_graph", None)
+    if state is None:
         graph = IsotropyGraph(form)
-        form._isotropy_graph = graph
+        form._isotropy_graph = {k: v for k, v in vars(graph).items()
+                                if k != "form"}
+        return graph
+    graph = IsotropyGraph.__new__(IsotropyGraph)
+    graph.__dict__.update(state, form=form)
     return graph
 
 

@@ -1,14 +1,25 @@
 """Certified rank and kernel for collections of 0/1 indicator columns.
 
 The columns to be spanned are supports in Z^n, held as CSR index arrays
-(``IndicatorColumns``).  Rank is computed by row reduction modulo a
-word-size prime; a full modular rank already certifies full rational rank.
-When the span is deficient, the kernel of the transposed system is
-reconstructed from the modular RREF by rational reconstruction (combined
-over further primes by CRT when one prime is not enough), each kernel
-vector is scaled to integers, and the k x n integer matrix K is then
-*verified exactly* against every column, which certifies the rank from
-both sides:
+(``IndicatorColumns``); A is the n x ncols 0/1 matrix they form.  Rank is
+computed by row reduction modulo a word-size prime, of one of two row
+sources, chosen by the shape of A:
+
+* ncols <= n: the columns themselves, one 0/1 row each (the rows of A^T);
+* ncols > n: the n rows of the Gram matrix G = A A^T, built by counting
+  the pairs in each column's support.  Over Q, ker A A^T = ker A^T (if
+  A A^T x = 0 then |A^T x|^2 = 0), so G and A^T have the same row space.
+  Modulo p every row of G is a combination of rows of A^T, so
+  rank_p(G) <= rank_p(A^T) <= rank_Q(A).  A prime that divides a minor of
+  G can only make the modular rank smaller; it costs a prime, never a
+  wrong answer.
+
+A full modular rank already certifies full rational rank.  When the span
+is deficient, the kernel of the modular RREF (free columns set to 1, one
+at a time) is reconstructed by rational reconstruction (combined over
+further primes by CRT when one prime is not enough), each kernel vector is
+scaled to integers, and the k x n integer matrix K is then *verified
+exactly* against every column, which certifies the rank from both sides:
 
     rank_mod_p <= rank_Q <= n - #(rows of the verified K).
 
@@ -16,14 +27,28 @@ Verification is the only gate; a wrong prime can cost time, never
 correctness.  Its column sums run in int64 only while max|K| times the
 longest column stays below 2^63, and in Python integers otherwise.
 
-Block reduction runs through float64 matrix products.  With 20-bit primes
-one residue product is below 2^40, so a sum of at most 4096 of them stays
-below 2^52 and is exact; longer contractions are cut into chunks of 4096
-terms with a reduction mod p between chunks (``_matmul_mod``).
+Rows enter the echelon in blocks of ``_BLOCK``.  A block is reduced by the
+stored pivots in one matrix product and then put into RREF recursively:
+the second half is reduced by the first half's new pivots, the first half
+is back-substituted by the second half's, rows that reduce to zero are
+dropped, and only bases of at most ``_BASE_ROWS`` rows are eliminated a
+row at a time.  The stored rows are back-substituted once per block.  The
+pivot of each row is the first nonzero column of the row reduced by all
+rows before it, as if the rows were inserted one by one; with the pivot
+columns fixed the RREF is unique, so the order of elimination does not
+change the pivots or the rows.
+
+Matrix products run in float64.  With 20-bit primes one residue product is
+below 2^40, so a sum of at most 4096 of them stays below 2^52 and is
+exact; longer contractions are cut into chunks of 4096 terms with a
+reduction mod p between chunks (``_submul_mod``).
 
 Pivot choices are deterministic, so bases and membership vectors are
-reproducible.  References for modular rank, CRT and rational
-reconstruction: von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5.
+reproducible.  References: for modular rank, CRT and rational
+reconstruction, von zur Gathen & Gerhard, *Modern Computer Algebra*,
+ch. 5; for recursive block elimination over word-size primes, Dumas,
+Giorgi & Pernet, *Dense linear algebra over word-size prime fields: the
+FFLAS and FFPACK packages*, ACM TOMS 2008.
 """
 
 from __future__ import annotations
@@ -39,6 +64,8 @@ PRIMES = (1048573, 1048571, 1048559, 1048549, 1048517,
           1048507, 1048447, 1048433, 1048423, 1048391)
 
 _BLOCK = 512
+# rows of the recursive RREF's base case, eliminated one by one
+_BASE_ROWS = 16
 # terms per float64 contraction: 4096 * (2^20)^2 = 2^52 < 2^53
 _TERMS = 4096
 # entries gathered per step of the bulk annihilation check
@@ -103,7 +130,6 @@ def _as_columns(columns) -> IndicatorColumns:
 class SpanResult:
     dim: int
     rank: int
-    pivot_columns: tuple[int, ...]   # ids of a certified column basis
     kernel: np.ndarray               # k x dim integers, verified kernel basis
     membership: np.ndarray           # bool[n]; e_i in the span
     primes_used: int = 0             # primes whose modular echelon ran
@@ -114,14 +140,101 @@ class SpanResult:
         return self.rank == self.dim
 
 
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p for residue matrices, exact for primes below 2^20."""
-    out = None
-    for s in range(0, a.shape[1], _TERMS):
-        part = (a[:, s:s + _TERMS].astype(np.float64)
-                @ b[s:s + _TERMS].astype(np.float64)).astype(np.int64) % p
-        out = part if out is None else (out + part) % p
-    return out
+def _submul_mod(x: np.ndarray, a: np.ndarray, b: np.ndarray,
+                p: int) -> np.ndarray:
+    """(x - a @ b) mod p for residue matrices, exact for primes below 2^20.
+
+    Products over strips of ``_BLOCK`` terms are summed in float64, so no
+    float64 copy of all of b is made, and x is reduced once per
+    ``_TERMS`` terms.
+    """
+    k = a.shape[1]
+    for s in range(0, k, _TERMS):
+        acc = None
+        for t in range(s, min(s + _TERMS, k), _BLOCK):
+            part = (a[:, t:t + _BLOCK].astype(np.float64)
+                    @ b[t:t + _BLOCK].astype(np.float64))
+            if acc is None:
+                acc = part
+            else:
+                acc += part
+        x = (x - acc.astype(np.int64)) % p
+    return x
+
+
+def _eliminate(x: np.ndarray, cols: list[int], R: np.ndarray,
+               p: int) -> np.ndarray:
+    """(x - x[:, cols] @ R) mod p for residue rows x: clears the columns of
+    the unit-pivot rows R.  Rows that are zero at every column in cols are
+    left untouched."""
+    a = x[:, cols]
+    hit = np.flatnonzero(a.any(axis=1))
+    if len(hit) == len(x):
+        return _submul_mod(x, a, R, p)
+    if len(hit):
+        x = x.copy()
+        x[hit] = _submul_mod(x[hit], a[hit], R, p)
+    return x
+
+
+def _rref_rows(block: np.ndarray, p: int):
+    """``_rref`` one row at a time: the base case of the recursion.
+
+    Rows are reduced mod p only when they become pivots: with at most
+    ``_BASE_ROWS`` updates below p^2 = 2^40 each, entries stay far inside
+    int64."""
+    B = block.copy()
+    pos: list[int] = []
+    cols: list[int] = []
+    for i in range(len(B)):
+        row = B[i] % p
+        nz = row.nonzero()[0]
+        if not len(nz):
+            continue
+        c = int(nz[0])
+        if row[c] != 1:
+            row = (row * pow(int(row[c]), -1, p)) % p
+        B[i] = row
+        hit = B[:, c].nonzero()[0]
+        hit = hit[hit != i]
+        if len(hit):
+            B[hit] -= np.outer(B[hit, c] % p, row)
+        pos.append(i)
+        cols.append(c)
+    return pos, cols, B[pos] % p
+
+
+def _rref(block: np.ndarray, p: int):
+    """Reduced row echelon form of the residue rows of ``block``.
+
+    Returns (pos, cols, R): the positions in ``block`` of the rows that are
+    independent of the rows before them, their pivot columns and the rows
+    of R, one per pivot with a 1 at its own pivot column and 0 at the
+    others.  Pivot ``cols[k]`` is the first nonzero column of row
+    ``pos[k]`` reduced by the rows before it, exactly as when the rows are
+    inserted one by one.  Halves are eliminated recursively: the second
+    half is reduced by the first half's pivots in one product, and the
+    first half is back-substituted by the second half's in another.
+    """
+    keep = np.flatnonzero(block.any(axis=1))
+    if len(keep) < len(block):
+        block = block[keep]
+    if len(block) <= _BASE_ROWS:
+        pos, cols, R = _rref_rows(block, p)
+    else:
+        half = len(block) // 2
+        pos, cols, R = _rref(block[:half], p)
+        low = block[half:]
+        if cols:
+            low = _eliminate(low, cols, R, p)
+        pos2, cols2, R2 = _rref(low, p)
+        if cols2:
+            if cols:
+                R = _eliminate(R, cols2, R2, p)
+            pos = pos + [half + i for i in pos2]
+            cols = cols + cols2
+            R = np.vstack([R, R2])
+    return keep[pos].tolist(), cols, R
 
 
 class _Echelon:
@@ -130,7 +243,8 @@ class _Echelon:
     def __init__(self, n: int, p: int):
         self.n = n
         self.p = p
-        self._store = np.zeros((min(n, 64), n), dtype=np.int64)
+        # rows of a fresh zero array take memory only once written to
+        self._store = np.zeros((n, n), dtype=np.int64)
         self.pivcols: list[int] = []
         self.pivot_ids: list[int] = []
 
@@ -142,45 +256,24 @@ class _Echelon:
     def rows(self) -> np.ndarray:
         return self._store[:self.rank]
 
-    def _append_row(self, row: np.ndarray) -> None:
-        if self.rank == len(self._store):
-            grown = np.zeros((min(self.n, 2 * len(self._store)), self.n),
-                             dtype=np.int64)
-            grown[:self.rank] = self._store[:self.rank]
-            self._store = grown
-        self._store[self.rank] = row
-
     def reduce(self, block: np.ndarray) -> np.ndarray:
+        """Residue rows reduced by the stored pivots."""
         if self.rank:
-            block = block - _matmul_mod(block[:, self.pivcols], self.rows,
-                                        self.p)
-        return block % self.p
+            return _eliminate(block, self.pivcols, self.rows, self.p)
+        return block
 
     def insert_block(self, block: np.ndarray, ids) -> None:
-        p = self.p
-        block = self.reduce(block)
-        fresh: list[tuple[int, np.ndarray]] = []  # (pivcol, row) added here
-        for row, cid in zip(block, ids):
-            for c, r in fresh:
-                if row[c]:
-                    row = (row - row[c] * r) % p
-            nz = np.nonzero(row)[0]
-            if not len(nz):
-                continue
-            c = int(nz[0])
-            row = (row * pow(int(row[c]), -1, p)) % p
-            if self.rank:
-                coef = self._store[:self.rank, c]
-                hit = np.nonzero(coef)[0]
-                if len(hit):
-                    self._store[hit] = (
-                        self._store[hit] - np.outer(coef[hit], row)) % p
-            self._append_row(row)
-            self.pivcols.append(c)
-            self.pivot_ids.append(int(cid))
-            fresh.append((c, row))
-            if self.rank == self.n:
-                return
+        """Insert the rows of ``block`` in order; ``ids`` names them."""
+        pos, cols, R = _rref(self.reduce(block), self.p)
+        if not cols:
+            return
+        S = self.rows
+        for start in range(0, self.rank, _BLOCK):
+            S[start:start + _BLOCK] = _eliminate(S[start:start + _BLOCK],
+                                                 cols, R, self.p)
+        self._store[self.rank:self.rank + len(R)] = R
+        self.pivcols += cols
+        self.pivot_ids += [int(ids[i]) for i in pos]
 
     def kernel_residues(self) -> tuple[np.ndarray, np.ndarray]:
         """Free columns and the k x rank residue matrix of the modular
@@ -292,19 +385,46 @@ def annihilates(K: np.ndarray, columns) -> bool:
     return True
 
 
-def _run_echelon(n, columns, p, early_stop):
+def _gram(n: int, columns: IndicatorColumns) -> np.ndarray:
+    """G = A A^T for the n x ncols 0/1 matrix A of the columns: G[i, j]
+    counts the columns that contain both i and j."""
+    lengths = np.diff(columns.indptr)
+    keys = []
+    for size in np.unique(lengths):
+        starts = columns.indptr[:-1][lengths == size]
+        support = columns.indices[starts[:, None] + np.arange(size)]
+        keys.append((support[:, :, None] * n + support[:, None, :]).ravel())
+    return np.bincount(np.concatenate(keys), minlength=n * n).reshape(n, n)
+
+
+def _row_source(n: int, columns: IndicatorColumns):
+    """(count, block): the rows to eliminate, with block(start, stop, p)
+    giving rows start..stop-1 as residues mod p.
+
+    With more columns than n these are the n rows of the Gram matrix,
+    which over Q span the same space as the columns; otherwise one 0/1
+    row per column.
+    """
+    if len(columns) > n:
+        G = _gram(n, columns)
+        return n, lambda start, stop, p: G[start:stop] % p
+    return len(columns), lambda start, stop, p: columns.block(start, stop, n)
+
+
+def _run_echelon(n, count, block, p, stop_rank):
+    """Echelon of the ``count`` rows given by ``block`` modulo p, stopped
+    after the first block of rows that brings the rank to ``stop_rank``."""
     ech = _Echelon(n, p)
-    for start in range(0, len(columns), _BLOCK):
-        stop = min(start + _BLOCK, len(columns))
-        ech.insert_block(columns.block(start, stop, n), range(start, stop))
-        if early_stop and ech.rank == n:
+    for start in range(0, count, _BLOCK):
+        stop = min(start + _BLOCK, count)
+        ech.insert_block(block(start, stop, p), range(start, stop))
+        if ech.rank >= stop_rank:
             break
     return ech
 
 
-def _full(n, ech, primes_used) -> SpanResult:
-    return SpanResult(n, n, tuple(ech.pivot_ids),
-                      np.zeros((0, n), dtype=np.int64),
+def _full(n, primes_used) -> SpanResult:
+    return SpanResult(n, n, np.zeros((0, n), dtype=np.int64),
                       np.ones(n, dtype=bool), primes_used)
 
 
@@ -313,15 +433,16 @@ def span_of_indicator_columns(n: int, columns) -> SpanResult:
     or as a list of index tuples."""
     columns = _as_columns(columns)
     if not len(columns):
-        return SpanResult(n, 0, (), np.eye(n, dtype=np.int64),
+        return SpanResult(n, 0, np.eye(n, dtype=np.int64),
                           np.zeros(n, dtype=bool))
 
-    ech = _run_echelon(n, columns, PRIMES[0], early_stop=True)
+    count, block = _row_source(n, columns)
+    ech = _run_echelon(n, count, block, PRIMES[0], n)
     if ech.rank == n:
-        return _full(n, ech, 1)
+        return _full(n, 1)
 
     # Deficient modulo the first prime (the early stop never fired, so the
-    # run saw every column): reconstruct and verify the kernel.
+    # run saw every row): reconstruct and verify the kernel.
     base = ech
     free, residues = base.kernel_residues()
     modulus = PRIMES[0]
@@ -329,9 +450,9 @@ def span_of_indicator_columns(n: int, columns) -> SpanResult:
     for extra in (None,) + PRIMES[1:]:
         if extra is not None:
             used += 1
-            run = _run_echelon(n, columns, extra, early_stop=False)
+            run = _run_echelon(n, count, block, extra, n + 1)
             if run.rank == n:
-                return _full(n, run, used)
+                return _full(n, used)
             if run.pivcols == base.pivcols:
                 residues = _crt(residues, modulus,
                                 run.kernel_residues()[1], extra)
@@ -343,17 +464,36 @@ def span_of_indicator_columns(n: int, columns) -> SpanResult:
                 continue
         kernel = _reconstruct_kernel(residues, modulus, free, base.pivcols, n)
         if kernel is not None and annihilates(kernel, columns):
-            return SpanResult(n, n - len(kernel), tuple(base.pivot_ids),
-                              kernel, ~(kernel != 0).any(axis=0), used)
+            return SpanResult(n, n - len(kernel), kernel,
+                              ~(kernel != 0).any(axis=0), used)
 
     res = _exact_fallback(n, columns)
     res.primes_used = used
     return res
 
 
-def _exact_fallback(n: int, columns) -> SpanResult:
-    """Plain fraction-free RREF; only reached if every prime failed."""
+def column_basis(n: int, columns, rank: int) -> tuple[int, ...]:
+    """Ids of the greedy column basis of a span of certified rank ``rank``:
+    each column in turn joins the basis if it is independent of the
+    columns already in it.
+
+    Independence modulo a prime implies it over Q, so the first prime
+    whose echelon of the columns reaches ``rank`` gives a basis; the
+    ``Fraction`` RREF does if none does.
+    """
     columns = _as_columns(columns)
+    for p in PRIMES:
+        ech = _run_echelon(n, len(columns),
+                           lambda start, stop, _: columns.block(start, stop, n),
+                           p, rank)
+        if ech.rank == rank:
+            return tuple(ech.pivot_ids)
+    return tuple(_fraction_rref(n, columns)[2])
+
+
+def _fraction_rref(n: int, columns):
+    """Plain RREF over Q of the columns as rows, inserted one by one:
+    (rows, pivot columns, ids of the pivot columns)."""
     rows: list[list[Fraction]] = []
     pivcols: list[int] = []
     pivot_ids: list[int] = []
@@ -378,6 +518,13 @@ def _exact_fallback(n: int, columns) -> SpanResult:
         rows.append(row)
         pivcols.append(piv)
         pivot_ids.append(cid)
+    return rows, pivcols, pivot_ids
+
+
+def _exact_fallback(n: int, columns) -> SpanResult:
+    """Span data from the ``Fraction`` RREF; only reached if every prime
+    failed."""
+    rows, pivcols, _ = _fraction_rref(n, _as_columns(columns))
     free = [c for c in range(n) if c not in set(pivcols)]
     kernel = np.zeros((len(free), n), dtype=object)
     for j, f in enumerate(free):
@@ -386,5 +533,5 @@ def _exact_fallback(n: int, columns) -> SpanResult:
         for r, c in zip(rows, pivcols):
             kernel[j, c] = int(-r[f] * den)
     kernel = _int_matrix(kernel)
-    return SpanResult(n, len(pivcols), tuple(pivot_ids), kernel,
-                      ~(kernel != 0).any(axis=0), fallback_used=True)
+    return SpanResult(n, len(pivcols), kernel, ~(kernel != 0).any(axis=0),
+                      fallback_used=True)

@@ -33,6 +33,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -71,6 +72,7 @@ class DiscriminantForm:
         self._level: Optional[int] = None
         self._signature: Optional[int] = None
         self._qnum: Optional[np.ndarray] = None
+        self._tables: Optional[tuple[int, np.ndarray, np.ndarray]] = None
         if check:
             self._check_consistency()
 
@@ -177,12 +179,17 @@ class DiscriminantForm:
     # -- vectorized views (index space) ---------------------------------------
 
     def _scaled_tables(self):
-        L = self.level
-        m = len(self.orders)
-        qn = np.array([int(x * L) for x in self.qdiag], dtype=np.int64)
-        gn = np.array([[int(x * L) for x in row] for row in self.gram],
-                      dtype=np.int64).reshape(m, m)
-        return L, qn, gn
+        """(L, qn, gn): level(D) and the numerators over L of q on the
+        generators and of their Gram table; computed once, read-only."""
+        if self._tables is None:
+            L = self.level
+            m = len(self.orders)
+            qn = np.array([int(x * L) for x in self.qdiag], dtype=np.int64)
+            gn = np.array([[int(x * L) for x in row] for row in self.gram],
+                          dtype=np.int64).reshape(m, m)
+            qn.flags.writeable = gn.flags.writeable = False
+            self._tables = (L, qn, gn)
+        return self._tables
 
     def qnum_array(self) -> np.ndarray:
         """q numerators over the common denominator level(D)."""
@@ -507,8 +514,17 @@ class CoordinateMap:
                         np.array(self.target.orders, dtype=np.int64))
 
     def __call__(self, e: Element) -> Element:
-        x = np.array([self.source._reduce(e)], dtype=np.int64)
-        return tuple(int(v) for v in self.rows(x)[0])
+        """The image of one element, in Python integers."""
+        x = self.source._reduce(e)
+        exponent = lcm(*self.target.orders)
+        w = []
+        for row, d in zip(self.inner.tolist(), self.divisors.tolist()):
+            v = sum(map(mul, row, x)) % (d * exponent)
+            if v % d:
+                raise DimensionMismatch("element is not orthogonal to H")
+            w.append(v // d)
+        return tuple(sum(map(mul, row, w)) % o
+                     for row, o in zip(self.outer.tolist(), self.target.orders))
 
 
 class QuotientResult(NamedTuple):

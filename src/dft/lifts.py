@@ -23,7 +23,7 @@ import numpy as np
 from . import bounds
 from .errors import (BoundExceeded, EvenLength, HypothesisFailed, NotACycle,
                      NotIsotropic, NotNested, ValidityError)
-from .exact import (IndicatorColumns, SpanResult, annihilates,
+from .exact import (IndicatorColumns, SpanResult, annihilates, column_basis,
                     span_of_indicator_columns)
 from .fqm import (DiscriminantForm, Element, QuotientResult, Subgroup,
                   is_isotropic, mod1, orthogonal_complement, perp_indices,
@@ -239,7 +239,8 @@ def image_rank(form: DiscriminantForm):
     """Exact rational rank of the lift span, with a certified basis."""
     cols, res = _span_data(form)
     basis = SpanBasis(form.order, res.rank,
-                      tuple(cols[i] for i in res.pivot_columns))
+                      tuple(cols[i] for i in column_basis(form.order, cols,
+                                                           res.rank)))
     return res.rank, basis
 
 

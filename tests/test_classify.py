@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import pytest
 
-from dft.classify import (build_isotropy_graph, contains_isotropic_elementary,
+from dft.classify import (build_graph_cached, build_isotropy_graph,
+                          contains_isotropic_elementary,
                           gamma_in_image_by_graph, graph_to_dot,
                           max_isotropic_rank, no_cube_catalog_check,
                           small_type)
@@ -123,6 +127,22 @@ def test_graph_anchors():
     g = build_isotropy_graph(d)
     assert not any(g.bipartite)
     assert gamma_in_image_by_graph(d, d.zero)
+
+
+def test_cached_graph_and_span_do_not_keep_the_form_alive():
+    d = build("2_II^+4")
+    first = build_graph_cached(d)
+    lift_span(d)
+    again = build_graph_cached(d)
+    assert again.form is d and again.bipartite == first.bipartite
+    assert gamma_in_image_by_graph(d, d.zero) == e_gamma_in_image(d, d.zero)
+    ref = weakref.ref(d)
+    gc.disable()
+    try:
+        del d, first, again
+        assert ref() is None   # freed by reference counting alone
+    finally:
+        gc.enable()
 
 
 def test_graph_requires_two_adic():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dft.exact import (PRIMES, IndicatorColumns, _exact_fallback,
-                       _matmul_mod, _rational_reconstruct, annihilates,
-                       span_of_indicator_columns)
+import dft.exact as exact
+from dft.exact import (PRIMES, IndicatorColumns, _exact_fallback, _gram,
+                       _rational_reconstruct, _rref, _run_echelon, _submul_mod,
+                       annihilates, column_basis, span_of_indicator_columns)
 
 
 def test_empty_column_set():
@@ -57,6 +58,11 @@ def test_matches_exact_fallback(data):
     slow = _exact_fallback(n, cols)
     assert fast.rank == slow.rank
     assert np.array_equal(fast.membership, slow.membership)
+    # twice the columns: the Gram rows once they outnumber n, same answer
+    twice = span_of_indicator_columns(n, cols + cols)
+    assert twice.rank == fast.rank
+    assert np.array_equal(twice.kernel, fast.kernel)
+    assert np.array_equal(twice.membership, fast.membership)
     # verified kernels annihilate every column on both routes
     for res in (fast, slow):
         for row in res.kernel:
@@ -68,8 +74,55 @@ def test_pivot_columns_are_a_basis():
     cols = [(0, 1), (1, 2), (0, 2), (3,), (0, 1)]
     res = span_of_indicator_columns(4, cols)
     assert res.rank == 4
-    assert len(res.pivot_columns) == 4
-    assert sorted(res.pivot_columns) == [0, 1, 2, 3]
+    basis = column_basis(4, cols, res.rank)
+    assert len(basis) == 4
+    assert sorted(basis) == [0, 1, 2, 3]
+
+
+def _rref_one_by_one(M, p):
+    """Reference: insert the rows one at a time, back-substituting each new
+    pivot into every earlier row."""
+    ids, cols, rows = [], [], []
+    for i, row in enumerate(M):
+        row = row % p
+        for c, r in zip(cols, rows):
+            row = (row - row[c] * r) % p
+        nz = np.flatnonzero(row)
+        if not len(nz):
+            continue
+        c = int(nz[0])
+        row = (row * pow(int(row[c]), -1, p)) % p
+        rows = [(r - r[c] * row) % p for r in rows] + [row]
+        ids.append(i)
+        cols.append(c)
+    return ids, cols, np.array(rows, dtype=np.int64).reshape(len(rows),
+                                                             M.shape[1])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_recursive_rref_matches_one_by_one(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    p = (PRIMES[0], 7, 2)[seed % 3]
+    n, rank = int(rng.integers(5, 70)), int(rng.integers(1, 40))
+    m = int(rng.integers(40, 150))
+    # rows drawn from a rank-limited space, then planted dependencies:
+    # zero rows, repeats, multiples, sums and sparse 0/1 rows
+    base = rng.integers(0, p, size=(rank, n)) * (rng.random((rank, n)) < 0.4)
+    M = (rng.integers(0, p, size=(m, rank)) @ base) % p
+    for _ in range(m // 8):
+        i, j, k = rng.integers(0, m, size=3)
+        M[i] = 0
+        M[j] = (M[k] * int(rng.integers(1, p + 1))) % p
+        M[k] = (M[i] + M[j]) % p
+        M[int(rng.integers(0, m))] = rng.random(n) < 0.1
+    ids, cols, rows = _rref_one_by_one(M, p)
+    pos, got_cols, R = _rref(M, p)
+    assert (pos, got_cols) == (ids, cols) and np.array_equal(R, rows)
+    # the echelon over several blocks of rows gives the same pivots
+    monkeypatch.setattr(exact, "_BLOCK", int(rng.integers(3, 40)))
+    ech = _run_echelon(n, m, lambda start, stop, q: M[start:stop], p, n + 1)
+    assert (ech.pivot_ids, ech.pivcols) == (ids, cols)
+    assert np.array_equal(ech.rows, rows)
 
 
 @pytest.mark.parametrize("shift", [1, 2])
@@ -80,7 +133,8 @@ def test_matmul_mod_is_exact_past_one_float64_chunk(shift):
     r = p - shift
     a = np.full((1, 9000), r, dtype=np.int64)
     b = np.full((9000, 1), r, dtype=np.int64)
-    assert _matmul_mod(a, b, p)[0, 0] == (9000 * r * r) % p
+    x = np.zeros((1, 1), dtype=np.int64)
+    assert _submul_mod(x, a, b, p)[0, 0] == (-9000 * r * r) % p
 
 
 def test_indicator_columns_round_trip():
@@ -123,13 +177,19 @@ def fibonacci_columns(n):
     return cols
 
 
-@pytest.mark.parametrize("n, primes, fallback", [
+_PATHS = [
     (20, 2, False),                   # two primes and one CRT step
     (60, 5, False),                   # CRT modulus past 2^63: Python ints
     (160, len(PRIMES), True),         # every prime fails: Fraction RREF
-])
-def test_certificate_paths(n, primes, fallback):
-    cols = fibonacci_columns(n)
+]
+
+
+# each column twice: more columns than n, so the Gram rows are eliminated
+@pytest.mark.parametrize("n, primes, fallback, copies", [
+    pytest.param(*path, copies, id="-".join(map(str, path)) + suffix)
+    for copies, suffix in ((1, ""), (2, "-gram")) for path in _PATHS])
+def test_certificate_paths(n, primes, fallback, copies):
+    cols = fibonacci_columns(n) * copies
     res = span_of_indicator_columns(n, cols)
     assert (res.primes_used, res.fallback_used) == (primes, fallback)
     slow = res if fallback else _exact_fallback(n, cols)
@@ -138,3 +198,23 @@ def test_certificate_paths(n, primes, fallback):
     for row in res.kernel:
         for support in cols:
             assert sum(int(row[i]) for i in support) == 0
+
+
+def test_gram_matrix_counts_shared_columns():
+    rng = np.random.default_rng(3)
+    n = 9
+    supports = [tuple(sorted(rng.choice(n, size=int(k), replace=False)))
+                for k in rng.integers(0, 5, size=40)]
+    cols = IndicatorColumns.from_supports(supports)
+    A = cols.block(0, len(cols), n).T
+    assert np.array_equal(_gram(n, cols), A @ A.T)
+
+
+def test_gram_entry_divisible_by_the_first_prime():
+    # G = [[PRIMES[0]]] is 0 mod the first prime: one more prime certifies
+    p = PRIMES[0]
+    cols = IndicatorColumns(np.zeros(p, dtype=np.int64),
+                            np.arange(p + 1, dtype=np.int64))
+    res = span_of_indicator_columns(1, cols)
+    assert res.full and res.rank == 1
+    assert (res.primes_used, res.fallback_used) == (2, False)

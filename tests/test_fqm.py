@@ -172,8 +172,13 @@ def _check_quotient(d, H, rng):
         a, b = rng.choice(perp), rng.choice(perp)
         assert project(d.add(a, b)) == q.add(project(a), project(b))
     # project maps H_perp onto Q with fibres of size |H|
-    images = q.indices(project.rows(d.coeff_matrix()[perp_idx]))
+    projected = project.rows(d.coeff_matrix()[perp_idx])
+    images = q.indices(projected)
     assert np.all(np.bincount(images, minlength=q.order) == H.order)
+    # one element at a time, in Python ints, agrees with the array form
+    assert projected.tolist() == [list(project(e)) for e in perp]
+    assert (section.rows(q.coeff_matrix()).tolist()
+            == [list(section(c)) for c in q.elements])
     for c in q.elements:
         assert project(section(c)) == c
         assert q.q(c) == d.q(section(c))
