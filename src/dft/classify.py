@@ -25,6 +25,7 @@ import numpy as np
 from . import bounds
 from .errors import BoundExceeded, NotTwoAdic, ValidityError
 from .fqm import DiscriminantForm, Element
+from .lifts import isotropic_indices
 from .ntheory import legendre, kronecker2, prime_power, prime_power_factors
 from .symbols import EVEN, ODD, GenusSymbol
 
@@ -283,45 +284,24 @@ def contains_isotropic_elementary(form: DiscriminantForm, p: int, k: int) -> boo
         raise BoundExceeded(f"|D| = {form.order} exceeds the span bound")
     if k == 0:
         return True
-    qn = form.qnum_array()
-    cand = []
-    for i in np.nonzero(qn == 0)[0]:
-        if i == 0:
-            continue
-        e = form.element(int(i))
-        if form.element_order(e) == p:
-            cand.append(int(i))
+    cand = isotropic_indices(form, p)
     if len(cand) < p ** k - 1:
         return False
-    m = len(cand)
-    orth = np.zeros((m, m), dtype=bool)
-    for a in range(m):
-        row = form.b_row_num(cand[a]) == 0
-        orth[a] = row[cand]
+    orth = form.b_row_num(cand)[:, cand] == 0
+    lines = [form.cyclic_indices(c) for c in cand]
 
-    idx_of = {c: a for a, c in enumerate(cand)}
-    zero = 0
-
-    def extend(chosen, span_idx, mask, start):
-        if len(chosen) == k:
+    def extend(depth, span, mask, start):
+        if depth == k:
             return True
-        for a in range(start, m):
-            if not mask[a]:
-                continue
-            c = cand[a]
-            if c in span_idx:
-                continue
-            new_span = set(span_idx)
-            arr = np.fromiter(span_idx, dtype=np.int64)
-            x = c
-            while x != zero:
-                new_span.update(int(v) for v in form.add_index_vec(arr, x))
-                x = int(form.add_index_vec(np.array([x]), c)[0])
-            if extend(chosen + [a], new_span, mask & orth[a], a + 1):
-                return True
+        for a in range(start, len(cand)):
+            if mask[a] and cand[a] not in span:
+                if extend(depth + 1, form.sum_indices(span, lines[a]),
+                          mask & orth[a], a + 1):
+                    return True
         return False
 
-    return extend([], {zero}, np.ones(m, dtype=bool), 0)
+    return extend(0, np.zeros(1, dtype=np.int64),
+                  np.ones(len(cand), dtype=bool), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +320,9 @@ class IsotropyGraph:
             raise BoundExceeded(f"|D| = {form.order} exceeds the span bound")
         self.form = form
         n = form.order
-        qn = form.qnum_array()
         neighbors: list[list[int]] = [[] for _ in range(n)]
         idx = np.arange(n)
-        for i in np.nonzero(qn == 0)[0]:
-            if i == 0:
-                continue
-            mu = form.element(int(i))
-            if form.element_order(mu) != 2:
-                continue
+        for i in isotropic_indices(form, 2):
             mask = form.b_row_num(int(i)) == 0
             partners = form.add_index_vec(idx[mask], int(i))
             for a, c in zip(idx[mask], partners):

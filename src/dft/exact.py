@@ -523,8 +523,9 @@ def _fraction_rref(n: int, columns):
 
 def _exact_fallback(n: int, columns) -> SpanResult:
     """Span data from the ``Fraction`` RREF; only reached if every prime
-    failed."""
-    rows, pivcols, _ = _fraction_rref(n, _as_columns(columns))
+    failed.  The RREF of a row space is canonical, so each distinct
+    support goes in once."""
+    rows, pivcols, _ = _fraction_rref(n, dict.fromkeys(_as_columns(columns)))
     free = [c for c in range(n) if c not in set(pivcols)]
     kernel = np.zeros((len(free), n), dtype=object)
     for j, f in enumerate(free):

@@ -13,6 +13,13 @@ coordinates in the quotient, not representatives in the parent, and
 ``project`` / ``section`` are integer coordinate maps between the two.
 p-parts keep and direct sums concatenate generators.
 
+Inside the package a subgroup is the sorted array of its element indices.
+Four primitives build every subgroup: ``order_array`` (the element
+orders), ``cyclic_indices`` (one cyclic subgroup), ``sum_indices`` (the
+sum S + T of two subgroups) and ``_minimal_generators``.  ``Subgroup``
+carries that array beside its sorted element tuples and generators, which
+are the form subgroups take at the API.
+
 Values of q live in Q/Z as ``Fraction`` objects normalized to [0, 1).
 The signature is extracted from the Gauss sum with an exact cyclotomic
 certificate G^2 = |D| e(s/4); floating point only picks between the two
@@ -30,7 +37,7 @@ carrier last.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
@@ -67,11 +74,14 @@ class DiscriminantForm:
             raise ValidityError("generator data of inconsistent shape")
         self._n = prod(self.orders, start=1)
         self._places = tuple(prod(self.orders[i + 1:], start=1) for i in range(m))
+        self._radix = (np.array(self.orders, dtype=np.int64),
+                       np.array(self._places, dtype=np.int64))
         self._coeffs: Optional[np.ndarray] = None
         self._elements: Optional[tuple[Element, ...]] = None
         self._level: Optional[int] = None
         self._signature: Optional[int] = None
         self._qnum: Optional[np.ndarray] = None
+        self._element_orders: Optional[np.ndarray] = None
         self._tables: Optional[tuple[int, np.ndarray, np.ndarray]] = None
         if check:
             self._check_consistency()
@@ -116,10 +126,10 @@ class DiscriminantForm:
         return self._coeffs
 
     def indices(self, coeffs: np.ndarray) -> np.ndarray:
-        """Element indices of coefficient rows, entries taken mod the orders."""
-        digits = np.asarray(coeffs, dtype=np.int64) % np.array(
-            self.orders, dtype=np.int64)
-        return digits @ np.array(self._places, dtype=np.int64)
+        """Element indices of coefficient rows (along the last axis),
+        entries taken mod the orders."""
+        orders, places = self._radix
+        return (np.asarray(coeffs, dtype=np.int64) % orders) @ places
 
     def _reduce(self, a) -> Element:
         if len(a) != len(self.orders):
@@ -204,11 +214,34 @@ class DiscriminantForm:
             self._qnum = total % L
         return self._qnum
 
-    def b_row_num(self, i: int) -> np.ndarray:
-        """Numerators of b(element(i), -) over the denominator level(D)."""
+    def order_array(self) -> np.ndarray:
+        """Element orders, in index order; computed once, read-only."""
+        if self._element_orders is None:
+            C = self.coeff_matrix()
+            out = np.ones(self._n, dtype=np.int64)
+            for i, o in enumerate(self.orders):
+                out = np.lcm(out, o // np.gcd(C[:, i], o))
+            out.flags.writeable = False
+            self._element_orders = out
+        return self._element_orders
+
+    def b_row_num(self, i) -> np.ndarray:
+        """Numerators of b(element(i), -) over the denominator level(D);
+        one row per index when i is an array of indices."""
         L, _, gn = self._scaled_tables()
-        vec = gn @ np.array(self.element(i), dtype=np.int64)
-        return (self.coeff_matrix() @ vec) % L
+        C = self.coeff_matrix()
+        return (C[i] @ gn @ C.T) % L
+
+    def cyclic_indices(self, i: int) -> np.ndarray:
+        """Sorted indices of the cyclic subgroup generated by element(i)."""
+        k = np.arange(self.order_array()[i], dtype=np.int64)
+        return np.sort(self.indices(k[:, None] * self.coeff_matrix()[i]))
+
+    def sum_indices(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """Sorted indices of all s + t with s in S and t in T: the subgroup
+        S + T when S and T are subgroups."""
+        C = self.coeff_matrix()
+        return np.unique(self.indices(C[S][:, None, :] + C[T][None, :, :]))
 
     def add_index_vec(self, indices: np.ndarray, j: int) -> np.ndarray:
         return self.indices(self.coeff_matrix()[indices]
@@ -313,6 +346,7 @@ def milgram_check(form: DiscriminantForm) -> bool:
 class Subgroup:
     elements: tuple[Element, ...]   # sorted, closed under addition and negation
     generators: tuple[Element, ...]
+    indices: np.ndarray = field(compare=False, repr=False)  # sorted
 
     @property
     def order(self) -> int:
@@ -322,56 +356,50 @@ class Subgroup:
         return tuple(e) in set(self.elements)
 
 
-def _closure(form: DiscriminantForm, gens: Iterable[Element]) -> set[Element]:
-    seen = {form.zero}
-    frontier = [form.zero]
-    gens = [tuple(g) for g in gens]
-    while frontier:
-        e = frontier.pop()
-        for g in gens:
-            s = form.add(e, g)
-            if s not in seen:
-                seen.add(s)
-                frontier.append(s)
-    return seen
-
-
 def _minimal_generators(form: DiscriminantForm,
-                        elements: Sequence[Element]) -> tuple[Element, ...]:
-    # greedy by decreasing element order; minimal for finite abelian groups
-    remaining = sorted(elements, key=lambda e: (-form.element_order(e), e))
-    gens: list[Element] = []
-    span = {form.zero}
-    for e in remaining:
-        if e in span:
-            continue
-        gens.append(e)
-        span = _closure(form, gens)
-        if len(span) == len(elements):
-            break
-    return tuple(gens)
+                        idx: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Greedy generators of the index set idx, by decreasing element order
+    and then by index, which is the lexicographic order of the elements;
+    minimal for finite abelian groups.  Returned with the subgroup they
+    generate, which equals the sorted idx exactly when idx is a subgroup."""
+    cand = idx[np.lexsort((idx, -form.order_array()[idx]))]
+    gens: list[int] = []
+    span = np.zeros(1, dtype=np.int64)
+    in_span = np.zeros(form.order, dtype=bool)
+    while True:
+        in_span[span] = True
+        cand = cand[~in_span[cand]]
+        if not len(cand):
+            return gens, span
+        gens.append(int(cand[0]))
+        span = form.sum_indices(span, form.cyclic_indices(gens[-1]))
+
+
+def index_subgroup(form: DiscriminantForm, idx: np.ndarray) -> Subgroup:
+    """The subgroup whose elements have the sorted indices idx."""
+    gens, span = _minimal_generators(form, idx)
+    if not np.array_equal(span, idx):
+        raise ValidityError("element set is not closed under addition")
+    C = form.coeff_matrix()
+    return Subgroup(tuple(map(tuple, C[idx].tolist())),
+                    tuple(map(tuple, C[gens].tolist())), idx)
 
 
 def subgroup(form: DiscriminantForm, elements: Iterable[Element]) -> Subgroup:
-    elts = sorted({tuple(e) for e in elements} | {form.zero})
-    elt_set = set(elts)
-    gens = _minimal_generators(form, elts)
-    for e in elts:
-        for g in gens:
-            if form.add(e, g) not in elt_set:
-                raise ValidityError("element set is not closed under addition")
-    return Subgroup(tuple(elts), gens)
+    return index_subgroup(
+        form, np.unique([0] + [form.index(e) for e in elements]))
 
 
 def subgroup_from_generators(form: DiscriminantForm,
                              gens: Iterable[Element]) -> Subgroup:
-    elts = sorted(_closure(form, gens))
-    return Subgroup(tuple(elts), _minimal_generators(form, elts))
+    span = np.zeros(1, dtype=np.int64)
+    for g in gens:
+        span = form.sum_indices(span, form.cyclic_indices(form.index(g)))
+    return index_subgroup(form, span)
 
 
 def is_isotropic(form: DiscriminantForm, H: Subgroup) -> bool:
-    qn = form.qnum_array()
-    return not any(qn[form.index(h)] for h in H.elements)
+    return not form.qnum_array()[H.indices].any()
 
 
 def perp_indices(form: DiscriminantForm, gens: Iterable[Element]) -> np.ndarray:
@@ -390,8 +418,7 @@ def orthogonal_complement(form: DiscriminantForm, S) -> Subgroup:
         gens = [tuple(S)]
     else:
         gens = [tuple(e) for e in S]
-    elts = [form.element(i) for i in perp_indices(form, gens)]
-    return Subgroup(tuple(elts), _minimal_generators(form, elts))
+    return index_subgroup(form, perp_indices(form, gens))
 
 
 # ---------------------------------------------------------------------------
@@ -574,9 +601,12 @@ def quotient_form(form: DiscriminantForm, H: Subgroup) -> QuotientResult:
             factors.append((p, pa, P2[i], [unit * x for x in g]))
     factors.sort(key=lambda f: f[0])
     gens = [form._reduce(f[3]) for f in factors]
+    gi = form.indices(np.array(gens, dtype=np.int64).reshape(len(gens), m))
     quotient = DiscriminantForm(
-        [f[1] for f in factors], [form.q(g) for g in gens],
-        [[form.b(g, c) for c in gens] for g in gens])
+        [f[1] for f in factors],
+        [Fraction(int(x), L) for x in form.qnum_array()[gi]],
+        [[Fraction(int(x), L) for x in row]
+         for row in form.b_row_num(gi)[:, gi]])
     project = CoordinateMap.of(form, quotient, Vinv, s, [f[2] for f in factors])
     k = len(gens)
     section = CoordinateMap.of(quotient, form, np.eye(k, dtype=int).tolist(),

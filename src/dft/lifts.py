@@ -6,11 +6,19 @@ exactly when every basis vector e^gamma is a combination of isotropic
 lifts; per-element membership is decided against a verified exact basis
 of the orthogonal complement (the common kernel of the descents).
 
+Subgroups are enumerated as sorted index arrays (see ``fqm``), from the
+isotropic element indices of ``isotropic_indices``.
+
 Also here: the explicit certificate constructions -- the kernel vector
 showing e^gamma misses the span when gamma_perp carries at most one
 isotropic line, the signed odd-closed-walk combination equal to e^gamma
 for 2-power level, and the five-generator expression for forms splitting
-as an anisotropic rank-four block plus one higher-order generator.
+as an anisotropic rank-four block plus one higher-order generator.  The
+kernel vector is an integer row over element indices, and its descent
+test is the same exact ``annihilates`` check as the span's: a descent
+along H kills a vector exactly when the vector sums to zero over every
+coset column of H's lift, so one call covers all cyclic isotropic H
+inside gamma_perp.
 """
 
 from __future__ import annotations
@@ -26,107 +34,73 @@ from .errors import (BoundExceeded, EvenLength, HypothesisFailed, NotACycle,
 from .exact import (IndicatorColumns, SpanResult, annihilates, column_basis,
                     span_of_indicator_columns)
 from .fqm import (DiscriminantForm, Element, QuotientResult, Subgroup,
-                  is_isotropic, mod1, orthogonal_complement, perp_indices,
-                  quotient_form, subgroup, subgroup_from_generators)
-from .ntheory import prime_power
+                  index_subgroup, is_isotropic, mod1, orthogonal_complement,
+                  perp_indices, quotient_form, subgroup_from_generators)
+from .ntheory import prime_power, prime_power_factors
 
 # ---------------------------------------------------------------------------
 # isotropic elements and subgroups
 # ---------------------------------------------------------------------------
 
 
+def isotropic_indices(form: DiscriminantForm, order=None) -> np.ndarray:
+    """Ascending indices of the nonzero isotropic elements, all of them or
+    those of one order."""
+    iso = np.nonzero(form.qnum_array() == 0)[0][1:]
+    if order is not None:
+        iso = iso[form.order_array()[iso] == order]
+    return iso
+
+
 def isotropic_elements(form: DiscriminantForm, order_filter=None) -> list[Element]:
     """All nonzero gamma with q(gamma) = 0, optionally of a fixed order."""
-    qn = form.qnum_array()
-    out = []
-    for i in np.nonzero(qn == 0)[0]:
-        if i == 0:
-            continue
-        e = form.element(int(i))
-        if order_filter is None or form.element_order(e) == order_filter:
-            out.append(e)
-    return out
+    return [form.element(i) for i in isotropic_indices(form, order_filter)]
 
 
 def prime_order_subgroups(form: DiscriminantForm) -> list[Subgroup]:
     """The isotropic subgroups of prime order, sorted deterministically."""
-    seen = set()
+    iso = isotropic_indices(form)
+    iso = iso[np.isin(form.order_array()[iso], prime_power_factors(form.order))]
+    seen = np.zeros(form.order, dtype=bool)
     lines = []
-    for e in isotropic_elements(form):
-        o = form.element_order(e)
-        if prime_power(o) is None or prime_power(o)[1] != 1:
-            continue
-        members = _cyclic_members(form, e)
-        key = tuple(sorted(form.index(m) for m in members))
-        if key in seen:
-            continue
-        seen.add(key)
-        lines.append(subgroup(form, members))
-    lines.sort(key=lambda H: (H.order, tuple(form.index(e) for e in H.elements)))
+    for i in iso:
+        if not seen[i]:
+            members = form.cyclic_indices(i)
+            seen[members] = True
+            lines.append(index_subgroup(form, members))
+    lines.sort(key=lambda H: (H.order, H.indices.tolist()))
     return lines
 
 
-def isotropic_subgroups(form: DiscriminantForm, max_order=None) -> list[Subgroup]:
+def isotropic_subgroups(form: DiscriminantForm) -> list[Subgroup]:
     """All non-trivial subgroups on which q vanishes identically.
 
-    Closure search over isotropic elements; the prime-order sublist is
-    exactly ``prime_order_subgroups``.  Bounded enumeration: prime-order
-    only runs up to the span bound, the full search up to the (smaller)
-    enumeration bound.
+    Every subgroup found, starting from the cyclic ones, is extended by each
+    isotropic e orthogonal to it; S + <e> is again isotropic, since
+    q(s + k e) = q(s) + k^2 q(e) + k b(s, e).  The prime-order sublist is
+    exactly ``prime_order_subgroups``.  Bounded by the enumeration bound.
     """
-    limit = bounds.max_enum_order() if max_order is None else bounds.max_span_order()
+    limit = bounds.max_enum_order()
     if form.order > limit:
         raise BoundExceeded(
             f"|D| = {form.order} exceeds the enumeration bound {limit}")
-    iso = isotropic_elements(form)
-    iso_set = {form.zero} | set(iso)
-    seen: set[tuple] = set()
-    out: list[Subgroup] = []
-    queue: list[frozenset] = []
-
-    def register(members: frozenset) -> None:
-        key = tuple(sorted(form.index(m) for m in members))
-        if key in seen:
-            return
-        seen.add(key)
-        if max_order is None or len(members) <= max_order:
-            out.append(subgroup(form, members))
-        queue.append(members)
-
-    for e in iso:
-        members = frozenset(_cyclic_members(form, e))
-        if max_order is not None and len(members) > max_order:
-            continue
-        register(members)
+    iso = isotropic_indices(form)
+    apart = form.b_row_num(iso) != 0        # |iso| x |D|
+    cyclic = [form.cyclic_indices(i) for i in iso]
+    found = {S.tobytes(): S for S in cyclic}
+    queue = list(found.values())
     while queue:
-        members = queue.pop()
-        if max_order is not None and len(members) >= max_order:
-            continue
-        for e in iso:
-            if e in members:
-                continue
-            if any(form.b(e, m) != 0 for m in members):
-                continue
-            bigger = set(members)
-            x = e
-            while x != form.zero:
-                bigger.update(form.add(x, m) for m in members)
-                x = form.add(x, e)
-            if not bigger <= iso_set:
-                continue
-            register(frozenset(bigger))
-    out.sort(key=lambda H: (H.order,
-                            tuple(form.index(e) for e in H.elements)))
-    return out
-
-
-def _cyclic_members(form, e):
-    members = [form.zero]
-    x = e
-    while x != form.zero:
-        members.append(x)
-        x = form.add(x, e)
-    return members
+        S = queue.pop()
+        outside = np.ones(form.order, dtype=bool)
+        outside[S] = False
+        extends = ~apart[:, S].any(axis=1) & outside[iso]
+        for a in np.nonzero(extends)[0]:
+            bigger = form.sum_indices(S, cyclic[a])
+            if bigger.tobytes() not in found:
+                found[bigger.tobytes()] = bigger
+                queue.append(bigger)
+    subs = sorted(found.values(), key=lambda S: (len(S), S.tolist()))
+    return [index_subgroup(form, S) for S in subs]
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +166,8 @@ def span_columns(form: DiscriminantForm, subgroups) -> IndicatorColumns:
     member."""
     blocks = []
     for H in subgroups:
-        h_idx = [form.index(h) for h in H.elements]
         perp = perp_indices(form, H.generators)
-        stacked = np.stack([form.add_index_vec(perp, j) for j in h_idx])
+        stacked = np.stack([form.add_index_vec(perp, j) for j in H.indices])
         is_rep = perp == stacked.min(axis=0)
         blocks.append(np.sort(stacked[:, is_rep].T, axis=1))
     return IndicatorColumns.from_blocks(blocks)
@@ -271,27 +244,14 @@ def spans_agree_with_all_subgroups(form: DiscriminantForm) -> bool:
 def perp_pair_table(form: DiscriminantForm, p: int) -> np.ndarray:
     """For every element index: does its orthogonal complement contain an
     isotropic subgroup isomorphic to (Z/pZ)^2?  Vectorized over the form."""
-    qn = form.qnum_array()
-    cand = []
-    for i in np.nonzero(qn == 0)[0]:
-        if i == 0:
-            continue
-        if form.element_order(form.element(int(i))) == p:
-            cand.append(int(i))
+    cand = isotropic_indices(form, p)
     n = form.order
     out = np.zeros(n, dtype=bool)
     if len(cand) < 2:
         return out
-    B = np.stack([form.b_row_num(c) for c in cand])       # b(cand_i, -)
+    B = form.b_row_num(cand)                              # b(cand_i, -)
     orth = B[:, cand] == 0
-    line = np.empty(len(cand), dtype=np.int64)
-    for a, c in enumerate(cand):
-        multiples = [c]
-        x = int(form.add_index_vec(np.array([c]), c)[0])
-        while x != c and x != 0:
-            multiples.append(x)
-            x = int(form.add_index_vec(np.array([x]), c)[0])
-        line[a] = min(multiples)
+    line = np.array([form.cyclic_indices(c)[1] for c in cand])
     indep = line[:, None] != line[None, :]
     pairok = orth & indep
     for g in range(n):
@@ -301,24 +261,6 @@ def perp_pair_table(form: DiscriminantForm, p: int) -> np.ndarray:
         sub = pairok[np.ix_(mask, mask)]
         out[g] = bool(sub.any())
     return out
-
-
-def _iso_pair_in(form, members) -> bool:
-    """Does the element set contain two independent orthogonal isotropic
-    prime-order elements generating an isotropic subgroup?"""
-    prims = [e for e in members
-             if e != form.zero and form.q(e) == 0
-             and prime_power(form.element_order(e)) is not None
-             and prime_power(form.element_order(e))[1] == 1]
-    for i, a in enumerate(prims):
-        pa = form.element_order(a)
-        line = set(_cyclic_members(form, a))
-        for c in prims[i + 1:]:
-            if form.element_order(c) != pa or c in line:
-                continue
-            if form.b(a, c) == 0:
-                return True
-    return False
 
 
 def kernel_vector(form: DiscriminantForm, gamma: Element) -> dict[Element, Fraction]:
@@ -332,51 +274,34 @@ def kernel_vector(form: DiscriminantForm, gamma: Element) -> dict[Element, Fract
     pk = prime_power(form.order)
     if form.order > 1 and pk is None:
         raise HypothesisFailed("form must have prime-power order")
-    gamma = tuple(gamma)
-    perp = orthogonal_complement(form, gamma)
-    if _iso_pair_in(form, perp.elements):
+    g = form.index(gamma)
+    if form.order == 1:
+        return {form.element(g): Fraction(1)}
+    p = pk[0]
+    if perp_pair_table(form, p)[g]:
         raise HypothesisFailed("gamma_perp contains an isotropic (Z/pZ)^2")
-    v: dict[Element, Fraction] = {gamma: Fraction(1)}
-    if form.order > 1:
-        p = pk[0]
-        perp_set = set(perp.elements)
-        lines = [H for H in prime_order_subgroups(form)
-                 if set(H.elements) <= perp_set]
-        for H in lines:
-            for mu in H.elements:
-                if mu == form.zero:
-                    continue
-                key = form.add(gamma, mu)
-                v[key] = v.get(key, Fraction(0)) - Fraction(1, p - 1)
-        if v.get(gamma) != 1:
-            raise HypothesisFailed("correction sum touched e^gamma")
-        # without an isotropic (Z/pZ)^2 every isotropic subgroup inside
-        # gamma_perp is cyclic, so cyclic closures exhaust them
-        seen = set()
-        for e in perp.elements:
-            if e == form.zero or form.q(e) != 0:
-                continue
-            members = _cyclic_members(form, e)
-            key = tuple(sorted(members))
-            if key in seen:
-                continue
-            seen.add(key)
-            H = subgroup(form, members)
-            if not _descent_kills(form, H, v):
-                raise HypothesisFailed(f"descent along {H.generators} "
-                                       "does not vanish")
-    return {k: val for k, val in v.items() if val}
-
-
-def _descent_kills(form, H, v) -> bool:
-    perp_set = set(orthogonal_complement(form, H).elements)
-    sums: dict[Element, Fraction] = {}
-    for e, val in v.items():
-        if e not in perp_set:
-            continue
-        rep = min(form.add(e, h) for h in H.elements)
-        sums[rep] = sums.get(rep, Fraction(0)) + val
-    return all(x == 0 for x in sums.values())
+    in_perp = form.b_row_num(g) == 0
+    # without an isotropic (Z/pZ)^2 every isotropic subgroup inside
+    # gamma_perp is cyclic, so cyclic closures exhaust them
+    iso = isotropic_indices(form)
+    cyclic = {}
+    for i in iso[in_perp[iso]]:
+        S = form.cyclic_indices(i)
+        cyclic.setdefault(S.tobytes(), S)
+    # (p - 1) v = (p - 1) e^gamma - sum over the lines H in gamma_perp of
+    # the e^(gamma + mu), mu in H - 0
+    row = np.zeros(form.order, dtype=np.int64)
+    row[g] = p - 1
+    for S in cyclic.values():
+        if len(S) == p:
+            row[form.add_index_vec(S[1:], g)] -= 1
+    # a descent kills v when v sums to zero over every coset column
+    subs = [index_subgroup(form, S) for S in cyclic.values()]
+    if not annihilates(row[None, :], span_columns(form, subs)):
+        raise HypothesisFailed("a descent along a cyclic isotropic subgroup "
+                               "of gamma_perp does not vanish")
+    return {form.element(i): Fraction(int(row[i]), p - 1)
+            for i in np.nonzero(row)[0]}
 
 
 def odd_cycle_expression(form: DiscriminantForm, cycle):
@@ -439,11 +364,12 @@ def rank5_expression(form: DiscriminantForm, gamma: Element):
     perp = orthogonal_complement(form, gamma)
     if perp.order != p ** 4 or form.order != n * p ** 4:
         raise HypothesisFailed("gamma_perp is not a rank-four block of order p^4")
-    if any(form.element_order(e) not in (1, p) for e in perp.elements):
+    if not np.isin(form.order_array()[perp.indices], (1, p)).all():
         raise HypothesisFailed("gamma_perp is not of level p")
     block = list(perp.elements)
-    iso = [e for e in block if e != form.zero and form.q(e) == 0]
-    if not iso or _iso_pair_in(form, block):
+    iso = [form.element(i) for i in
+           np.intersect1d(isotropic_indices(form), perp.indices)]
+    if not iso or perp_pair_table(form, p)[form.index(gamma)]:
         raise HypothesisFailed("the block must be anisotropic of its rank")
 
     def bnum(a, c):
@@ -519,7 +445,7 @@ def rank5_expression(form: DiscriminantForm, gamma: Element):
 def check_transitivity(form: DiscriminantForm, H: Subgroup, K: Subgroup) -> bool:
     """Exact identity: lifting along H then along K/H equals lifting along K
     (and dually for descents), through the quotient-form maps."""
-    if not set(H.elements) <= set(K.elements):
+    if not np.isin(H.indices, K.indices).all():
         raise NotNested("H must be contained in K")
     for S in (H, K):
         if not is_isotropic(form, S):
@@ -529,7 +455,8 @@ def check_transitivity(form: DiscriminantForm, H: Subgroup, K: Subgroup) -> bool
     if H.order == 1:
         raise ValidityError("H must be non-trivial")
     QH, QK = quotient_form(form, H), quotient_form(form, K)
-    KH = subgroup_from_generators(QH.form, [QH.project(k) for k in K.generators])
+    KH = index_subgroup(QH.form, np.unique(QH.form.indices(
+        QH.project.rows(form.coeff_matrix()[K.indices]))))
     QKH = quotient_form(QH.form, KH)
     left = (_lift_map(form, H, QH).matrix()
             @ _lift_map(QH.form, KH, QKH).matrix())

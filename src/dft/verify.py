@@ -9,12 +9,15 @@ Three suites, each a list of named checks over documented corpora:
 * ``constructions`` -- the explicit certificate constructions re-evaluate
                        exactly, plus adjointness and transitivity.
 
-The acceptance tests run the same checks at the spec bounds; the CLI
-suites use slightly smaller corpora to stay snappy.
+Every check is registered in ``CHECKS`` under the name its results carry,
+and ``SUITES`` lists those names.  The acceptance tests run the same
+checks at the spec bounds; the CLI suites use slightly smaller corpora to
+stay snappy.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -43,6 +46,21 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+CHECKS: dict[str, Callable[..., CheckResult]] = {}
+
+
+def _check(name: str):
+    """Register a check returning (passed, detail) in ``CHECKS`` under the
+    name its results carry."""
+    def register(fn):
+        @functools.wraps(fn)
+        def run(*args, **kwargs) -> CheckResult:
+            return CheckResult(name, *fn(*args, **kwargs))
+        CHECKS[name] = run
+        return run
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -92,23 +110,25 @@ def _is_prime_local(sym: GenusSymbol) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _check_weil_relations() -> CheckResult:
+@_check("weil-relations")
+def _check_weil_relations() -> tuple[bool, str]:
     n = 0
     for sym in weil_corpus():
         check_relations(form_of(sym))
         n += 1
-    return CheckResult("weil-relations", True, f"{n} forms, all exact")
+    return True, f"{n} forms, all exact"
 
 
-def _check_conductor_independence() -> CheckResult:
+@_check("conductor-independence")
+def _check_conductor_independence() -> tuple[bool, str]:
     form = form_of(parse_symbol("2_1^+1.3^-1"))
     base = lcm(8, form.level)
     check_relations(form, conductor=2 * base)
-    return CheckResult("conductor-independence", True,
-                       f"relations reproduced at conductor {2 * base}")
+    return True, f"relations reproduced at conductor {2 * base}"
 
 
-def _check_equivariance() -> CheckResult:
+@_check("lift-equivariance")
+def _check_equivariance() -> tuple[bool, str]:
     pairs = 0
     for sym in weil_corpus():
         form = form_of(sym)
@@ -122,16 +142,17 @@ def _check_equivariance() -> CheckResult:
         form = form_of(parse_symbol(text))
         check_lift_equivariance(form, subgroup_from_generators(form, gens))
         pairs += 1
-    return CheckResult("lift-equivariance", True, f"{pairs} (form, H) pairs")
+    return True, f"{pairs} (form, H) pairs"
 
 
-def _check_milgram() -> CheckResult:
+@_check("milgram-certificate")
+def _check_milgram() -> tuple[bool, str]:
     n = 0
     for sym in lemma_corpus(96):
         if not milgram_check(form_of(sym)):
-            return CheckResult("milgram-certificate", False, str(sym))
+            return False, str(sym)
         n += 1
-    return CheckResult("milgram-certificate", True, f"{n} forms")
+    return True, f"{n} forms"
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +160,14 @@ def _check_milgram() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _check_prime_order_spans(max_order: int = 128) -> CheckResult:
+@_check("prime-order-spans-suffice")
+def _check_prime_order_spans(max_order: int = 128) -> tuple[bool, str]:
     n = 0
     for sym in lemma_corpus(max_order):
         if not spans_agree_with_all_subgroups(form_of(sym)):
-            return CheckResult("prime-order-spans-suffice", False, str(sym))
+            return False, str(sym)
         n += 1
-    return CheckResult("prime-order-spans-suffice", True, f"{n} forms")
+    return True, f"{n} forms"
 
 
 def _line_counts(form: DiscriminantForm) -> np.ndarray:
@@ -158,7 +180,8 @@ def _line_counts(form: DiscriminantForm) -> np.ndarray:
     return counts
 
 
-def _check_two_lines_necessary(max_order: int = 128) -> CheckResult:
+@_check("membership-needs-two-lines")
+def _check_two_lines_necessary(max_order: int = 128) -> tuple[bool, str]:
     checked = 0
     for sym in lemma_corpus(max_order):
         if not _is_prime_local(sym):
@@ -167,12 +190,13 @@ def _check_two_lines_necessary(max_order: int = 128) -> CheckResult:
         member = lift_span(form).membership
         counts = _line_counts(form)
         if np.any(member & (counts < 2)):
-            return CheckResult("membership-needs-two-lines", False, str(sym))
+            return False, str(sym)
         checked += 1
-    return CheckResult("membership-needs-two-lines", True, f"{checked} forms")
+    return True, f"{checked} forms"
 
 
-def _check_pair_sufficient(max_order: int = 128) -> CheckResult:
+@_check("orthogonal-pair-forces-membership")
+def _check_pair_sufficient(max_order: int = 128) -> tuple[bool, str]:
     checked = 0
     for sym in lemma_corpus(max_order):
         if not _is_prime_local(sym):
@@ -182,31 +206,21 @@ def _check_pair_sufficient(max_order: int = 128) -> CheckResult:
         member = lift_span(form).membership
         pair = perp_pair_table(form, p)
         if np.any(pair & ~member):
-            return CheckResult("orthogonal-pair-forces-membership", False,
-                               str(sym))
+            return False, str(sym)
         checked += 1
-    return CheckResult("orthogonal-pair-forces-membership", True,
-                       f"{checked} forms")
+    return True, f"{checked} forms"
 
 
 def _odd_p_hypothesis_mask(form: DiscriminantForm, p: int) -> np.ndarray:
     """Elements of order <= p, or of higher order with p dividing the
     numerator of q against the denominator ord(gamma)."""
-    n = form.order
-    mask = np.zeros(n, dtype=bool)
-    for i in range(n):
-        e = form.element(i)
-        o = form.element_order(e)
-        if o <= p:
-            mask[i] = True
-            continue
-        qv = form.q(e)
-        j = qv.numerator * (o // qv.denominator)
-        mask[i] = j % p == 0
-    return mask
+    qn, L, o = form.qnum_array(), form.level, form.order_array()
+    g = np.gcd(qn, L)           # q = (qn / g) / (L / g) in lowest terms
+    return (o <= p) | ((qn // g) * (o // (L // g)) % p == 0)
 
 
-def _check_odd_p_iff(max_order: int = 125) -> CheckResult:
+@_check("odd-p-membership-iff-pair")
+def _check_odd_p_iff(max_order: int = 125) -> tuple[bool, str]:
     checked = 0
     for p in (3, 5):
         for sym in enumerate_symbols(max_order, {p}):
@@ -215,12 +229,13 @@ def _check_odd_p_iff(max_order: int = 125) -> CheckResult:
             pair = perp_pair_table(form, p)
             hyp = _odd_p_hypothesis_mask(form, p)
             if np.any(hyp & (member != pair)):
-                return CheckResult("odd-p-membership-iff-pair", False, str(sym))
+                return False, str(sym)
             checked += 1
-    return CheckResult("odd-p-membership-iff-pair", True, f"{checked} forms")
+    return True, f"{checked} forms"
 
 
-def _check_graph_matches_algebra(max_order: int = 128) -> CheckResult:
+@_check("graph-matches-algebra")
+def _check_graph_matches_algebra(max_order: int = 128) -> tuple[bool, str]:
     checked = 0
     for sym in enumerate_symbols(max_order, {2}):
         form = form_of(sym)
@@ -229,26 +244,28 @@ def _check_graph_matches_algebra(max_order: int = 128) -> CheckResult:
         verdicts = np.array([not graph.bipartite[int(c)]
                              for c in graph.component])
         if not np.array_equal(verdicts, member):
-            return CheckResult("graph-matches-algebra", False, str(sym))
+            return False, str(sym)
         checked += 1
-    return CheckResult("graph-matches-algebra", True, f"{checked} forms")
+    return True, f"{checked} forms"
 
 
-def _check_duality(max_order: int = 96) -> CheckResult:
+@_check("span-kernel-duality")
+def _check_duality(max_order: int = 96) -> tuple[bool, str]:
     checked = 0
     for sym in lemma_corpus(max_order):
         form = form_of(sym)
         res = lift_span(form)
         _, basis = image_rank(form)
         if res.rank + len(res.kernel) != form.order:
-            return CheckResult("span-kernel-duality", False, str(sym))
+            return False, str(sym)
         if not annihilates(res.kernel, list(basis.column_supports)):
-            return CheckResult("span-kernel-duality", False, str(sym))
+            return False, str(sym)
         checked += 1
-    return CheckResult("span-kernel-duality", True, f"{checked} forms")
+    return True, f"{checked} forms"
 
 
-def _check_catalog_vs_search(max_order: int = 128) -> CheckResult:
+@_check("catalog-matches-search")
+def _check_catalog_vs_search(max_order: int = 128) -> tuple[bool, str]:
     checked = 0
     for sym in lemma_corpus(max_order):
         if not _is_prime_local(sym):
@@ -257,12 +274,13 @@ def _check_catalog_vs_search(max_order: int = 128) -> CheckResult:
         predicted = no_cube_catalog_check(sym)
         found = contains_isotropic_elementary(form_of(sym), p, 3)
         if predicted != (not found):
-            return CheckResult("catalog-matches-search", False, str(sym))
+            return False, str(sym)
         checked += 1
-    return CheckResult("catalog-matches-search", True, f"{checked} forms")
+    return True, f"{checked} forms"
 
 
-def _check_max_rank_formula(spot_six: bool = False) -> CheckResult:
+@_check("max-isotropic-rank")
+def _check_max_rank_formula(spot_six: bool = False) -> tuple[bool, str]:
     cases = []
     for n in range(1, 6):
         for sign in (1, -1):
@@ -274,10 +292,10 @@ def _check_max_rank_formula(spot_six: bool = False) -> CheckResult:
         form = form_of(sym)
         want = max_isotropic_rank(3, n, sign)
         if not contains_isotropic_elementary(form, 3, want) and want > 0:
-            return CheckResult("max-isotropic-rank", False, f"{sym}: < {want}")
+            return False, f"{sym}: < {want}"
         if contains_isotropic_elementary(form, 3, want + 1):
-            return CheckResult("max-isotropic-rank", False, f"{sym}: > {want}")
-    return CheckResult("max-isotropic-rank", True, f"{len(cases)} level-3 forms")
+            return False, f"{sym}: > {want}"
+    return True, f"{len(cases)} level-3 forms"
 
 
 _TAIL_SAMPLE = ("1", "2_1^+1", "2_7^+1", "2_II^+2", "2_II^-2", "4_1^+1",
@@ -285,7 +303,8 @@ _TAIL_SAMPLE = ("1", "2_1^+1", "2_7^+1", "2_II^+2", "2_II^-2", "4_1^+1",
                 "2_3^-1", "2_0^+2")
 
 
-def _check_tail_independence() -> CheckResult:
+@_check("tail-independence")
+def _check_tail_independence() -> tuple[bool, str]:
     from .ntheory import kronecker2
     rows = 0
     for a_text in _TAIL_SAMPLE:
@@ -300,23 +319,22 @@ def _check_tail_independence() -> CheckResult:
                 verdicts.add(lift_span(form).full)
                 rows += 1
         if len(verdicts) != 1:
-            return CheckResult("tail-independence", False, a_text)
-    return CheckResult("tail-independence", True,
-                       f"{rows} forms over {len(_TAIL_SAMPLE)} bases")
+            return False, a_text
+    return True, f"{rows} forms over {len(_TAIL_SAMPLE)} bases"
 
 
-def _check_rank_seven_not_small() -> CheckResult:
+@_check("rank7-never-small")
+def _check_rank_seven_not_small() -> tuple[bool, str]:
     # group rank = max over p of the p-rank
     checked = 0
     for sym in lemma_corpus(256):
         rank = max((sym.rank_of_prime(p) for p in sym.primes), default=0)
         if rank >= 7 and small_type(sym).small:
-            return CheckResult("rank7-never-small", False, str(sym))
+            return False, str(sym)
         if rank >= 6 and sym.level % 2 and small_type(sym).small:
-            return CheckResult("rank7-never-small", False,
-                               f"{sym} (odd level, rank 6)")
+            return False, f"{sym} (odd level, rank 6)"
         checked += 1
-    return CheckResult("rank7-never-small", True, f"{checked} symbols")
+    return True, f"{checked} symbols"
 
 
 # ---------------------------------------------------------------------------
@@ -324,30 +342,32 @@ def _check_rank_seven_not_small() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _check_kernel_vectors() -> CheckResult:
+@_check("kernel-vector")
+def _check_kernel_vectors() -> tuple[bool, str]:
     cases = 0
     form = form_of(parse_symbol("3^-1"))
     v = kernel_vector(form, (1,))
     if v != {(1,): Fraction(1)}:
-        return CheckResult("kernel-vector", False, "3^-1")
+        return False, "3^-1"
     cases += 1
     split = direct_sum(build_form(parse_symbol("3^-2")),
                        build_form(parse_symbol("3^+1")))
     v = kernel_vector(split, (0, 0, 1))
     if v[(0, 0, 1)] != 1 or sorted(v.values()).count(Fraction(-1, 2)) != 4:
-        return CheckResult("kernel-vector", False, "3^-2 + 3^+1")
+        return False, "3^-2 + 3^+1"
     cases += 1
     for text, gamma in (("2_II^+2", (0, 0)), ("2_1^+1", (1,)),
                         ("9^-1", (1,)), ("5^+1", (2,)), ("4_1^+1", (2,))):
         form = form_of(parse_symbol(text))
         v = kernel_vector(form, gamma)   # self-verifying
         if v[gamma] != 1:
-            return CheckResult("kernel-vector", False, text)
+            return False, text
         cases += 1
-    return CheckResult("kernel-vector", True, f"{cases} cases")
+    return True, f"{cases} cases"
 
 
-def _check_odd_cycles(max_order: int = 64) -> CheckResult:
+@_check("odd-cycle-expression")
+def _check_odd_cycles(max_order: int = 64) -> tuple[bool, str]:
     walks = 0
     for sym in enumerate_symbols(max_order, {2}):
         form = form_of(sym)
@@ -362,12 +382,13 @@ def _check_odd_cycles(max_order: int = 64) -> CheckResult:
             walk = graph.odd_walk_through(gamma)
             terms = odd_cycle_expression(form, walk)  # self-verifying
             if not terms or not e_gamma_in_image(form, gamma):
-                return CheckResult("odd-cycle-expression", False, str(sym))
+                return False, str(sym)
             walks += 1
-    return CheckResult("odd-cycle-expression", True, f"{walks} closed walks")
+    return True, f"{walks} closed walks"
 
 
-def _check_rank5() -> CheckResult:
+@_check("rank5-expression")
+def _check_rank5() -> tuple[bool, str]:
     built = 0
     for tail in ("9^+1", "9^-1"):
         form = direct_sum(build_form(parse_symbol("3^-4")),
@@ -375,21 +396,20 @@ def _check_rank5() -> CheckResult:
         gamma = (0, 0, 0, 0, 1)
         rank5_expression(form, gamma)    # self-verifying
         if not e_gamma_in_image(form, gamma):
-            return CheckResult("rank5-expression", False, tail)
+            return False, tail
         built += 1
     try:
         bad = direct_sum(build_form(parse_symbol("3^-4")),
                          build_form(parse_symbol("3^+1")))
         rank5_expression(bad, (0, 0, 0, 0, 1))
-        return CheckResult("rank5-expression", False,
-                           "level-p case must be rejected")
+        return False, "level-p case must be rejected"
     except HypothesisFailed:
         pass
-    return CheckResult("rank5-expression", True,
-                       f"{built} expressions + hypothesis guard")
+    return True, f"{built} expressions + hypothesis guard"
 
 
-def _check_adjointness(max_order: int = 64) -> CheckResult:
+@_check("descent-is-transpose")
+def _check_adjointness(max_order: int = 64) -> tuple[bool, str]:
     pairs = 0
     for sym in lemma_corpus(max_order):
         form = form_of(sym)
@@ -399,48 +419,47 @@ def _check_adjointness(max_order: int = 64) -> CheckResult:
             lm = lift_matrix(form, H)
             U = lm.matrix()
             if not np.array_equal(lm.descent(), U.T):
-                return CheckResult("descent-is-transpose", False, str(sym))
+                return False, str(sym)
             if not np.all(U.sum(axis=0) == H.order):
-                return CheckResult("descent-is-transpose", False,
-                                   f"{sym}: column sums")
+                return False, f"{sym}: column sums"
             pairs += 1
-    return CheckResult("descent-is-transpose", True, f"{pairs} lift maps")
+    return True, f"{pairs} lift maps"
 
 
-def _check_transitivity(max_order: int = 64, cap: int = 40000) -> CheckResult:
+@_check("lift-transitivity")
+def _check_transitivity(max_order: int = 64, cap: int = 40000) -> tuple[bool, str]:
     pairs = 0
     for sym in lemma_corpus(max_order):
         form = form_of(sym)
         subs = isotropic_subgroups(form)
-        for i, H in enumerate(subs):
-            h_set = set(H.elements)
+        for H in subs:
             for K in subs:
-                if K.order <= H.order or not h_set <= set(K.elements):
+                if (K.order <= H.order
+                        or not np.isin(H.indices, K.indices).all()):
                     continue
                 if not check_transitivity(form, H, K):
-                    return CheckResult("lift-transitivity", False,
-                                       f"{sym}: {H.generators} in {K.generators}")
+                    return False, f"{sym}: {H.generators} in {K.generators}"
                 pairs += 1
                 if pairs >= cap:
-                    return CheckResult("lift-transitivity", True,
-                                       f"{pairs} nested pairs (capped)")
-    return CheckResult("lift-transitivity", True, f"{pairs} nested pairs")
+                    return True, f"{pairs} nested pairs (capped)"
+    return True, f"{pairs} nested pairs"
 
 
 # ---------------------------------------------------------------------------
 # suite registry
 # ---------------------------------------------------------------------------
 
-SUITES: dict[str, tuple[Callable[[], CheckResult], ...]] = {
-    "relations": (_check_weil_relations, _check_conductor_independence,
-                  _check_equivariance, _check_milgram),
-    "lemmas": (_check_prime_order_spans, _check_two_lines_necessary,
-               _check_pair_sufficient, _check_odd_p_iff,
-               _check_graph_matches_algebra, _check_duality,
-               _check_catalog_vs_search, _check_max_rank_formula,
-               _check_tail_independence, _check_rank_seven_not_small),
-    "constructions": (_check_kernel_vectors, _check_odd_cycles, _check_rank5,
-                      _check_adjointness, _check_transitivity),
+SUITES: dict[str, tuple[str, ...]] = {
+    "relations": ("weil-relations", "conductor-independence",
+                  "lift-equivariance", "milgram-certificate"),
+    "lemmas": ("prime-order-spans-suffice", "membership-needs-two-lines",
+               "orthogonal-pair-forces-membership", "odd-p-membership-iff-pair",
+               "graph-matches-algebra", "span-kernel-duality",
+               "catalog-matches-search", "max-isotropic-rank",
+               "tail-independence", "rank7-never-small"),
+    "constructions": ("kernel-vector", "odd-cycle-expression",
+                      "rank5-expression", "descent-is-transpose",
+                      "lift-transitivity"),
 }
 
 
@@ -451,10 +470,9 @@ def run_suite(name: str, log=print) -> list[CheckResult]:
     results = []
     for check in SUITES[name]:
         try:
-            res = check()
+            res = CHECKS[check]()
         except DftError as exc:
-            res = CheckResult(check.__name__.removeprefix("_check_")
-                              .replace("_", "-"), False, f"{type(exc).__name__}: {exc}")
+            res = CheckResult(check, False, f"{type(exc).__name__}: {exc}")
         results.append(res)
         if log:
             log(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")

@@ -26,10 +26,7 @@ from dft.lifts import (check_transitivity, e_gamma_in_image,
                        prime_order_subgroups, rank5_expression,
                        spans_agree_with_all_subgroups)
 from dft.symbols import enumerate_symbols, format_symbol, parse_symbol
-from dft.verify import (_check_equivariance, _check_kernel_vectors,
-                        _check_odd_cycles, _check_rank5,
-                        _check_tail_independence, _check_weil_relations,
-                        form_of, weil_corpus)
+from dft.verify import CHECKS, form_of, weil_corpus
 
 random.seed(20240811)
 
@@ -153,9 +150,9 @@ def test_a6_lift_structure():
 
 
 def test_a7_weil_relations_exact():
-    res = _check_weil_relations()
+    res = CHECKS["weil-relations"]()
     assert res.passed, res.detail
-    res = _check_equivariance()
+    res = CHECKS["lift-equivariance"]()
     assert res.passed, res.detail
     n = len(weil_corpus())
     _ok(f"A7 Weil matrix relations and lift equivariance exact on {n} forms "
@@ -201,15 +198,15 @@ def test_a9_maximal_isotropic_rank():
 
 
 def test_a10_explicit_constructions():
-    for check in (_check_kernel_vectors, _check_odd_cycles, _check_rank5):
-        res = check()
+    for name in ("kernel-vector", "odd-cycle-expression", "rank5-expression"):
+        res = CHECKS[name]()
         assert res.passed, f"{res.name}: {res.detail}"
     _ok("A10 kernel vectors, odd closed-walk combinations and the rank-5 "
         "expression re-evaluate exactly")
 
 
 def test_a11_tail_independence():
-    res = _check_tail_independence()
+    res = CHECKS["tail-independence"]()
     assert res.passed, res.detail
     _ok(f"A11 full-image verdict independent of the attached 8_t / 16_t "
         f"factor ({res.detail})")

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -6,10 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dft.errors import DimensionMismatch, NotIsotropic
+from dft.errors import DimensionMismatch, NotIsotropic, ValidityError
 from dft.fqm import (build_form, direct_sum, milgram_check,
                      orthogonal_complement, p_part, perp_indices, q_value,
-                     quotient_form, subgroup_from_generators)
+                     quotient_form, subgroup, subgroup_from_generators)
 from dft.lifts import isotropic_subgroups, prime_order_subgroups
 from dft.symbols import enumerate_symbols, parse_symbol
 
@@ -131,6 +132,23 @@ def test_orthogonal_complement():
     for gens in [[(1, 0)], [(0, 1)], [(1, 1)]]:
         H = subgroup_from_generators(d, gens)
         assert H.order * orthogonal_complement(d, H).order == d.order
+
+
+def test_subgroup_rejects_sets_that_are_not_closed():
+    d = build("2_II^+2")
+    assert subgroup(d, [(1, 0)]).elements == ((0, 0), (1, 0))
+    with pytest.raises(ValidityError):
+        subgroup(d, [(1, 0), (0, 1)])
+    with pytest.raises(ValidityError):
+        subgroup(build("9^-1"), [(3,)])
+
+
+def test_subgroup_equality_ignores_indices():
+    d = build("2_II^+4")
+    H = subgroup_from_generators(d, [(1, 0, 0, 0), (0, 0, 1, 0)])
+    other = dataclasses.replace(H, indices=H.indices[::-1].copy())
+    assert other == H and hash(other) == hash(H)
+    assert len({H, other}) == 1
 
 
 def test_quotient_anchors():

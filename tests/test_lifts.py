@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,9 @@ from dft.lifts import (check_transitivity, descent_matrix, e_gamma_in_image,
                        kernel_vector, lift_matrix, lift_span,
                        odd_cycle_expression, prime_order_subgroups,
                        rank5_expression, spans_agree_with_all_subgroups)
-from dft.symbols import parse_symbol
-from dft.verify import _check_duality
+from dft.ntheory import prime_power_factors
+from dft.symbols import enumerate_symbols, parse_symbol
+from dft.verify import CHECKS
 
 
 def build(text):
@@ -36,6 +38,56 @@ def test_isotropic_subgroups_anchors():
     for H in isotropic_subgroups(build("2_II^+4")):
         assert H.order > 1
         assert all(build("2_II^+4").q(h) == 0 for h in H.elements)
+
+
+def _tuple_closure(d, gens):
+    seen = {d.zero}
+    frontier = [d.zero]
+    while frontier:
+        e = frontier.pop()
+        for g in gens:
+            s = d.add(e, g)
+            if s not in seen:
+                seen.add(s)
+                frontier.append(s)
+    return frozenset(seen)
+
+
+def _rank(d, elements):
+    """Largest p-rank, read from the number of elements of order p."""
+    ranks = [0]
+    for p in prime_power_factors(len(elements)):
+        count = 1 + sum(d.element_order(e) == p for e in elements)
+        ranks.append(round(math.log(count, p)))
+    return max(ranks)
+
+
+def test_isotropic_subgroups_match_brute_force_closures():
+    # every subgroup of D is generated by at most rank(D) elements, and a
+    # set whose closure is not isotropic has no isotropic superset closure
+    for sym in enumerate_symbols(32, {2, 3, 5}):
+        d = build_form(sym)
+        iso = [e for e in d.elements if e != d.zero and d.q(e) == 0]
+        rank = _rank(d, d.elements)
+        want = set()
+
+        def grow(gens, start):
+            for a in range(start, len(iso)):
+                H = _tuple_closure(d, gens + [iso[a]])
+                if all(d.q(h) == 0 for h in H):
+                    want.add(H)
+                    if len(gens) + 1 < rank:
+                        grow(gens + [iso[a]], a + 1)
+
+        grow([], 0)
+        subs = isotropic_subgroups(d)
+        assert len(subs) == len(want), str(sym)
+        assert {frozenset(H.elements) for H in subs} == want, str(sym)
+        for H in subs:
+            assert list(H.elements) == sorted(H.elements)
+            assert H.indices.tolist() == [d.index(h) for h in H.elements]
+            assert _tuple_closure(d, H.generators) == set(H.elements)
+            assert len(H.generators) == _rank(d, H.elements), str(sym)
 
 
 def test_prime_order_sublist():
@@ -92,7 +144,7 @@ def test_span_certificate_sides():
 
 
 def test_span_kernel_duality_check():
-    result = _check_duality(max_order=32)
+    result = CHECKS["span-kernel-duality"](max_order=32)
     assert result.passed, result.detail
 
 
@@ -105,14 +157,22 @@ def test_kernel_vector_cases():
     d = build("3^-1")
     assert kernel_vector(d, (1,)) == {(1,): Fraction(1)}
     split = direct_sum(build("3^-2"), build("3^+1"))
-    v = kernel_vector(split, (0, 0, 1))
-    assert v[(0, 0, 1)] == 1
-    corrections = [x for x in v.values() if x != 1]
-    assert sorted(corrections) == [Fraction(-1, 2)] * 4
+    half = Fraction(-1, 2)
+    assert kernel_vector(split, (0, 0, 1)) == {
+        (0, 0, 1): Fraction(1), (1, 1, 1): half, (1, 2, 1): half,
+        (2, 1, 1): half, (2, 2, 1): half}
     d = build("2_II^+2")
     v = kernel_vector(d, (0, 0))
     assert v == {(0, 0): Fraction(1), (0, 1): Fraction(-1),
                  (1, 0): Fraction(-1)}
+    for text, gamma in (("2_1^+1", (1,)), ("9^-1", (1,)), ("5^+1", (2,)),
+                        ("4_1^+1", (2,))):
+        assert kernel_vector(build(text), gamma) == {gamma: Fraction(1)}
+    quarter = Fraction(-1, 4)
+    assert kernel_vector(build("5^+2"), (0, 0)) == {
+        (0, 0): Fraction(1), (1, 2): quarter, (1, 3): quarter,
+        (2, 1): quarter, (2, 4): quarter, (3, 1): quarter, (3, 4): quarter,
+        (4, 2): quarter, (4, 3): quarter}
     with pytest.raises(HypothesisFailed):
         kernel_vector(build("2_II^+6"), (0,) * 6)
 
