@@ -12,7 +12,7 @@ from .errors import ValidityError
 
 DEFAULT_SPAN_ORDER = 4096      # lift spans over prime-order isotropic subgroups
 DEFAULT_ENUM_ORDER = 256       # full enumeration of all isotropic subgroups
-DEFAULT_CYCLO_ORDER = 64       # exact cyclotomic matrix checks
+DEFAULT_CYCLO_ORDER = 256      # exact Weil-matrix identity checks
 # Forms up to this order get the dense |D| x |D| Gram non-degeneracy check
 # when they are constructed (32 MB of int64 at 2048).  No environment
 # variable overrides it: it caps that check's memory and changes no

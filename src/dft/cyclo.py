@@ -6,9 +6,11 @@ roots of unity, conjugation and cyclic convolution trivial; equality is
 decided exactly by the divisibility test below.
 
 Zero test: u(zeta_M) = 0 iff Phi_M divides u, iff u * Psi_M = 0 in
-Q[x]/(x^M - 1), where Psi_M = (x^M - 1)/Phi_M.  The convolution form
-vectorizes cleanly over large coefficient tensors, which is what the
-Weil-matrix checks need.
+Q[x]/(x^M - 1), where Psi_M = (x^M - 1)/Phi_M.  ``vanishes`` serves the
+Milgram certificate and the gauss-row check of :mod:`dft.weil`.  The
+Weil matrix identities themselves are checked modulo split primes in
+:mod:`dft.weil`; ``Cyclotomic`` is the dense oracle the tests compare
+them against.
 """
 
 from __future__ import annotations
@@ -90,22 +92,6 @@ def vanishes(M: int, coeffs) -> bool:
     for j, c in _cofactor_terms(M):
         acc += c * np.roll(u, j)
     return not acc.any()
-
-
-def tensor_vanishes(M: int, tensor: np.ndarray) -> bool:
-    """Vectorized zero test along the last axis (length M, integer)."""
-    acc = np.zeros_like(tensor)
-    for j, c in _cofactor_terms(M):
-        acc += c * np.roll(tensor, j, axis=-1)
-    return not acc.any()
-
-
-def tensor_nonzero_mask(M: int, tensor: np.ndarray) -> np.ndarray:
-    """Boolean mask (leading axes) of entries that are nonzero in Q(zeta_M)."""
-    acc = np.zeros_like(tensor)
-    for j, c in _cofactor_terms(M):
-        acc += c * np.roll(tensor, j, axis=-1)
-    return acc.any(axis=-1)
 
 
 def _phi(M: int) -> int:

@@ -250,10 +250,7 @@ def perp_pair_table(form: DiscriminantForm, p: int) -> np.ndarray:
     if len(cand) < 2:
         return out
     B = form.b_row_num(cand)                              # b(cand_i, -)
-    orth = B[:, cand] == 0
-    line = np.array([form.cyclic_indices(c)[1] for c in cand])
-    indep = line[:, None] != line[None, :]
-    pairok = orth & indep
+    pairok = _pair_ok(form, cand, B)
     for g in range(n):
         mask = B[:, g] == 0
         if mask.sum() < 2:
@@ -261,6 +258,22 @@ def perp_pair_table(form: DiscriminantForm, p: int) -> np.ndarray:
         sub = pairok[np.ix_(mask, mask)]
         out[g] = bool(sub.any())
     return out
+
+
+def _pair_ok(form: DiscriminantForm, cand: np.ndarray,
+             B: np.ndarray) -> np.ndarray:
+    """pairok[i, j]: the isotropic order-p elements cand[i] and cand[j] are
+    orthogonal and span distinct lines; B holds their rows b(cand[i], -)."""
+    line = np.array([form.cyclic_indices(c)[1] for c in cand])
+    return (B[:, cand] == 0) & (line[:, None] != line[None, :])
+
+
+def _perp_has_pair(form: DiscriminantForm, p: int, g: int) -> bool:
+    """``perp_pair_table(form, p)[g]``, from the column of element g alone."""
+    cand = isotropic_indices(form, p)
+    cand = cand[form.b_row_num(g)[cand] == 0]
+    return len(cand) >= 2 and bool(
+        _pair_ok(form, cand, form.b_row_num(cand)).any())
 
 
 def kernel_vector(form: DiscriminantForm, gamma: Element) -> dict[Element, Fraction]:
@@ -278,7 +291,7 @@ def kernel_vector(form: DiscriminantForm, gamma: Element) -> dict[Element, Fract
     if form.order == 1:
         return {form.element(g): Fraction(1)}
     p = pk[0]
-    if perp_pair_table(form, p)[g]:
+    if _perp_has_pair(form, p, g):
         raise HypothesisFailed("gamma_perp contains an isotropic (Z/pZ)^2")
     in_perp = form.b_row_num(g) == 0
     # without an isotropic (Z/pZ)^2 every isotropic subgroup inside
@@ -369,7 +382,7 @@ def rank5_expression(form: DiscriminantForm, gamma: Element):
     block = list(perp.elements)
     iso = [form.element(i) for i in
            np.intersect1d(isotropic_indices(form), perp.indices)]
-    if not iso or perp_pair_table(form, p)[form.index(gamma)]:
+    if not iso or _perp_has_pair(form, p, form.index(gamma)):
         raise HypothesisFailed("the block must be anisotropic of its rank")
 
     def bnum(a, c):

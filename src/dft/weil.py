@@ -1,4 +1,4 @@
-"""Weil representation matrices in exact cyclotomic arithmetic.
+"""Weil representation matrices, with their identities checked exactly.
 
 rho(T) is diagonal with entries e(q(gamma)).  The S-generator is carried
 in scale-balanced form: the matrix W with W[beta, gamma] =
@@ -11,23 +11,44 @@ scale so that no square root is ever represented:
     ((W rho_T)^3)^2 = |D| W^4
     W_D U = |H| U W_{H_perp/H}  and  rho_T(D) U = U rho_T(H_perp/H)
 
-All entries are roots of unity in Q(zeta_M), M = lcm(8, level); matrix
-products are accumulated as integer coefficient tensors over Z/M and
-compared via the exact divisibility test in :mod:`dft.cyclo`.
+All entries lie in Z[zeta_M], M = lcm(8, level) or a given multiple of
+it.  Each identity is a difference matrix X that must vanish, computed
+in F_p for primes p = 1 (mod M), never in Z[zeta_M] itself.  Such a p
+splits completely: pZ[zeta_M] is the product of the phi(M) primes
+(p, zeta_M - omega), omega running over the primitive M-th roots of
+unity in F_p.  So an entry x that is 0 under zeta_M -> omega for every
+omega and every p of a set P has (prod P)^phi(M) dividing its norm
+N(x).  With x = sum c_a zeta^a and sum |c_a| <= B, |N(x)| <= B^phi(M),
+so prod P > B forces x = 0, and x is nonzero exactly when it is
+nonzero at some (p, omega).  For n = |D| the bounds B are 2n for
+unitarity and the S-square law, n^5 + n^4 <= 2n^5 for the braid
+relation, and 2|H| for W-equivariance (U has |H| ones in every column,
+at most one in every row).  The primes are the largest p < 2^20 with
+p = 1 (mod M), as few as make prod P > B; the products mod p are the
+exact float64 ones of :func:`dft.exact._submul_mod`.
+
+References: Scheithauer, *The Weil representation of SL_2(Z) and some
+applications*, IMRN 2009; Strömberg, *Weil representations associated
+with finite quadratic modules*, Math. Z. 2013.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
 from . import bounds, cyclo
 from .errors import BoundExceeded, RelationFailed
-from .fqm import DiscriminantForm, Subgroup, quotient_form
+from .exact import _submul_mod
+from .fqm import DiscriminantForm, Subgroup
 from .lifts import lift_matrix
+from .ntheory import is_prime, prime_power_factors
+
+# the float64 products of exact._submul_mod are exact for primes below this
+_PRIME_LIMIT = 1 << 20
 
 
 def _conductor(form: DiscriminantForm) -> int:
@@ -52,14 +73,8 @@ def _t_exponents(form: DiscriminantForm, M: int) -> np.ndarray:
 
 def _w_exponents(form: DiscriminantForm, M: int) -> np.ndarray:
     """Exponent matrix of W: row beta, column gamma."""
-    L = form.level
-    n = form.order
-    phase = (-form.signature * (M // 8)) % M
-    exps = np.empty((n, n), dtype=np.int64)
-    for j in range(n):
-        row = form.b_row_num(j) * (M // L)   # b(gamma_j, beta) for all beta
-        exps[:, j] = (phase - row) % M
-    return exps
+    b = form.b_row_num(np.arange(form.order)).T   # b(gamma, beta)
+    return (-form.signature * (M // 8) - b * (M // form.level)) % M
 
 
 @dataclass
@@ -104,53 +119,52 @@ def rho_S_scaled(form: DiscriminantForm) -> ScaledWeilMatrix:
 
 
 # ---------------------------------------------------------------------------
-# exact tensor engine
+# split-prime engine
 # ---------------------------------------------------------------------------
 
 
-def _one_hot(exps: np.ndarray, M: int) -> np.ndarray:
-    n, m = exps.shape
-    T = np.zeros((n, m, M), dtype=np.int64)
-    ii, jj = np.meshgrid(np.arange(n), np.arange(m), indexing="ij")
-    T[ii.ravel(), jj.ravel(), exps.ravel()] = 1
-    return T
-
-
-def _mono_mul_left(exps: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """(monomial matrix) @ (coefficient tensor)."""
-    n, k = exps.shape
-    out = np.zeros((n,) + tensor.shape[1:], dtype=tensor.dtype)
-    for i in range(n):
-        acc = out[i]
-        for t in range(k):
-            acc += np.roll(tensor[t], int(exps[i, t]), axis=-1)
+def _split_primes(M: int, bound: int) -> list[tuple[int, int]]:
+    """The largest primes p < 2^20 with p = 1 (mod M), each with an element
+    of exact order M in F_p, as few as make their product exceed bound."""
+    factors = prime_power_factors(M)
+    out, p = [], (_PRIME_LIMIT - 2) // M * M + 1
+    while prod(q for q, _ in out) <= bound:
+        if p < 2:
+            raise BoundExceeded(f"too few primes = 1 (mod {M}) below 2^20")
+        if is_prime(p):
+            for g in range(2, p):
+                w = pow(g, (p - 1) // M, p)
+                if all(pow(w, M // f, p) != 1 for f in factors):
+                    break
+            out.append((p, w))
+        p -= M
     return out
 
 
-def _int_mul_left(U: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """(integer matrix) @ (coefficient tensor)."""
-    n, k = U.shape
-    out = np.zeros((n,) + tensor.shape[1:], dtype=tensor.dtype)
-    for t in range(k):
-        col = U[:, t]
-        nz = np.nonzero(col)[0]
-        for i in nz:
-            out[i] += col[i] * tensor[t]
-    return out
+def _nonzero_mask(M: int, bound: int, residues) -> np.ndarray:
+    """The entries of a matrix X over Z[zeta_M] that are nonzero, given
+    that each is sum c_a zeta^a with sum |c_a| <= bound.
+
+    ``residues(p, pw)`` returns X mod p with zeta_M sent to the root omega
+    of powers ``pw[a] = omega^a``; it is called at every primitive M-th
+    root of unity in F_p, for each chosen prime p."""
+    primes = _split_primes(M, bound)
+    if prod(p for p, _ in primes) <= bound:
+        raise ArithmeticError("the primes' product does not exceed the bound")
+    exps = np.arange(M)
+    mask = False
+    for p, w in primes:
+        pw = np.array([pow(w, a, p) for a in range(M)], dtype=np.int64)
+        for k in range(1, M):
+            if gcd(k, M) == 1:
+                mask = mask | (residues(p, pw[k * exps % M]) != 0)
+    return mask
 
 
-def _mono_tensor_of_int(U: np.ndarray, M: int) -> np.ndarray:
-    T = np.zeros(U.shape + (M,), dtype=np.int64)
-    T[..., 0] = U
-    return T
-
-
-def _entry_label(form, mask):
-    where = np.argwhere(mask)
-    if not len(where):
-        return None
-    i, j = where[0]
-    return (form.element(int(i)), form.element(int(j)))
+def _mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p, for residue matrices."""
+    zero = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    return _submul_mod(zero, (-a) % p, b, p)
 
 
 def check_relations(form: DiscriminantForm, conductor: int | None = None) -> dict:
@@ -169,31 +183,28 @@ def check_relations(form: DiscriminantForm, conductor: int | None = None) -> dic
     s = form.signature
     expT = _t_exponents(form, M)
     expW = _w_exponents(form, M)
-    report = {}
-
-    # (a) W W* = |D| I
-    expWstar = (-expW.T) % M
-    prod = _mono_mul_left(expW, _one_hot(expWstar, M))
-    target = np.zeros_like(prod)
-    target[np.arange(n), np.arange(n), 0] = n
-    _require(form, "unitarity", M, prod, target, report)
-
-    # (b) W^2 = |D| e(-sign/4) P with P the negation permutation
-    w2 = _mono_mul_left(expW, _one_hot(expW, M))
-    target = np.zeros_like(w2)
-    neg = form.neg_index_vec(np.arange(n))
-    target[np.arange(n), neg, (-s * (M // 4)) % M] = n
-    _require(form, "s-square", M, w2, target, report)
-
-    # (c) ((W rho_T)^3)^2 = |D| W^4
     expWT = (expW + expT[None, :]) % M
-    x = _one_hot(expWT, M)
-    for _ in range(5):
-        x = _mono_mul_left(expWT, x)
-    w4 = _one_hot(expW, M)
-    for _ in range(3):
-        w4 = _mono_mul_left(expW, w4)
-    _require(form, "braid", M, x, n * w4, report)
+    diag = n * np.eye(n, dtype=np.int64)
+    neg = form.neg_index_vec(np.arange(n))
+
+    def unitarity(p, pw):           # |D| I - W W*
+        return _submul_mod(diag, pw[expW], pw[-expW.T % M], p)
+
+    def s_square(p, pw):            # |D| e(-sign/4) P - W^2
+        want = np.zeros((n, n), dtype=np.int64)
+        want[np.arange(n), neg] = n * pw[-s * (M // 4) % M] % p
+        return _submul_mod(want, pw[expW], pw[expW], p)
+
+    def braid(p, pw):               # |D| W^4 - ((W rho_T)^3)^2
+        W2 = _mul(pw[expW], pw[expW], p)
+        WT = pw[expWT]
+        WT3 = _mul(_mul(WT, WT, p), WT, p)
+        return _submul_mod(n * _mul(W2, W2, p) % p, WT3, WT3, p)
+
+    for name, bound, residues in (("unitarity", 2 * n, unitarity),
+                                  ("s-square", 2 * n, s_square),
+                                  ("braid", 2 * n ** 5, braid)):
+        _require(form, name, _nonzero_mask(M, bound, residues))
 
     # Gauss-sum consistency at the matrix level: the first row of
     # W rho_T^{-1} sums to e(-sign/8) * conj(G); its square is |D| e(-sign/2)
@@ -205,15 +216,15 @@ def check_relations(form: DiscriminantForm, conductor: int | None = None) -> dic
     vec[(-s * (M // 2)) % M] -= n
     if not cyclo.vanishes(M, vec):
         raise RelationFailed("gauss-row", entry=None)
-    report["gauss-row"] = True
-    return report
+    return dict.fromkeys(("unitarity", "s-square", "braid", "gauss-row"), True)
 
 
-def _require(form, name, M, got, want, report):
-    mask = cyclo.tensor_nonzero_mask(M, got - want)
+def _require(form, name, mask):
+    """Raise RelationFailed at the first entry that mask marks."""
     if mask.any():
-        raise RelationFailed(f"{name} failed", entry=_entry_label(form, mask))
-    report[name] = True
+        i, j = np.argwhere(mask)[0]
+        raise RelationFailed(f"{name} failed", entry=(form.element(int(i)),
+                                                      form.element(int(j))))
 
 
 def check_lift_equivariance(form: DiscriminantForm, H: Subgroup) -> bool:
@@ -226,23 +237,21 @@ def check_lift_equivariance(form: DiscriminantForm, H: Subgroup) -> bool:
     quot = lm.source
     U = lm.matrix()
     M = _conductor(form)
-    expT_D = _t_exponents(form, M)
-    L_q = quot.level
-    expT_Q = (quot.qnum_array() * (M // L_q)) % M
     rows, cols = np.nonzero(U)
-    if not np.array_equal(expT_D[rows] % M, expT_Q[cols] % M):
+    if not np.array_equal(_t_exponents(form, M)[rows],
+                          _t_exponents(quot, M)[cols]):
         raise RelationFailed("rho_T equivariance failed")
 
     expW_D = _w_exponents(form, M)
-    phase_q = (-quot.signature * (M // 8)) % M
-    nq = quot.order
-    expW_Q = np.empty((nq, nq), dtype=np.int64)
-    for j in range(nq):
-        expW_Q[:, j] = (phase_q - quot.b_row_num(j) * (M // L_q)) % M
-    left = _mono_mul_left(expW_D, _mono_tensor_of_int(U, M))
-    right = H.order * _int_mul_left(U, _one_hot(expW_Q, M))
-    if not cyclo.tensor_vanishes(M, left - right):
-        mask = cyclo.tensor_nonzero_mask(M, left - right)
-        raise RelationFailed("W equivariance failed",
-                             entry=_entry_label(form, mask))
+    expW_Q = _w_exponents(quot, M)
+
+    def w_equivariance(p, pw):      # |H| U W_{D'} - W_D U
+        right = H.order * _mul(U, pw[expW_Q], p) % p
+        return _submul_mod(right, pw[expW_D], U, p)
+
+    # sum |c_a| of an entry: a column of U times W_D, |H| times a row of U
+    # times W_{D'}; 2|H| for a lift matrix
+    A = np.abs(U)
+    bound = int(A.sum(axis=0).max() + H.order * A.sum(axis=1).max())
+    _require(form, "W equivariance", _nonzero_mask(M, bound, w_equivariance))
     return True

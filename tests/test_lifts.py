@@ -7,11 +7,12 @@ import pytest
 from dft.errors import (EvenLength, HypothesisFailed, NotACycle, NotIsotropic,
                         NotNested, ValidityError)
 from dft.fqm import build_form, direct_sum, subgroup_from_generators
-from dft.lifts import (check_transitivity, descent_matrix, e_gamma_in_image,
-                       image_rank, isotropic_elements, isotropic_subgroups,
-                       kernel_vector, lift_matrix, lift_span,
-                       odd_cycle_expression, prime_order_subgroups,
-                       rank5_expression, spans_agree_with_all_subgroups)
+from dft.lifts import (_perp_has_pair, check_transitivity, descent_matrix,
+                       e_gamma_in_image, image_rank, isotropic_elements,
+                       isotropic_subgroups, kernel_vector, lift_matrix,
+                       lift_span, odd_cycle_expression, perp_pair_table,
+                       prime_order_subgroups, rank5_expression,
+                       spans_agree_with_all_subgroups)
 from dft.ntheory import prime_power_factors
 from dft.symbols import enumerate_symbols, parse_symbol
 from dft.verify import CHECKS
@@ -192,6 +193,15 @@ def test_odd_cycle_expression():
         odd_cycle_expression(d, [(0, 0, 0, 0), (1, 0, 0, 0)])
     with pytest.raises(NotACycle):
         odd_cycle_expression(d, [(0, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0)])
+
+
+@pytest.mark.parametrize("text", ["3^-3", "3^+4", "3^-5", "9^+1.3^-1", "5^+2",
+                                  "2_II^+4", "2_0^+4", "4_II^+2.2_II^+2"])
+def test_single_element_pair_test_matches_the_table(text):
+    d = build(text)
+    p = prime_power_factors(d.order)[0]
+    table = perp_pair_table(d, p)
+    assert [_perp_has_pair(d, p, g) for g in range(d.order)] == table.tolist()
 
 
 def test_rank5_expression():

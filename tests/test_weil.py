@@ -1,14 +1,17 @@
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
 
 from dft.cyclo import Cyclotomic, cofactor_poly, cyclotomic_poly, vanishes
-from dft.errors import BoundExceeded
+from dft.errors import BoundExceeded, RelationFailed
 from dft.fqm import build_form, subgroup_from_generators
+from dft.ntheory import is_prime
 from dft.symbols import parse_symbol
-from dft.weil import (check_lift_equivariance, check_relations, rho_S_scaled,
-                      rho_T)
+from dft.verify import weil_corpus
+from dft.weil import (_nonzero_mask, _split_primes, check_lift_equivariance,
+                      check_relations, rho_S_scaled, rho_T)
 
 
 def build(text):
@@ -96,7 +99,7 @@ def test_relations_conductor_independent():
 
 
 def test_relations_budget():
-    d = build("3^+5")  # order 243 > default cyclotomic budget
+    d = build("3^+6")  # order 729 > default cyclotomic budget
     with pytest.raises(BoundExceeded):
         check_relations(d)
 
@@ -125,3 +128,86 @@ def test_lift_equivariance_cases():
     H = subgroup_from_generators(d36, [(1, 0, 1, 1)])
     if all(d36.q(h) == 0 for h in H.elements):
         assert check_lift_equivariance(d36, H)
+
+
+@pytest.mark.parametrize("M", [8, 16, 24, 40, 120, 512, 840])
+def test_split_primes(M):
+    for n in (64, 256):
+        bound = 2 * n ** 5                  # the braid relation's bound
+        primes = _split_primes(M, bound)
+        assert prod(p for p, _ in primes) > bound
+        assert prod(p for p, _ in primes[:-1]) <= bound
+        for p, w in primes:
+            assert is_prime(p) and p < 2 ** 20 and p % M == 1
+            assert min(k for k in range(1, M + 1) if pow(w, k, p) == 1) == M
+
+
+def test_entry_divisible_by_one_prime_is_reported():
+    # p1 * zeta^3 vanishes mod p1 under every embedding; only a second
+    # prime sees it, and the bound p1 on its coefficients forces one
+    M = 8
+    p1 = _split_primes(M, 1)[0][0]
+
+    def residues(p, pw):
+        x = np.zeros((2, 3), dtype=np.int64)
+        x[1, 2] = p1 * pw[3] % p
+        return x
+
+    assert not residues(p1, np.arange(M)).any()
+    mask = _nonzero_mask(M, p1, residues)
+    assert np.argwhere(mask).tolist() == [[1, 2]]
+
+
+def _shifted(text, k):
+    form = build(text)
+    form._signature = (form.signature + k) % 8
+    return form
+
+
+def test_shifted_signature_fails_on_the_corpus():
+    # a shift by 4 negates W, which none of the identities can see
+    for sym in weil_corpus():
+        if sym.order == 1:
+            continue
+        for k in (1, 2):
+            with pytest.raises(RelationFailed):
+                check_relations(_shifted(str(sym), k))
+
+
+def _first_failure(form):
+    """(identity, entry) of the first failing identity, in the order
+    check_relations tests them, from dense Cyclotomic products."""
+    n, M = form.order, rho_S_scaled(form).conductor
+    W = rho_S_scaled(form).dense()
+    W_star = np.array([[c.conjugate() for c in row] for row in W.T])
+    T = rho_T(form)
+    P = np.zeros((n, n), dtype=object)
+    P[:] = Cyclotomic.rational(M, 0)
+    phase = Cyclotomic.root(M, -form.signature * M // 4)
+    for i, e in enumerate(form.elements):
+        P[i, form.index(form.neg(e))] = phase
+    WT3 = np.linalg.matrix_power(W @ T, 3)
+    W2 = W @ W
+    for name, got, want in (
+            ("unitarity", W @ W_star, np.identity(n, dtype=object)),
+            ("s-square", W2, P),
+            ("braid", WT3 @ WT3, W2 @ W2)):
+        for i in range(n):
+            for j in range(n):
+                if not (got[i, j] - n * want[i, j]).is_zero():
+                    return f"{name} failed", (form.element(i), form.element(j))
+    return None
+
+
+@pytest.mark.parametrize("text", ["3^-1", "2_1^+1", "2_II^+2"])
+def test_failing_entry_matches_the_dense_oracle(text):
+    form = _shifted(text, 1)
+    with pytest.raises(RelationFailed) as info:
+        check_relations(form)
+    assert (str(info.value), info.value.entry) == _first_failure(form)
+
+
+def test_lift_equivariance_fails_on_a_shifted_signature():
+    d = _shifted("2_II^+2", 1)
+    with pytest.raises(RelationFailed, match="W equivariance"):
+        check_lift_equivariance(d, subgroup_from_generators(d, [(1, 0)]))
