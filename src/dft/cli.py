@@ -85,6 +85,9 @@ def cmd_image(args) -> int:
         "dim": form.order,
         "rank": span.rank,
         "full_image": span.full,
+        "primes_used": span.primes_used,
+        "fallback_used": span.fallback_used,
+        "blocks": span.blocks,
     }
     two_adic = all(p == 2 for p in prime_power_factors(form.level))
     if two_adic:

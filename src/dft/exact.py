@@ -14,6 +14,21 @@ sources, chosen by the shape of A:
   G can only make the modular rank smaller; it costs a prime, never a
   wrong answer.
 
+Two rows are linked when some column holds both, so up to a permutation
+of its rows A is block-diagonal over the connected components of the
+rows.  Above ``_PACK_ROWS`` rows the components are packed, in the order
+of their least rows, into groups of at most ``_PACK_ROWS`` rows (a
+larger component is a group of its own), and each group's columns are
+certified on their own by everything below.  The rank of A is the sum
+of the groups' ranks, ker A^T is the direct sum of the groups' kernels,
+and a group's verified kernel vanishes on every other group's columns,
+so the assembled answer is exact.  A group keeps its rows in increasing
+order, so its RREF is the restriction of the RREF of all of A, and the
+kernel rows are the same as without the split.  For lift columns q is
+constant on every component (q(gamma + h) = q(gamma) for h in H, gamma
+in H_perp), so the components refine the split by the value of q; on
+``27^-2`` the largest of 225 components has 9 of 729 rows.
+
 A full modular rank already certifies full rational rank.  When the span
 is deficient, the kernel of the modular RREF (free columns set to 1, one
 at a time) is reconstructed by rational reconstruction (combined over
@@ -64,6 +79,8 @@ PRIMES = (1048573, 1048571, 1048559, 1048549, 1048517,
           1048507, 1048447, 1048433, 1048423, 1048391)
 
 _BLOCK = 512
+# rows per group of connected components, certified on its own
+_PACK_ROWS = 128
 # rows of the recursive RREF's base case, eliminated one by one
 _BASE_ROWS = 16
 # terms per float64 contraction: 4096 * (2^20)^2 = 2^52 < 2^53
@@ -134,6 +151,7 @@ class SpanResult:
     membership: np.ndarray           # bool[n]; e_i in the span
     primes_used: int = 0             # primes whose modular echelon ran
     fallback_used: bool = False      # every prime failed: _exact_fallback ran
+    blocks: int = 1                  # groups of rows certified one by one
 
     @property
     def full(self) -> bool:
@@ -428,10 +446,8 @@ def _full(n, primes_used) -> SpanResult:
                       np.ones(n, dtype=bool), primes_used)
 
 
-def span_of_indicator_columns(n: int, columns) -> SpanResult:
-    """Certified span data for 0/1 columns, given as ``IndicatorColumns``
-    or as a list of index tuples."""
-    columns = _as_columns(columns)
+def _span_block(n: int, columns: IndicatorColumns) -> SpanResult:
+    """Certified span data for the columns of one group of rows."""
     if not len(columns):
         return SpanResult(n, 0, np.eye(n, dtype=np.int64),
                           np.zeros(n, dtype=bool))
@@ -470,6 +486,88 @@ def span_of_indicator_columns(n: int, columns) -> SpanResult:
     res = _exact_fallback(n, columns)
     res.primes_used = used
     return res
+
+
+def _row_groups(n: int, columns: IndicatorColumns) -> np.ndarray:
+    """The group of every row.
+
+    Two rows are linked when a column holds both.  Every row is labelled
+    with the least row of its connected component, by min-label
+    propagation over the columns with pointer jumping; the components,
+    in label order, are packed greedily into groups of at most
+    ``_PACK_ROWS`` rows, and a larger component is a group of its own.
+    """
+    lengths = np.diff(columns.indptr)
+    starts = columns.indptr[:-1][lengths > 0]
+    lengths = lengths[lengths > 0]
+    lab = np.arange(n)
+    while len(starts):
+        low = np.minimum.reduceat(lab[columns.indices], starts)
+        new = lab.copy()
+        np.minimum.at(new, columns.indices, np.repeat(low, lengths))
+        while not np.array_equal(new[new], new):
+            new = new[new]
+        if np.array_equal(new, lab):
+            break
+        lab = new
+    roots = np.flatnonzero(lab == np.arange(n))
+    group = np.empty(n, dtype=np.int64)
+    g, fill = -1, _PACK_ROWS
+    for root, size in zip(roots.tolist(),
+                          np.bincount(lab)[roots].tolist()):
+        if fill + size > _PACK_ROWS:
+            g, fill = g + 1, 0
+        fill += size
+        group[root] = g
+    return group[lab]
+
+
+def span_of_indicator_columns(n: int, columns) -> SpanResult:
+    """Certified span data for 0/1 columns, given as ``IndicatorColumns``
+    or as a list of index tuples.
+
+    Above ``_PACK_ROWS`` rows the rows are split into the groups of
+    ``_row_groups`` and each group's columns are certified on their own;
+    A is block-diagonal over the groups, so the results add up.
+    """
+    columns = _as_columns(columns)
+    if n <= _PACK_ROWS or not len(columns):
+        return _span_block(n, columns)
+    group = _row_groups(n, columns)
+    count = int(group.max()) + 1
+    if count == 1:
+        return _span_block(n, columns)
+
+    lengths = np.diff(columns.indptr)
+    lengths = lengths[lengths > 0]
+    entry_group = group[columns.indices]
+    col_group = entry_group[np.cumsum(lengths) - lengths]
+    if not np.array_equal(entry_group, np.repeat(col_group, lengths)):
+        raise ArithmeticError("a column meets two row groups")
+
+    rank, used, fallback = 0, 0, False
+    membership = np.zeros(n, dtype=bool)
+    kernels = [np.zeros((0, n), dtype=np.int64)]
+    local = np.empty(n, dtype=np.int64)
+    for g in range(count):
+        # the group's rows in increasing order, its columns in given order
+        rows = np.flatnonzero(group == g)
+        local[rows] = np.arange(len(rows))
+        res = _span_block(len(rows), IndicatorColumns(
+            local[columns.indices[entry_group == g]],
+            np.append(0, np.cumsum(lengths[col_group == g]))))
+        rank += res.rank
+        used = max(used, res.primes_used)
+        fallback |= res.fallback_used
+        membership[rows] = res.membership
+        K = np.zeros((len(res.kernel), n), dtype=res.kernel.dtype)
+        K[:, rows] = res.kernel
+        kernels.append(K)
+    # a kernel row's free column is its last nonzero entry
+    kernel = np.concatenate(kernels)
+    last = n - 1 - np.argmax(kernel[:, ::-1] != 0, axis=1)
+    kernel = _int_matrix(kernel[np.argsort(last, kind="stable")])
+    return SpanResult(n, rank, kernel, membership, used, fallback, count)
 
 
 def column_basis(n: int, columns, rank: int) -> tuple[int, ...]:

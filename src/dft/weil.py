@@ -8,7 +8,7 @@ scale so that no square root is ever represented:
 
     W W* = |D| I
     W^2  = |D| e(-sign/4) P,   P: gamma -> -gamma
-    ((W rho_T)^3)^2 = |D| W^4
+    ((W rho_T)^3)^2 = |D| W^4 = |D|^3 e(-sign/2) I
     W_D U = |H| U W_{H_perp/H}  and  rho_T(D) U = U rho_T(H_perp/H)
 
 All entries lie in Z[zeta_M], M = lcm(8, level) or a given multiple of
@@ -20,12 +20,14 @@ unity in F_p.  So an entry x that is 0 under zeta_M -> omega for every
 omega and every p of a set P has (prod P)^phi(M) dividing its norm
 N(x).  With x = sum c_a zeta^a and sum |c_a| <= B, |N(x)| <= B^phi(M),
 so prod P > B forces x = 0, and x is nonzero exactly when it is
-nonzero at some (p, omega).  For n = |D| the bounds B are 2n for
-unitarity and the S-square law, n^5 + n^4 <= 2n^5 for the braid
-relation, and 2|H| for W-equivariance (U has |H| ones in every column,
-at most one in every row).  The primes are the largest p < 2^20 with
-p = 1 (mod M), as few as make prod P > B; the products mod p are the
-exact float64 ones of :func:`dft.exact._submul_mod`.
+nonzero at some (p, omega).  The identities are checked in the order
+listed, and the braid relation is checked in its last form, which
+equals the first once the S-square law has passed.  For n = |D| the
+bounds B are 2n for unitarity and the S-square law, n^5 + n^3 <= 2n^5
+for the braid relation, and 2|H| for W-equivariance (U has |H| ones in
+every column, at most one in every row).  The primes are the largest
+p < 2^20 with p = 1 (mod M), as few as make prod P > B; the products
+mod p are the exact float64 ones of :func:`dft.exact._submul_mod`.
 
 References: Scheithauer, *The Weil representation of SL_2(Z) and some
 applications*, IMRN 2009; Strömberg, *Weil representations associated
@@ -195,11 +197,13 @@ def check_relations(form: DiscriminantForm, conductor: int | None = None) -> dic
         want[np.arange(n), neg] = n * pw[-s * (M // 4) % M] % p
         return _submul_mod(want, pw[expW], pw[expW], p)
 
-    def braid(p, pw):               # |D| W^4 - ((W rho_T)^3)^2
-        W2 = _mul(pw[expW], pw[expW], p)
+    # once the S-square law holds, W^4 = |D|^2 e(-sign/2) I exactly
+    def braid(p, pw):               # |D|^3 e(-sign/2) I - ((W rho_T)^3)^2
         WT = pw[expWT]
         WT3 = _mul(_mul(WT, WT, p), WT, p)
-        return _submul_mod(n * _mul(W2, W2, p) % p, WT3, WT3, p)
+        want = np.eye(n, dtype=np.int64) * (pow(n, 3, p)
+                                            * pw[-s * (M // 2) % M] % p)
+        return _submul_mod(want, WT3, WT3, p)
 
     for name, bound, residues in (("unitarity", 2 * n, unitarity),
                                   ("s-square", 2 * n, s_square),

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dft.exact as exact
-from dft.exact import (PRIMES, IndicatorColumns, _exact_fallback, _gram,
-                       _rational_reconstruct, _rref, _run_echelon, _submul_mod,
-                       annihilates, column_basis, span_of_indicator_columns)
+from dft.exact import (_PACK_ROWS, PRIMES, IndicatorColumns, _exact_fallback,
+                       _gram, _rational_reconstruct, _row_groups, _rref,
+                       _run_echelon, _submul_mod, annihilates, column_basis,
+                       span_of_indicator_columns)
 
 
 def test_empty_column_set():
@@ -218,3 +219,104 @@ def test_gram_entry_divisible_by_the_first_prime():
     res = span_of_indicator_columns(1, cols)
     assert res.full and res.rank == 1
     assert (res.primes_used, res.fallback_used) == (2, False)
+
+
+def _free_columns(kernel):
+    """The free column of each kernel row: its last nonzero entry."""
+    n = kernel.shape[1]
+    return (n - 1 - np.argmax(kernel[:, ::-1] != 0, axis=1)).tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_row_groups_match_block_by_block_fallback(data):
+    # small blocks of columns on disjoint, shuffled index sets, with more
+    # rows than one group holds
+    n = data.draw(st.integers(_PACK_ROWS + 1, 2 * _PACK_ROWS + 40))
+    perm = data.draw(st.permutations(range(n)))
+    blocks, used = [], 0
+    while used < n:
+        size = min(data.draw(st.integers(1, 9)), n - used)
+        # increasing, so that the local RREF is the global one
+        rows = sorted(perm[used:used + size])
+        used += size
+        local = []
+        for _ in range(data.draw(st.integers(0, 2 * size))):
+            local.append(tuple(sorted(data.draw(st.sets(
+                st.integers(0, size - 1), min_size=1, max_size=size)))))
+        blocks.append((rows, local))
+    cols = [tuple(sorted(rows[i] for i in c))
+            for rows, local in blocks for c in local]
+    cols = data.draw(st.permutations(cols))
+    res = span_of_indicator_columns(n, cols)
+
+    rank, membership = 0, np.zeros(n, dtype=bool)
+    kernels = [np.zeros((0, n), dtype=object)]
+    for rows, local in blocks:
+        slow = _exact_fallback(len(rows), local)
+        rank += slow.rank
+        membership[list(rows)] = slow.membership
+        K = np.zeros((len(slow.kernel), n), dtype=object)
+        K[:, list(rows)] = slow.kernel
+        kernels.append(K)
+    kernel = np.concatenate(kernels)
+    kernel = kernel[np.argsort(_free_columns(kernel), kind="stable")]
+    assert res.rank == rank and len(res.kernel) == n - rank
+    assert np.array_equal(res.membership, membership)
+    assert np.array_equal(res.kernel, kernel)
+    free = _free_columns(res.kernel)
+    assert free == sorted(set(free))
+    assert annihilates(res.kernel, cols)
+    assert (res.primes_used, res.fallback_used) == ((1, False) if cols
+                                                    else (0, False))
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_long_path_is_one_component(shuffle):
+    # 300 rows joined in a path by columns (i, i + 1): the labels must
+    # converge to the least row across the whole diameter
+    n = 300
+    order = (np.random.default_rng(5).permutation(n) if shuffle
+             else np.arange(n))
+    cols = [tuple(sorted((int(order[i]), int(order[i + 1]))))
+            for i in range(n - 1)]
+    assert not _row_groups(n, IndicatorColumns.from_supports(cols)).any()
+    res = span_of_indicator_columns(n, cols)
+    assert (res.rank, res.blocks) == (n - 1, 1)
+    # the kernel alternates in sign along the path
+    assert len(res.kernel) == 1 and not res.membership.any()
+    along = res.kernel[0][order]
+    assert np.array_equal(np.abs(along), np.ones(n, dtype=np.int64))
+    assert (along[1:] == -along[:-1]).all()
+
+
+def test_groups_aggregate_their_certificates():
+    # fibonacci_columns(20) needs two primes, a connected full-rank block
+    # of 150 rows one; on interleaved rows they are two groups
+    fib, size = 20, 150
+    n = fib + size
+    mine = np.zeros(n, dtype=bool)
+    mine[np.random.default_rng(7).choice(n, fib, replace=False)] = True
+    perm = np.concatenate([np.flatnonzero(mine), np.flatnonzero(~mine)])
+    local = (fibonacci_columns(fib)
+             + [(fib + i,) for i in range(size)]
+             + [(fib + i, fib + i + 1) for i in range(size - 1)])
+    cols = [tuple(sorted(int(perm[i]) for i in c)) for c in local]
+    res = span_of_indicator_columns(n, cols)
+    assert (res.primes_used, res.fallback_used, res.blocks) == (2, False, 2)
+    assert res.rank == n - 1
+    slow = _exact_fallback(fib, fibonacci_columns(fib))
+    want = np.zeros((1, n), dtype=object)
+    want[:, perm[:fib]] = slow.kernel
+    assert np.array_equal(res.kernel, want)
+    assert np.array_equal(res.membership, ~(want != 0).any(axis=0))
+
+
+def test_a_column_across_two_groups_is_refused(monkeypatch):
+    n = _PACK_ROWS + 2
+    cols = [(0, n - 1)]
+    monkeypatch.setattr(exact, "_row_groups",
+                        lambda n, columns: (np.arange(n) >= _PACK_ROWS
+                                            ).astype(np.int64))
+    with pytest.raises(ArithmeticError):
+        span_of_indicator_columns(n, cols)
