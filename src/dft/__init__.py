@@ -14,9 +14,9 @@ from .fqm import (DiscriminantForm, Subgroup, b_value, build_form,
                   orthogonal_complement, p_part, q_value, quotient_form,
                   signature, subgroup, subgroup_from_generators)
 from .lifts import (LiftMap, check_transitivity, descent_matrix,
-                    e_gamma_in_image, image_rank, isotropic_elements,
-                    isotropic_subgroups, kernel_vector, lift_matrix,
-                    lift_span, odd_cycle_expression, prime_order_subgroups,
+                    e_gamma_in_image, isotropic_elements, isotropic_subgroups,
+                    kernel_vector, lift_matrix, lift_span,
+                    odd_cycle_expression, prime_order_subgroups,
                     rank5_expression)
 from .classify import (IsotropyGraph, SmallTypeVerdict, build_isotropy_graph,
                        contains_isotropic_elementary, gamma_in_image_by_graph,

@@ -3,7 +3,9 @@
 The bounds are configuration, not logic: they cap how large a form the
 desk-scale enumerations will touch.  Environment variables override the
 defaults process-wide and must be integers of at least 1; individual
-calls can pass explicit values.
+calls can pass explicit values.  No bound limits what a form's
+constructor certifies: its non-degeneracy certificate (``fqm``) runs at
+every order.
 """
 
 import os
@@ -13,11 +15,6 @@ from .errors import ValidityError
 DEFAULT_SPAN_ORDER = 4096      # lift spans over prime-order isotropic subgroups
 DEFAULT_ENUM_ORDER = 256       # full enumeration of all isotropic subgroups
 DEFAULT_CYCLO_ORDER = 256      # exact Weil-matrix identity checks
-# Forms up to this order get the dense |D| x |D| Gram non-degeneracy check
-# when they are constructed (32 MB of int64 at 2048).  No environment
-# variable overrides it: it caps that check's memory and changes no
-# computed answer.
-DEFAULT_NONDEG_ORDER = 2048
 
 
 def _env_int(name, default):

@@ -570,32 +570,12 @@ def span_of_indicator_columns(n: int, columns) -> SpanResult:
     return SpanResult(n, rank, kernel, membership, used, fallback, count)
 
 
-def column_basis(n: int, columns, rank: int) -> tuple[int, ...]:
-    """Ids of the greedy column basis of a span of certified rank ``rank``:
-    each column in turn joins the basis if it is independent of the
-    columns already in it.
-
-    Independence modulo a prime implies it over Q, so the first prime
-    whose echelon of the columns reaches ``rank`` gives a basis; the
-    ``Fraction`` RREF does if none does.
-    """
-    columns = _as_columns(columns)
-    for p in PRIMES:
-        ech = _run_echelon(n, len(columns),
-                           lambda start, stop, _: columns.block(start, stop, n),
-                           p, rank)
-        if ech.rank == rank:
-            return tuple(ech.pivot_ids)
-    return tuple(_fraction_rref(n, columns)[2])
-
-
 def _fraction_rref(n: int, columns):
     """Plain RREF over Q of the columns as rows, inserted one by one:
-    (rows, pivot columns, ids of the pivot columns)."""
+    (rows, pivot columns)."""
     rows: list[list[Fraction]] = []
     pivcols: list[int] = []
-    pivot_ids: list[int] = []
-    for cid, support in enumerate(columns):
+    for support in columns:
         row = [Fraction(0)] * n
         for i in support:
             row[i] = Fraction(1)
@@ -615,15 +595,14 @@ def _fraction_rref(n: int, columns):
                     r[i] -= f * row[i]
         rows.append(row)
         pivcols.append(piv)
-        pivot_ids.append(cid)
-    return rows, pivcols, pivot_ids
+    return rows, pivcols
 
 
 def _exact_fallback(n: int, columns) -> SpanResult:
     """Span data from the ``Fraction`` RREF; only reached if every prime
     failed.  The RREF of a row space is canonical, so each distinct
     support goes in once."""
-    rows, pivcols, _ = _fraction_rref(n, dict.fromkeys(_as_columns(columns)))
+    rows, pivcols = _fraction_rref(n, dict.fromkeys(_as_columns(columns)))
     free = [c for c in range(n) if c not in set(pivcols)]
     kernel = np.zeros((len(free), n), dtype=object)
     for j, f in enumerate(free):

@@ -25,6 +25,14 @@ The signature is extracted from the Gauss sum with an exact cyclotomic
 certificate G^2 = |D| e(s/4); floating point only picks between the two
 residues mod 8 the certificate leaves open.
 
+The constructor certifies every form it is given: the integer tables over
+the level are symmetric, have 2q on the diagonal and are compatible with
+the generator orders, and the signature certificate holds, which proves
+the form non-degenerate at every order (see ``DiscriminantForm``).
+Quotients skip that check: H_perp/H of a non-degenerate form along an
+isotropic H is non-degenerate by theory, and its tables are read off the
+parent's, so ``quotient_form`` checks only its order |D| / |H|^2.
+
 Jordan block models (odd p, scale q = p^k): Z/q with q(x) = a x^2 / q,
 one generator per unit a; all a = 1 except the last, which is the
 smallest unit making the product of (2a|p) equal the component sign.
@@ -46,7 +54,6 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import cyclo
-from .bounds import DEFAULT_NONDEG_ORDER
 from .errors import (DegenerateForm, DimensionMismatch, NotIsotropic,
                      ValidityError)
 from .ntheory import legendre, prime_power, prime_power_factors
@@ -59,9 +66,30 @@ def mod1(x: Fraction) -> Fraction:
     return Fraction(x.numerator % x.denominator, x.denominator)
 
 
+def _reduce_mod(orders: Sequence[int], a) -> Element:
+    """The coefficient tuple a, each entry taken mod its generator order."""
+    if len(a) != len(orders):
+        raise DimensionMismatch(
+            f"element of length {len(a)} in a rank-{len(orders)} form")
+    return tuple(int(x) % o for x, o in zip(a, orders))
+
+
 class DiscriminantForm:
     """A finite quadratic module given by generator orders, q on the
-    generators and the Gram table of b between them."""
+    generators and the Gram table of b between them.
+
+    With ``check`` (the default) the constructor raises ``ValidityError``
+    unless the Gram table, in integers over the level, is symmetric, has
+    2q on its diagonal and is compatible with the generator orders, and
+    ``DegenerateForm`` unless the signature certificate G^2 = |D| e(s/4)
+    holds for the Gauss sum G = sum_x e(q(x)).  That certificate proves
+    non-degeneracy at every order:
+    G conj(G) = sum_{y,z} e(q(y + z) - q(y)) = |D| sum_{z in rad} e(q(z)),
+    since sum_y e(b(y, z)) is |D| on the radical and 0 off it; q is a
+    character on the radical, so |G|^2 is 0 or |D| |rad|, and the
+    certified |G|^2 = |D| leaves |rad| = 1.  ``check=False`` is for
+    quotients, which are non-degenerate by theory (``quotient_form``).
+    """
 
     def __init__(self, orders: Sequence[int], qdiag: Sequence[Fraction],
                  gram: Sequence[Sequence[Fraction]], check: bool = True):
@@ -87,18 +115,20 @@ class DiscriminantForm:
             self._check_consistency()
 
     def _check_consistency(self):
+        L, qn, gn = self._scaled_tables()
+        qn, gn = qn.tolist(), gn.tolist()
         for i, o in enumerate(self.orders):
-            if mod1(2 * self.qdiag[i] - self.gram[i][i]) != 0:
+            if (2 * qn[i] - gn[i][i]) % L:
                 raise ValidityError("Gram diagonal must equal 2q")
-            if mod1(o * o * self.qdiag[i]) != 0:
+            if o * o * qn[i] % L:
                 raise ValidityError(f"q(g_{i}) incompatible with order {o}")
-            for j, x in enumerate(self.gram[i]):
-                if x != self.gram[j][i]:
+            for j, x in enumerate(gn[i]):
+                if x != gn[j][i]:
                     raise ValidityError("Gram table must be symmetric")
-                if mod1(o * x) != 0:
+                if o * x % L:
                     raise ValidityError("b value incompatible with generator order")
-        if self._n <= DEFAULT_NONDEG_ORDER and not self.is_nondegenerate():
-            raise DegenerateForm("built form is degenerate")
+        # raises DegenerateForm unless the certificate holds
+        self._signature = self._compute_signature()
 
     # -- structure -------------------------------------------------------------
 
@@ -132,10 +162,7 @@ class DiscriminantForm:
         return (np.asarray(coeffs, dtype=np.int64) % orders) @ places
 
     def _reduce(self, a) -> Element:
-        if len(a) != len(self.orders):
-            raise DimensionMismatch(
-                f"element of length {len(a)} in a rank-{len(self.orders)} form")
-        return tuple(int(x) % o for x, o in zip(a, self.orders))
+        return _reduce_mod(self.orders, a)
 
     def index(self, a: Element) -> int:
         a = self._reduce(a)
@@ -294,14 +321,6 @@ class DiscriminantForm:
         if not milgram_vector_vanishes(N, counts, n, s):
             raise DegenerateForm(f"signature certificate failed for s={s}")
         return s
-
-    def is_nondegenerate(self) -> bool:
-        if self.order == 1:
-            return True
-        L, _, gn = self._scaled_tables()
-        C = self.coeff_matrix()
-        B = (C @ gn @ C.T) % L
-        return bool(np.all(B[1:].any(axis=1)))
 
     def __eq__(self, other):
         return (isinstance(other, DiscriminantForm)
@@ -504,27 +523,29 @@ def _reduced(rows, moduli, width: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class CoordinateMap:
     """The homomorphism x -> outer @ (inner @ x / divisors) mod
-    target.orders from coefficient vectors of ``source`` to those of
-    ``target``.
+    target_orders from coefficient vectors of a source form to those of a
+    target form, given by their generator orders.
 
     Its domain is the set of x with inner @ x divisible by the divisors;
     only a projection has divisors above 1, and its domain is H_perp.
     Row j of ``inner`` is stored mod divisors[j] times the exponent of the
     target and ``outer`` mod that exponent, and ``_dot_mod`` checks the
-    int64 bound on every product.
+    int64 bound on every product.  The map holds no form, so a quotient
+    kept on its parent form makes no reference cycle.
     """
 
-    source: DiscriminantForm
-    target: DiscriminantForm
+    source_orders: tuple[int, ...]
+    target_orders: tuple[int, ...]
     inner: np.ndarray      # k x rank(source)
     divisors: np.ndarray   # k
     outer: np.ndarray      # rank(target) x k
 
     @classmethod
     def of(cls, source, target, inner, divisors, outer) -> "CoordinateMap":
-        """The map from integer matrices given as lists of rows."""
+        """The map between two forms from integer matrices given as lists
+        of rows."""
         exponent = lcm(*target.orders)
-        return cls(source, target,
+        return cls(source.orders, target.orders,
                    _reduced(inner, [d * exponent for d in divisors],
                             len(source.orders)),
                    np.array(divisors, dtype=np.int64),
@@ -533,17 +554,17 @@ class CoordinateMap:
 
     def rows(self, coeffs: np.ndarray) -> np.ndarray:
         """Images of source coefficient rows, as target coefficient rows."""
-        exponent = lcm(*self.target.orders)
+        exponent = lcm(*self.target_orders)
         W = _dot_mod(coeffs, self.inner, self.divisors * exponent)
         if np.any(W % self.divisors):
             raise DimensionMismatch("element is not orthogonal to H")
         return _dot_mod(W // self.divisors, self.outer,
-                        np.array(self.target.orders, dtype=np.int64))
+                        np.array(self.target_orders, dtype=np.int64))
 
     def __call__(self, e: Element) -> Element:
         """The image of one element, in Python integers."""
-        x = self.source._reduce(e)
-        exponent = lcm(*self.target.orders)
+        x = _reduce_mod(self.source_orders, e)
+        exponent = lcm(*self.target_orders)
         w = []
         for row, d in zip(self.inner.tolist(), self.divisors.tolist()):
             v = sum(map(mul, row, x)) % (d * exponent)
@@ -551,7 +572,7 @@ class CoordinateMap:
                 raise DimensionMismatch("element is not orthogonal to H")
             w.append(v // d)
         return tuple(sum(map(mul, row, w)) % o
-                     for row, o in zip(self.outer.tolist(), self.target.orders))
+                     for row, o in zip(self.outer.tolist(), self.target_orders))
 
 
 class QuotientResult(NamedTuple):
@@ -571,6 +592,11 @@ def quotient_form(form: DiscriminantForm, H: Subgroup) -> QuotientResult:
     the relations o_i e_i) is a full-rank relation matrix R, and
     P2 R Q2 = diag(s') gives H_perp/H as the sum of the Z/s'_i, each split
     into cyclic factors of prime-power order.
+
+    The quotient skips the constructor's check: for isotropic H in a
+    non-degenerate D, H_perp/H is non-degenerate with |H_perp| = |D| / |H|,
+    and its tables are values of the parent's.  Only its order is checked,
+    |Q| |H|^2 = |D|, and ``ArithmeticError`` raised otherwise.
     """
     if not is_isotropic(form, H):
         raise NotIsotropic("q does not vanish on H")
@@ -606,7 +632,9 @@ def quotient_form(form: DiscriminantForm, H: Subgroup) -> QuotientResult:
         [f[1] for f in factors],
         [Fraction(int(x), L) for x in form.qnum_array()[gi]],
         [[Fraction(int(x), L) for x in row]
-         for row in form.b_row_num(gi)[:, gi]])
+         for row in form.b_row_num(gi)[:, gi]], check=False)
+    if quotient.order * H.order ** 2 != form.order:
+        raise ArithmeticError("|H_perp/H| |H|^2 differs from |D|")
     project = CoordinateMap.of(form, quotient, Vinv, s, [f[2] for f in factors])
     k = len(gens)
     section = CoordinateMap.of(quotient, form, np.eye(k, dtype=int).tolist(),

@@ -31,7 +31,7 @@ import numpy as np
 from . import bounds
 from .errors import (BoundExceeded, EvenLength, HypothesisFailed, NotACycle,
                      NotIsotropic, NotNested, ValidityError)
-from .exact import (IndicatorColumns, SpanResult, annihilates, column_basis,
+from .exact import (IndicatorColumns, SpanResult, annihilates,
                     span_of_indicator_columns)
 from .fqm import (DiscriminantForm, Element, QuotientResult, Subgroup,
                   index_subgroup, is_isotropic, mod1, orthogonal_complement,
@@ -124,8 +124,7 @@ class LiftMap:
 
     def matrix(self) -> np.ndarray:
         U = np.zeros((self.form.order, self.source.order), dtype=np.int64)
-        for j, support in enumerate(self.columns):
-            U[list(support), j] = 1
+        U[np.array(self.columns), np.arange(self.source.order)[:, None]] = 1
         return U
 
     def descent(self) -> np.ndarray:
@@ -137,7 +136,18 @@ def lift_matrix(form: DiscriminantForm, H: Subgroup) -> LiftMap:
         raise ValidityError("lifts are taken along non-trivial subgroups")
     if not is_isotropic(form, H):
         raise NotIsotropic("q does not vanish on H")
-    return _lift_map(form, H, quotient_form(form, H))
+    return _lift_map(form, H, _quotient(form, H))
+
+
+def _quotient(form: DiscriminantForm, H: Subgroup) -> QuotientResult:
+    """``quotient_form(form, H)``, built once per subgroup and kept on the
+    form.  Its coordinate maps hold generator orders, not forms, so the
+    cache makes no reference cycle and dies with the form."""
+    cache = form.__dict__.setdefault("_quotients", {})
+    key = H.indices.tobytes()
+    if key not in cache:
+        cache[key] = quotient_form(form, H)
+    return cache[key]
 
 
 def _lift_map(form: DiscriminantForm, H: Subgroup,
@@ -191,30 +201,6 @@ def lift_span(form: DiscriminantForm, max_order=None) -> SpanResult:
     """Certified span of all prime-order isotropic lifts (cached); the span
     bound is ``max_order`` if given, else the process-wide one."""
     return _span_data(form, max_order)[1]
-
-
-@dataclass
-class SpanBasis:
-    """Deterministic exact basis of the lift span: independent columns."""
-
-    dim: int
-    rank: int
-    column_supports: tuple[tuple[int, ...], ...]
-
-    def dense(self) -> np.ndarray:
-        M = np.zeros((self.rank, self.dim), dtype=np.int64)
-        for r, support in enumerate(self.column_supports):
-            M[r, list(support)] = 1
-        return M
-
-
-def image_rank(form: DiscriminantForm):
-    """Exact rational rank of the lift span, with a certified basis."""
-    cols, res = _span_data(form)
-    basis = SpanBasis(form.order, res.rank,
-                      tuple(cols[i] for i in column_basis(form.order, cols,
-                                                           res.rank)))
-    return res.rank, basis
 
 
 def e_gamma_in_image(form: DiscriminantForm, gamma: Element) -> bool:
@@ -467,10 +453,10 @@ def check_transitivity(form: DiscriminantForm, H: Subgroup, K: Subgroup) -> bool
         return True  # K/H trivial; the composition is the lift itself
     if H.order == 1:
         raise ValidityError("H must be non-trivial")
-    QH, QK = quotient_form(form, H), quotient_form(form, K)
+    QH, QK = _quotient(form, H), _quotient(form, K)
     KH = index_subgroup(QH.form, np.unique(QH.form.indices(
         QH.project.rows(form.coeff_matrix()[K.indices]))))
-    QKH = quotient_form(QH.form, KH)
+    QKH = _quotient(QH.form, KH)
     left = (_lift_map(form, H, QH).matrix()
             @ _lift_map(QH.form, KH, QKH).matrix())
     right = _lift_map(form, K, QK).matrix()

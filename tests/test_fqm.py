@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dft.errors import DimensionMismatch, NotIsotropic, ValidityError
-from dft.fqm import (build_form, direct_sum, milgram_check,
+from dft.errors import (DegenerateForm, DimensionMismatch, NotIsotropic,
+                        ValidityError)
+from dft.fqm import (DiscriminantForm, build_form, direct_sum, milgram_check,
                      orthogonal_complement, p_part, perp_indices, q_value,
                      quotient_form, subgroup, subgroup_from_generators)
 from dft.lifts import isotropic_subgroups, prime_order_subgroups
@@ -235,9 +236,40 @@ def test_dot_mod_is_exact_past_int64():
     assert _dot_mod(X, A, mod).tolist() == [want]
 
 
+def _dense_nondegenerate(d):
+    """Reference: no nonzero element is orthogonal to every element, read
+    off the dense |D| x |D| table of b."""
+    L, _, gn = d._scaled_tables()
+    C = d.coeff_matrix()
+    B = (C @ gn @ C.T) % L
+    return bool(np.all(B[1:].any(axis=1)))
+
+
 def test_nondegeneracy_of_built_forms():
     for sym in enumerate_symbols(32, {2, 3}):
-        assert build_form(sym).is_nondegenerate()
+        assert _dense_nondegenerate(build_form(sym))
+
+
+@pytest.mark.parametrize("qdiag, gram, message", [
+    ((0, 0), ((0, Fraction(1, 2)), (0, 0)), "symmetric"),
+    ((Fraction(1, 4), 0), ((0, 0), (0, 0)), "diagonal"),
+    ((Fraction(1, 8), 0), ((Fraction(1, 4), 0), (0, 0)), "incompatible with order"),
+    ((0, 0), ((0, Fraction(1, 4)), (Fraction(1, 4), 0)), "b value"),
+])
+def test_constructor_rejects_invalid_tables(qdiag, gram, message):
+    with pytest.raises(ValidityError, match=message):
+        DiscriminantForm((2, 2), qdiag, gram)
+
+
+@pytest.mark.parametrize("orders, qdiag", [
+    ((2,), (Fraction(1, 2),)),   # q = 1/2 on the radical: G = 0
+    ((2,), (0,)),                # q = 0 on the radical: |G|^2 = 2 |D|
+    ((2,) * 12, (0,) * 12),      # |D| = 4096
+])
+def test_constructor_rejects_degenerate_forms(orders, qdiag):
+    m = len(orders)
+    with pytest.raises(DegenerateForm):
+        DiscriminantForm(orders, qdiag, [[0] * m for _ in range(m)])
 
 
 def test_anisotropic_plane_anchors():

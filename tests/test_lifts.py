@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from dft.errors import (EvenLength, HypothesisFailed, NotACycle, NotIsotropic,
                         NotNested, ValidityError)
 from dft.fqm import build_form, direct_sum, subgroup_from_generators
 from dft.lifts import (_perp_has_pair, check_transitivity, descent_matrix,
-                       e_gamma_in_image, image_rank, isotropic_elements,
+                       e_gamma_in_image, isotropic_elements,
                        isotropic_subgroups, kernel_vector, lift_matrix,
                        lift_span, odd_cycle_expression, perp_pair_table,
                        prime_order_subgroups, rank5_expression,
@@ -116,12 +117,28 @@ def test_lift_matrix_anchors():
 
 
 def test_image_rank_anchors():
-    assert image_rank(build("2_1^+1"))[0] == 0
-    rank, basis = image_rank(build("2_II^+2"))
-    assert rank == 2 and basis.rank == 2
-    assert basis.dense().shape == (2, 4)
+    assert lift_span(build("2_1^+1")).rank == 0
+    assert lift_span(build("2_II^+2")).rank == 2
     d = build("3^+6")
-    assert image_rank(d)[0] == 729 == d.order
+    assert lift_span(d).rank == 729 == d.order
+
+
+def test_quotient_cache_makes_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        d = build("4_II^+4")
+        subs = isotropic_subgroups(d)
+        H = next(H for H in subs if H.order == 2)
+        for K in subs:
+            if K.order > 2 and np.isin(H.indices, K.indices).all():
+                assert check_transitivity(d, H, K)
+        lift_matrix(d, H).matrix()
+        assert d._quotients
+        del d, subs, H, K
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_membership_anchors():
