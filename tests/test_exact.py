@@ -19,11 +19,10 @@ def test_empty_column_set():
 
 
 def test_full_rank_case():
-    for n, cols in ((3, [(0,), (1,), (0, 2)]),
-                    (4, [(0, 1), (1, 2), (0, 2), (3,), (0, 1)])):
-        res = span_of_indicator_columns(n, cols)
-        assert res.full and res.rank == n
-        assert res.membership.all() and res.kernel.shape == (0, n)
+    cols = [(0,), (1,), (0, 2)]
+    res = span_of_indicator_columns(3, cols)
+    assert res.full and res.rank == 3
+    assert res.membership.all() and res.kernel.shape == (0, 3)
 
 
 def test_known_deficient_case():
@@ -70,6 +69,18 @@ def test_matches_exact_fallback(data):
         for row in res.kernel:
             for support in cols:
                 assert sum(int(row[i]) for i in support) == 0
+
+
+def test_pivot_columns_are_a_basis():
+    cols = [(0, 1), (1, 2), (0, 2), (3,), (0, 1)]
+    res = span_of_indicator_columns(4, cols)
+    assert res.rank == 4
+    columns = IndicatorColumns.from_supports(cols)
+    ech = _run_echelon(4, len(columns),
+                       lambda start, stop, _: columns.block(start, stop, 4),
+                       PRIMES[0], res.rank)
+    assert ech.rank == 4
+    assert sorted(ech.pivot_ids) == [0, 1, 2, 3]
 
 
 def _rref_one_by_one(M, p):
