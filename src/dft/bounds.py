@@ -10,7 +10,7 @@ every order.
 
 import os
 
-from .errors import ValidityError
+from .errors import BoundExceeded, ValidityError
 
 DEFAULT_SPAN_ORDER = 4096      # lift spans over prime-order isotropic subgroups
 DEFAULT_ENUM_ORDER = 256       # full enumeration of all isotropic subgroups
@@ -32,6 +32,14 @@ def _env_int(name, default):
 
 def max_span_order():
     return _env_int("DFT_MAX_SPAN_ORDER", DEFAULT_SPAN_ORDER)
+
+
+def check_span_order(n: int, limit=None) -> None:
+    """Raise ``BoundExceeded`` if |D| = n exceeds the span bound: ``limit``
+    if given, else the process-wide one."""
+    limit = max_span_order() if limit is None else limit
+    if n > limit:
+        raise BoundExceeded(f"|D| = {n} exceeds the span bound {limit}")
 
 
 def max_enum_order():

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds
-from .errors import BoundExceeded, NotTwoAdic, ValidityError
+from .errors import NotTwoAdic, ValidityError
 from .fqm import DiscriminantForm, Element
 from .lifts import isotropic_indices
 from .ntheory import legendre, kronecker2, prime_power, prime_power_factors
@@ -280,8 +280,7 @@ def max_isotropic_rank(p: int, n: int, eps: int) -> int:
 
 def contains_isotropic_elementary(form: DiscriminantForm, p: int, k: int) -> bool:
     """Search for an isotropic subgroup isomorphic to (Z/pZ)^k."""
-    if form.order > bounds.max_span_order():
-        raise BoundExceeded(f"|D| = {form.order} exceeds the span bound")
+    bounds.check_span_order(form.order)
     if k == 0:
         return True
     cand = isotropic_indices(form, p)
@@ -316,8 +315,7 @@ class IsotropyGraph:
     def __init__(self, form: DiscriminantForm):
         if any(p != 2 for p in prime_power_factors(form.level)):
             raise NotTwoAdic(f"level {form.level} is not a power of 2")
-        if form.order > bounds.max_span_order():
-            raise BoundExceeded(f"|D| = {form.order} exceeds the span bound")
+        bounds.check_span_order(form.order)
         self.form = form
         n = form.order
         neighbors: list[list[int]] = [[] for _ in range(n)]

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bounds
 from .classify import (build_graph_cached, graph_to_dot, small_type)
-from .errors import (BoundExceeded, DftError, RelationFailed,
+from .errors import (BoundExceeded, DftError, NotTwoAdic, RelationFailed,
                      SymbolSyntaxError, ValidityError)
 from .fqm import build_form
 from .lifts import isotropic_elements, isotropic_subgroups, lift_span
@@ -78,6 +78,7 @@ def cmd_classify(args) -> int:
 
 def cmd_image(args) -> int:
     sym = parse_symbol(args.symbol)
+    bounds.check_span_order(sym.order)      # before the O(|D|) form build
     form = build_form(sym)
     span = lift_span(form)
     out = {
@@ -107,6 +108,10 @@ def cmd_image(args) -> int:
 
 def cmd_graph(args) -> int:
     sym = parse_symbol(args.symbol)
+    # the checks of IsotropyGraph, in its order, before the form is built
+    if any(p != 2 for p in sym.primes):
+        raise NotTwoAdic(f"level {sym.level} is not a power of 2")
+    bounds.check_span_order(sym.order)
     form = build_form(sym)
     graph = build_graph_cached(form)
     dot = graph_to_dot(graph)

@@ -1,10 +1,11 @@
 """Discriminant forms (finite quadratic modules) in exact arithmetic.
 
 Every form has one presentation: generators g_1, ..., g_m of orders
-o_1, ..., o_m, the values q(g_i) and the Gram table b(g_i, g_j).  An
-element is its coefficient tuple (x_1, ..., x_m) with 0 <= x_i < o_i; its
-index is the mixed-radix number with those digits, the last generator
-varying fastest, and the vectorized methods work on arrays of indices.
+o_1, ..., o_m and two integer tables over the level L, the numerators of
+q(g_i) and of the Gram table b(g_i, g_j).  An element is its coefficient
+tuple (x_1, ..., x_m) with 0 <= x_i < o_i; its index is the mixed-radix
+number with those digits, the last generator varying fastest, and the
+vectorized methods work on arrays of indices.
 
 Forms built from a genus symbol use the Jordan block models below.  A
 quotient H_perp/H gets generators of its own, of prime-power order, from
@@ -20,16 +21,17 @@ sum S + T of two subgroups) and ``_minimal_generators``.  ``Subgroup``
 carries that array beside its sorted element tuples and generators, which
 are the form subgroups take at the API.
 
-Values of q live in Q/Z as ``Fraction`` objects normalized to [0, 1).
-The signature is extracted from the Gauss sum with an exact cyclotomic
-certificate G^2 = |D| e(s/4); floating point only picks between the two
-residues mod 8 the certificate leaves open.
+``Fraction`` appears only at the API boundary: the public constructor
+takes the values on the generators as rationals, and ``q`` / ``b`` and
+``qdiag`` / ``gram`` return values in Q/Z normalized to [0, 1).  The
+builders in this module fill the integer tables directly and go through
+``DiscriminantForm._of_tables``.  The signature is extracted from the
+Gauss sum with an exact cyclotomic certificate G^2 = |D| e(s/4); floating
+point only picks between the two residues mod 8 the certificate leaves
+open.
 
-The constructor certifies every form it is given: the integer tables over
-the level are symmetric, have 2q on the diagonal and are compatible with
-the generator orders, and the signature certificate holds, which proves
-the form non-degenerate at every order (see ``DiscriminantForm``).
-Quotients skip that check: H_perp/H of a non-degenerate form along an
+Every form but a quotient is certified non-degenerate when built (see
+``DiscriminantForm``).  H_perp/H of a non-degenerate form along an
 isotropic H is non-degenerate by theory, and its tables are read off the
 parent's, so ``quotient_form`` checks only its order |D| / |H|^2.
 
@@ -62,10 +64,6 @@ from .symbols import ODD, GenusSymbol, unit_decomposition
 Element = tuple[int, ...]
 
 
-def mod1(x: Fraction) -> Fraction:
-    return Fraction(x.numerator % x.denominator, x.denominator)
-
-
 def _reduce_mod(orders: Sequence[int], a) -> Element:
     """The coefficient tuple a, each entry taken mod its generator order."""
     if len(a) != len(orders):
@@ -75,48 +73,71 @@ def _reduce_mod(orders: Sequence[int], a) -> Element:
 
 
 class DiscriminantForm:
-    """A finite quadratic module given by generator orders, q on the
-    generators and the Gram table of b between them.
+    """A finite quadratic module given by generator orders and the integer
+    numerators, over its level L, of q on the generators (``_qn``) and of
+    the Gram table of b between them (``_gn``): read-only int64 arrays
+    with entries in [0, L) whose gcd with L is 1, so that L is the least
+    common denominator of all values.
 
-    With ``check`` (the default) the constructor raises ``ValidityError``
-    unless the Gram table, in integers over the level, is symmetric, has
-    2q on its diagonal and is compatible with the generator orders, and
-    ``DegenerateForm`` unless the signature certificate G^2 = |D| e(s/4)
-    holds for the Gauss sum G = sum_x e(q(x)).  That certificate proves
-    non-degeneracy at every order:
+    Unless built by ``quotient_form``, a form is certified: building it
+    raises ``ValidityError`` unless the Gram table is symmetric, has 2q on
+    its diagonal and is compatible with the generator orders, and
+    ``DegenerateForm`` unless the signature certificate
+    G^2 = |D| e(s/4) holds for the Gauss sum G = sum_x e(q(x)).  That
+    certificate proves non-degeneracy at every order:
     G conj(G) = sum_{y,z} e(q(y + z) - q(y)) = |D| sum_{z in rad} e(q(z)),
     since sum_y e(b(y, z)) is |D| on the radical and 0 off it; q is a
     character on the radical, so |G|^2 is 0 or |D| |rad|, and the
-    certified |G|^2 = |D| leaves |rad| = 1.  ``check=False`` is for
-    quotients, which are non-degenerate by theory (``quotient_form``).
+    certified |G|^2 = |D| leaves |rad| = 1.
     """
 
     def __init__(self, orders: Sequence[int], qdiag: Sequence[Fraction],
-                 gram: Sequence[Sequence[Fraction]], check: bool = True):
-        self.orders = tuple(int(o) for o in orders)
-        self.qdiag = tuple(mod1(Fraction(x)) for x in qdiag)
-        self.gram = tuple(tuple(mod1(Fraction(x)) for x in row) for row in gram)
-        m = len(self.orders)
-        if len(self.qdiag) != m or len(self.gram) != m or any(
-                len(r) != m for r in self.gram):
+                 gram: Sequence[Sequence[Fraction]]):
+        """The form with q(g_i) = qdiag[i] and b(g_i, g_j) = gram[i][j] mod 1."""
+        qdiag = [Fraction(x) for x in qdiag]
+        gram = [[Fraction(x) for x in row] for row in gram]
+        m = len(orders)
+        if len(qdiag) != m or len(gram) != m or any(len(r) != m for r in gram):
             raise ValidityError("generator data of inconsistent shape")
+        L = lcm(*(x.denominator for x in qdiag),
+                *(x.denominator for row in gram for x in row))
+        if L > 2 ** 62:
+            raise ValidityError(f"level {L} exceeds the int64 tables")
+        self._set_tables(orders, L, [int(x * L) % L for x in qdiag],
+                         [[int(x * L) % L for x in row] for row in gram])
+        self._check_consistency()
+
+    @classmethod
+    def _of_tables(cls, orders: Sequence[int], L: int, qn, gn,
+                   check: bool = True) -> "DiscriminantForm":
+        """The form whose q and Gram values are qn / L and gn / L."""
+        form = cls.__new__(cls)
+        form._set_tables(orders, L, qn, gn)
+        if check:
+            form._check_consistency()
+        return form
+
+    def _set_tables(self, orders, L: int, qn, gn):
+        self.orders = tuple(int(o) for o in orders)
+        m = len(self.orders)
+        qn = np.asarray(qn, dtype=np.int64).reshape(m) % L
+        gn = np.asarray(gn, dtype=np.int64).reshape(m, m) % L
+        g = gcd(L, *qn.tolist(), *gn.ravel().tolist())
+        self.level = L // g
+        self._qn, self._gn = qn // g, gn // g
+        self._qn.flags.writeable = self._gn.flags.writeable = False
         self._n = prod(self.orders, start=1)
         self._places = tuple(prod(self.orders[i + 1:], start=1) for i in range(m))
         self._radix = (np.array(self.orders, dtype=np.int64),
                        np.array(self._places, dtype=np.int64))
         self._coeffs: Optional[np.ndarray] = None
         self._elements: Optional[tuple[Element, ...]] = None
-        self._level: Optional[int] = None
         self._signature: Optional[int] = None
         self._qnum: Optional[np.ndarray] = None
         self._element_orders: Optional[np.ndarray] = None
-        self._tables: Optional[tuple[int, np.ndarray, np.ndarray]] = None
-        if check:
-            self._check_consistency()
 
     def _check_consistency(self):
-        L, qn, gn = self._scaled_tables()
-        qn, gn = qn.tolist(), gn.tolist()
+        L, qn, gn = self.level, self._qn.tolist(), self._gn.tolist()
         for i, o in enumerate(self.orders):
             if (2 * qn[i] - gn[i][i]) % L:
                 raise ValidityError("Gram diagonal must equal 2q")
@@ -192,46 +213,35 @@ class DiscriminantForm:
 
     def q(self, a: Element) -> Fraction:
         a = self._reduce(a)
-        total = Fraction(0)
+        qn, gn = self._qn.tolist(), self._gn.tolist()
+        total = 0
         for i, x in enumerate(a):
-            if x:
-                total += x * x * self.qdiag[i]
-        for i in range(len(a)):
-            if a[i]:
-                for j in range(i + 1, len(a)):
-                    if a[j]:
-                        total += a[i] * a[j] * self.gram[i][j]
-        return mod1(total)
+            total += x * (x * qn[i] + sum(map(mul, a[i + 1:], gn[i][i + 1:])))
+        return Fraction(total % self.level, self.level)
 
     def b(self, a: Element, c: Element) -> Fraction:
         a, c = self._reduce(a), self._reduce(c)
-        total = Fraction(0)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(c):
-                    if y:
-                        total += x * y * self.gram[i][j]
-        return mod1(total)
+        gn = self._gn.tolist()
+        total = sum(x * sum(map(mul, gn[i], c)) for i, x in enumerate(a) if x)
+        return Fraction(total % self.level, self.level)
+
+    @property
+    def qdiag(self) -> tuple[Fraction, ...]:
+        """q on the generators."""
+        return tuple(Fraction(x, self.level) for x in self._qn.tolist())
+
+    @property
+    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The Gram table of b on the generators."""
+        return tuple(tuple(Fraction(x, self.level) for x in row)
+                     for row in self._gn.tolist())
 
     # -- vectorized views (index space) ---------------------------------------
-
-    def _scaled_tables(self):
-        """(L, qn, gn): level(D) and the numerators over L of q on the
-        generators and of their Gram table; computed once, read-only."""
-        if self._tables is None:
-            L = self.level
-            m = len(self.orders)
-            qn = np.array([int(x * L) for x in self.qdiag], dtype=np.int64)
-            gn = np.array([[int(x * L) for x in row] for row in self.gram],
-                          dtype=np.int64).reshape(m, m)
-            qn.flags.writeable = gn.flags.writeable = False
-            self._tables = (L, qn, gn)
-        return self._tables
 
     def qnum_array(self) -> np.ndarray:
         """q numerators over the common denominator level(D)."""
         if self._qnum is None:
-            L, qn, gn = self._scaled_tables()
+            L, qn, gn = self.level, self._qn, self._gn
             C = self.coeff_matrix()
             total = (C * C) @ qn
             for i in range(len(self.orders)):
@@ -255,9 +265,8 @@ class DiscriminantForm:
     def b_row_num(self, i) -> np.ndarray:
         """Numerators of b(element(i), -) over the denominator level(D);
         one row per index when i is an array of indices."""
-        L, _, gn = self._scaled_tables()
         C = self.coeff_matrix()
-        return (C[i] @ gn @ C.T) % L
+        return (C[i] @ self._gn @ C.T) % self.level
 
     def cyclic_indices(self, i: int) -> np.ndarray:
         """Sorted indices of the cyclic subgroup generated by element(i)."""
@@ -278,14 +287,6 @@ class DiscriminantForm:
         return self.indices(-self.coeff_matrix()[indices])
 
     # -- invariants ------------------------------------------------------------
-
-    @property
-    def level(self) -> int:
-        if self._level is None:
-            dens = [x.denominator for x in self.qdiag]
-            dens += [x.denominator for row in self.gram for x in row]
-            self._level = lcm(*dens) if dens else 1
-        return self._level
 
     @property
     def signature(self) -> int:
@@ -325,11 +326,12 @@ class DiscriminantForm:
     def __eq__(self, other):
         return (isinstance(other, DiscriminantForm)
                 and self.orders == other.orders
-                and self.qdiag == other.qdiag
-                and self.gram == other.gram)
+                and self.level == other.level
+                and np.array_equal(self._qn, other._qn)
+                and np.array_equal(self._gn, other._gn))
 
     def __hash__(self):
-        return hash((self.orders, self.qdiag))
+        return hash((self.orders, self.level, self._qn.tobytes()))
 
     def __repr__(self):
         return f"<{type(self).__name__} of order {self.order}>"
@@ -593,16 +595,17 @@ def quotient_form(form: DiscriminantForm, H: Subgroup) -> QuotientResult:
     P2 R Q2 = diag(s') gives H_perp/H as the sum of the Z/s'_i, each split
     into cyclic factors of prime-power order.
 
-    The quotient skips the constructor's check: for isotropic H in a
-    non-degenerate D, H_perp/H is non-degenerate with |H_perp| = |D| / |H|,
-    and its tables are values of the parent's.  Only its order is checked,
-    |Q| |H|^2 = |D|, and ``ArithmeticError`` raised otherwise.
+    The quotient's tables are the parent's numerators of q and b at the new
+    generators, over L; ``_of_tables`` reduces them to the quotient's own
+    level.  They skip the form check: for isotropic H in a non-degenerate
+    D, H_perp/H is non-degenerate with |H_perp| = |D| / |H|.  Only its
+    order is checked, |Q| |H|^2 = |D|, and ``ArithmeticError`` raised
+    otherwise.
     """
     if not is_isotropic(form, H):
         raise NotIsotropic("q does not vanish on H")
     m = len(form.orders)
-    L, _, gn = form._scaled_tables()
-    G = gn.tolist()
+    L, G = form.level, form._gn.tolist()
     hs = [form._reduce(h) for h in H.generators]
     hG = [[sum(h[k] * G[k][j] for k in range(m)) for j in range(m)] for h in hs]
     d, P1, P1inv = _diagonalize([[row[j] for row in hG] for j in range(m)])
@@ -628,11 +631,9 @@ def quotient_form(form: DiscriminantForm, H: Subgroup) -> QuotientResult:
     factors.sort(key=lambda f: f[0])
     gens = [form._reduce(f[3]) for f in factors]
     gi = form.indices(np.array(gens, dtype=np.int64).reshape(len(gens), m))
-    quotient = DiscriminantForm(
-        [f[1] for f in factors],
-        [Fraction(int(x), L) for x in form.qnum_array()[gi]],
-        [[Fraction(int(x), L) for x in row]
-         for row in form.b_row_num(gi)[:, gi]], check=False)
+    quotient = DiscriminantForm._of_tables(
+        [f[1] for f in factors], L, form.qnum_array()[gi],
+        form.b_row_num(gi)[:, gi], check=False)
     if quotient.order * H.order ** 2 != form.order:
         raise ArithmeticError("|H_perp/H| |H|^2 differs from |D|")
     project = CoordinateMap.of(form, quotient, Vinv, s, [f[2] for f in factors])
@@ -656,9 +657,9 @@ def p_part(form: DiscriminantForm, p: int) -> PPartResult:
     keep = [i for i, o in enumerate(form.orders) if o % p == 0]
     if any(prime_power(form.orders[i])[0] != p for i in keep):
         raise ValidityError("p-part needs generators of prime-power order")
-    sub = DiscriminantForm([form.orders[i] for i in keep],
-                           [form.qdiag[i] for i in keep],
-                           [[form.gram[i][j] for j in keep] for i in keep])
+    sub = DiscriminantForm._of_tables([form.orders[i] for i in keep],
+                                      form.level, form._qn[keep],
+                                      form._gn[np.ix_(keep, keep)])
     m = len(form.orders)
 
     def embed(e: Element) -> Element:
@@ -671,15 +672,12 @@ def p_part(form: DiscriminantForm, p: int) -> PPartResult:
 
 
 def direct_sum(d1: DiscriminantForm, d2: DiscriminantForm) -> DiscriminantForm:
-    m1, m2 = len(d1.orders), len(d2.orders)
-    gram = [[Fraction(0)] * (m1 + m2) for _ in range(m1 + m2)]
-    for i in range(m1):
-        for j in range(m1):
-            gram[i][j] = d1.gram[i][j]
-    for i in range(m2):
-        for j in range(m2):
-            gram[m1 + i][m1 + j] = d2.gram[i][j]
-    return DiscriminantForm(d1.orders + d2.orders, d1.qdiag + d2.qdiag, gram)
+    L = lcm(d1.level, d2.level)
+    s1, s2 = L // d1.level, L // d2.level
+    zeros = np.zeros((len(d1.orders), len(d2.orders)), dtype=np.int64)
+    return DiscriminantForm._of_tables(
+        d1.orders + d2.orders, L, np.concatenate([s1 * d1._qn, s2 * d2._qn]),
+        np.block([[s1 * d1._gn, zeros], [zeros.T, s2 * d2._gn]]))
 
 
 # ---------------------------------------------------------------------------
@@ -701,42 +699,34 @@ def _odd_prime_units(p: int, rank: int, sign: int) -> list[int]:
 
 def build_form(sym: GenusSymbol) -> DiscriminantForm:
     """Realize a genus symbol by explicit Jordan block models."""
+    L = 2 * lcm(*(comp.scale for comp in sym.components))
     orders: list[int] = []
-    qdiag: list[Fraction] = []
-    blocks: list[list[list[Fraction]]] = []
+    qn: list[int] = []                      # numerators over L
+    planes: list[tuple[int, int]] = []      # (first generator, b numerator)
     for comp in sym.components:
         scale = comp.scale
+        u = L // scale                       # numerator of 1/scale
         if comp.prime != 2:
             for a in _odd_prime_units(comp.prime, comp.rank, comp.sign):
                 orders.append(scale)
-                qdiag.append(mod1(Fraction(a, scale)))
-                blocks.append([[mod1(Fraction(2 * a, scale))]])
+                qn.append(a * u)
         elif comp.parity == ODD:
             units = unit_decomposition(comp.rank, comp.oddity, comp.sign)
             for a in units:
                 orders.append(scale)
-                qdiag.append(mod1(Fraction(a, 2 * scale)))
-                blocks.append([[mod1(Fraction(a, scale))]])
+                qn.append(a * u // 2)
         else:
             half = comp.rank // 2
             for i in range(half):
                 minus = (comp.sign == -1 and i == half - 1)
+                planes.append((len(orders), u))
                 orders.extend([scale, scale])
-                diag = mod1(Fraction(1, scale)) if minus else Fraction(0)
-                qdiag.extend([diag, diag])
-                dd = mod1(Fraction(2, scale)) if minus else Fraction(0)
-                off = Fraction(1, scale)
-                blocks.append([[dd, off], [off, dd]])
-    m = len(orders)
-    gram = [[Fraction(0)] * m for _ in range(m)]
-    pos = 0
-    for blk in blocks:
-        w = len(blk)
-        for i in range(w):
-            for j in range(w):
-                gram[pos + i][pos + j] = blk[i][j]
-        pos += w
-    return DiscriminantForm(orders, qdiag, gram)
+                d = u if minus else 0
+                qn.extend([d, d])
+    gn = np.diag(2 * np.array(qn, dtype=np.int64))      # b(g, g) = 2 q(g)
+    for k, b in planes:
+        gn[k, k + 1] = gn[k + 1, k] = b
+    return DiscriminantForm._of_tables(orders, L, qn, gn)
 
 
 # functional aliases matching the operation names

@@ -34,7 +34,7 @@ from .errors import (BoundExceeded, EvenLength, HypothesisFailed, NotACycle,
 from .exact import (IndicatorColumns, SpanResult, annihilates,
                     span_of_indicator_columns)
 from .fqm import (DiscriminantForm, Element, QuotientResult, Subgroup,
-                  index_subgroup, is_isotropic, mod1, orthogonal_complement,
+                  index_subgroup, is_isotropic, orthogonal_complement,
                   perp_indices, quotient_form, subgroup_from_generators)
 from .ntheory import prime_power, prime_power_factors
 
@@ -120,11 +120,11 @@ class LiftMap:
     form: DiscriminantForm
     H: Subgroup
     source: DiscriminantForm           # the quotient form on H_perp/H
-    columns: tuple[tuple[int, ...], ...]  # row supports, one per source element
+    columns: np.ndarray    # |source| x |H| row supports, one per source element
 
     def matrix(self) -> np.ndarray:
         U = np.zeros((self.form.order, self.source.order), dtype=np.int64)
-        U[np.array(self.columns), np.arange(self.source.order)[:, None]] = 1
+        U[self.columns, np.arange(self.source.order)[:, None]] = 1
         return U
 
     def descent(self) -> np.ndarray:
@@ -157,8 +157,8 @@ def _lift_map(form: DiscriminantForm, H: Subgroup,
     perp = perp_indices(form, H.generators)
     target = quot.form.indices(quot.project.rows(form.coeff_matrix()[perp]))
     groups = perp[np.argsort(target, kind="stable")]
-    cols = groups.reshape(quot.form.order, H.order).tolist()
-    return LiftMap(form, H, quot.form, tuple(map(tuple, cols)))
+    return LiftMap(form, H, quot.form,
+                   groups.reshape(quot.form.order, H.order))
 
 
 def descent_matrix(form: DiscriminantForm, H: Subgroup) -> np.ndarray:
@@ -183,24 +183,15 @@ def span_columns(form: DiscriminantForm, subgroups) -> IndicatorColumns:
     return IndicatorColumns.from_blocks(blocks)
 
 
-def _span_data(form: DiscriminantForm, max_order=None):
-    cached = getattr(form, "_lift_span_data", None)
-    if cached is not None:
-        return cached
-    limit = bounds.max_span_order() if max_order is None else max_order
-    if form.order > limit:
-        raise BoundExceeded(
-            f"|D| = {form.order} exceeds the span bound {limit}")
-    cols = span_columns(form, prime_order_subgroups(form))
-    result = span_of_indicator_columns(form.order, cols)
-    form._lift_span_data = (cols, result)
-    return cols, result
-
-
 def lift_span(form: DiscriminantForm, max_order=None) -> SpanResult:
     """Certified span of all prime-order isotropic lifts (cached); the span
     bound is ``max_order`` if given, else the process-wide one."""
-    return _span_data(form, max_order)[1]
+    cached = getattr(form, "_lift_span", None)
+    if cached is None:
+        bounds.check_span_order(form.order, max_order)
+        cached = form._lift_span = span_of_indicator_columns(
+            form.order, span_columns(form, prime_order_subgroups(form)))
+    return cached
 
 
 def e_gamma_in_image(form: DiscriminantForm, gamma: Element) -> bool:
@@ -371,27 +362,23 @@ def rank5_expression(form: DiscriminantForm, gamma: Element):
     if not iso or _perp_has_pair(form, p, form.index(gamma)):
         raise HypothesisFailed("the block must be anisotropic of its rank")
 
-    def bnum(a, c):
-        return form.b(a, c)
-
     # counts: a0 over pairs inside the isotropic set, a_l and b_l over
     # shifted norm classes; all must be positive and choice-independent
-    target0 = mod1(Fraction(-2 * j, p))
-    a0_vals = {sum(1 for beta in iso if bnum(beta, mu) == target0)
+    target0 = Fraction(-2 * j, p) % 1
+    a0_vals = {sum(1 for beta in iso if form.b(beta, mu) == target0)
                for mu in iso}
     if len(a0_vals) != 1 or 0 in a0_vals:
         raise HypothesisFailed("pair count a0 is not constant and positive")
     a0 = a0_vals.pop()
     a_l, b_l = {}, {}
     for el in range(1, p):
-        norm = mod1(Fraction(-2 * el * j, p))
+        norm = Fraction(-2 * el * j, p) % 1
         alphas = [e for e in block if e != form.zero and form.q(e) == norm]
         if not alphas:
             raise HypothesisFailed(f"no block elements of norm {norm}")
-        targ = mod1(Fraction(-2 * el * j, p))
-        counts_a = {sum(1 for mu in iso if bnum(alpha, mu) == targ)
+        counts_a = {sum(1 for mu in iso if form.b(alpha, mu) == norm)
                     for alpha in alphas}
-        counts_b = {sum(1 for mu in iso if bnum(alpha, mu) == 0)
+        counts_b = {sum(1 for mu in iso if form.b(alpha, mu) == 0)
                     for alpha in alphas}
         if len(counts_a) != 1 or len(counts_b) != 1:
             raise HypothesisFailed("occurrence counts depend on the choice")
@@ -409,17 +396,17 @@ def rank5_expression(form: DiscriminantForm, gamma: Element):
     coeff_w = Fraction(-(p - 1), a0 * size)
     for mu in iso:
         for beta in iso:
-            if bnum(mu, beta) != target0:
+            if form.b(mu, beta) != target0:
                 continue
             H = subgroup_from_generators(form, [form.add(g_over, beta)])
             terms.append((H, form.add(gamma, mu), coeff_w))
     for el in range(1, p):
-        norm = mod1(Fraction(-2 * el * j, p))
+        norm = Fraction(-2 * el * j, p) % 1
         coeff_u = Fraction((p - 1) * a_l[el], a0 * p * b_l[el] * size)
         shift = form.smul(1 + el * (n // p), gamma)
         for mu in iso:
             for beta in block:
-                if form.q(beta) != norm or bnum(mu, beta) != 0:
+                if form.q(beta) != norm or form.b(mu, beta) != 0:
                     continue
                 H = subgroup_from_generators(form, [mu])
                 terms.append((H, form.add(shift, beta), coeff_u))

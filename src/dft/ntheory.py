@@ -59,11 +59,3 @@ def kronecker2(t: int) -> int:
     if t % 2 == 0:
         return 0
     return 1 if t % 8 in (1, 7) else -1
-
-
-def smallest_nonresidue(p: int) -> int:
-    """Smallest quadratic non-residue modulo an odd prime p."""
-    for a in range(2, p):
-        if legendre(a, p) == -1:
-            return a
-    raise ValueError(f"no non-residue mod {p}")

@@ -68,11 +68,21 @@ def test_image_per_element(capsys):
     assert out["members"]["(1, 1)"] is False
 
 
+def _no_build(sym):
+    raise AssertionError(f"{sym} was built")
+
+
 def test_bound_exceeded_exits_3(capsys, monkeypatch):
     monkeypatch.setenv("DFT_MAX_SPAN_ORDER", "16")
     code, out = run_cli(capsys, "image", "2_II^+6")
     assert code == 3
     assert out["error"]["type"] == "BoundExceeded"
+    # the bound is checked before the form is built
+    monkeypatch.delenv("DFT_MAX_SPAN_ORDER")
+    monkeypatch.setattr("dft.cli.build_form", _no_build)
+    for argv in (("image", "3^+12"), ("graph", "2_II^+14")):
+        code, out = run_cli(capsys, *argv)
+        assert code == 3 and out["error"]["type"] == "BoundExceeded"
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])
@@ -116,8 +126,12 @@ def test_graph_command(capsys, tmp_path):
     assert dot.read_text().startswith("graph isotropy {")
 
 
-def test_graph_rejects_odd_level(capsys):
+def test_graph_rejects_odd_level(capsys, monkeypatch):
     code, out = run_cli(capsys, "graph", "3^-1")
+    assert code == 1 and out["error"]["type"] == "NotTwoAdic"
+    assert out["error"]["message"] == "level 3 is not a power of 2"
+    monkeypatch.setattr("dft.cli.build_form", _no_build)
+    code, out = run_cli(capsys, "graph", "3^+12")
     assert code == 1 and out["error"]["type"] == "NotTwoAdic"
 
 

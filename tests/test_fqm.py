@@ -239,10 +239,32 @@ def test_dot_mod_is_exact_past_int64():
 def _dense_nondegenerate(d):
     """Reference: no nonzero element is orthogonal to every element, read
     off the dense |D| x |D| table of b."""
-    L, _, gn = d._scaled_tables()
     C = d.coeff_matrix()
-    B = (C @ gn @ C.T) % L
+    B = (C @ d._gn @ C.T) % d.level
     return bool(np.all(B[1:].any(axis=1)))
+
+
+def test_fraction_spellings_give_one_form():
+    a = DiscriminantForm((4,), (Fraction(-3, 8),), ((Fraction(5, 4),),))
+    b = DiscriminantForm((4,), (Fraction(5, 8),), ((Fraction(1, 4),),))
+    assert a.level == b.level == 8
+    assert a.qdiag == b.qdiag == (Fraction(5, 8),)
+    assert a.gram == b.gram == ((Fraction(1, 4),),)
+    assert a == b and hash(a) == hash(b)
+
+
+def test_direct_sum_and_p_parts_of_a_mixed_form():
+    d = direct_sum(build("2_1^+1"), build("3^-1"))
+    assert d == build("2_1^+1.3^-1")
+    assert p_part(d, 3).form == build("3^-1")
+    assert p_part(d, 2).form == build("2_1^+1")
+
+
+def test_quotient_level_is_reduced():
+    # built over the parent's level 4, the quotient's tables reduce to level 2
+    d = build("4_II^+2")
+    Q = quotient_form(d, subgroup_from_generators(d, [(2, 0)])).form
+    assert d.level == 4 and Q.level == 2
 
 
 def test_nondegeneracy_of_built_forms():
@@ -255,6 +277,7 @@ def test_nondegeneracy_of_built_forms():
     ((Fraction(1, 4), 0), ((0, 0), (0, 0)), "diagonal"),
     ((Fraction(1, 8), 0), ((Fraction(1, 4), 0), (0, 0)), "incompatible with order"),
     ((0, 0), ((0, Fraction(1, 4)), (Fraction(1, 4), 0)), "b value"),
+    ((Fraction(1, 2 ** 70), 0), ((0, 0), (0, 0)), "exceeds the int64 tables"),
 ])
 def test_constructor_rejects_invalid_tables(qdiag, gram, message):
     with pytest.raises(ValidityError, match=message):

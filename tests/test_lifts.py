@@ -13,7 +13,7 @@ from dft.lifts import (_perp_has_pair, check_transitivity, descent_matrix,
                        isotropic_subgroups, kernel_vector, lift_matrix,
                        lift_span, odd_cycle_expression, perp_pair_table,
                        prime_order_subgroups, rank5_expression,
-                       spans_agree_with_all_subgroups)
+                       span_columns, spans_agree_with_all_subgroups)
 from dft.ntheory import prime_power_factors
 from dft.symbols import enumerate_symbols, parse_symbol
 from dft.verify import CHECKS
@@ -155,7 +155,7 @@ def test_span_certificate_sides():
     res = lift_span(d)
     assert res.rank + len(res.kernel) == d.order
     assert 0 < res.rank < d.order
-    cols, _ = d._lift_span_data
+    cols = span_columns(d, prime_order_subgroups(d))
     for row in res.kernel:
         for support in cols:
             assert sum(int(row[i]) for i in support) == 0
