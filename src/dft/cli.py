@@ -89,6 +89,7 @@ def cmd_image(args) -> int:
         "primes_used": span.primes_used,
         "fallback_used": span.fallback_used,
         "blocks": span.blocks,
+        "cholesky_blocks": span.cholesky_blocks,
     }
     two_adic = all(p == 2 for p in prime_power_factors(form.level))
     if two_adic:

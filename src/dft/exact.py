@@ -1,9 +1,10 @@
 """Certified rank and kernel for collections of 0/1 indicator columns.
 
 The columns to be spanned are supports in Z^n, held as CSR index arrays
-(``IndicatorColumns``); A is the n x ncols 0/1 matrix they form.  Rank is
-computed by row reduction modulo a word-size prime, of one of two row
-sources, chosen by the shape of A:
+(``IndicatorColumns``); A is the n x ncols 0/1 matrix they form.  Full
+rank is first tried by a float64 Cholesky certificate (below); otherwise
+rank is computed by row reduction modulo a word-size prime, of one of two
+row sources, chosen by the shape of A:
 
 * ncols <= n: the columns themselves, one 0/1 row each (the rows of A^T);
 * ncols > n: the n rows of the Gram matrix G = A A^T, built by counting
@@ -28,6 +29,24 @@ kernel rows are the same as without the split.  For lift columns q is
 constant on every component (q(gamma + h) = q(gamma) for h in H, gamma
 in H_perp), so the components refine the split by the value of q; on
 ``27^-2`` the largest of 225 components has 9 of 729 rows.
+
+A group with at least as many columns as rows is first offered to a
+floating-point certificate of full rank.  G = A A^T is an integer PSD
+matrix, and A has full rank exactly when G is positive definite.  Let
+u = 2^-53, gamma_k = k u / (1 - k u) and
+
+    c > gamma_{n+1} / (1 - gamma_{n+1}) * tr G + 4 (2(n + 1) + max G_ii) 2^-1022,
+
+a power of two, so that every G_ii - c is exact in float64 (guarded in
+code, with every entry of G below 2^53).  If LAPACK's Cholesky of G - cI
+completes with finite output, the computed factor satisfies
+R^T R = G - cI + dG with ||dG||_2 <= gamma_{n+1} / (1 - gamma_{n+1}) tr G
+plus the underflow term, for any order of summation, so
+lambda_min(G) >= c - ||dG||_2 > 0 and G is positive definite (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm. 10.3;
+Rump, "Verification of positive definiteness", BIT 46 (2006) 433-452).
+A certified group needs no prime at all; a refused one, which may still
+have full rank, goes to the modular echelon below.
 
 A full modular rank already certifies full rational rank.  When the span
 is deficient, the kernel of the modular RREF (free columns set to 1, one
@@ -152,6 +171,7 @@ class SpanResult:
     primes_used: int = 0             # primes whose modular echelon ran
     fallback_used: bool = False      # every prime failed: _exact_fallback ran
     blocks: int = 1                  # groups of rows certified one by one
+    cholesky_blocks: int = 0         # groups certified by _cholesky_certifies
 
     @property
     def full(self) -> bool:
@@ -415,18 +435,27 @@ def _gram(n: int, columns: IndicatorColumns) -> np.ndarray:
     return np.bincount(np.concatenate(keys), minlength=n * n).reshape(n, n)
 
 
-def _row_source(n: int, columns: IndicatorColumns):
-    """(count, block): the rows to eliminate, with block(start, stop, p)
-    giving rows start..stop-1 as residues mod p.
-
-    With more columns than n these are the n rows of the Gram matrix,
-    which over Q span the same space as the columns; otherwise one 0/1
-    row per column.
-    """
-    if len(columns) > n:
-        G = _gram(n, columns)
-        return n, lambda start, stop, p: G[start:stop] % p
-    return len(columns), lambda start, stop, p: columns.block(start, stop, n)
+def _cholesky_certifies(G: np.ndarray) -> bool:
+    """Whether one float64 Cholesky of G - cI proves the integer PSD matrix
+    G positive definite (see the module docstring).  False when it fails,
+    or when G or the shift cannot be held exactly in float64."""
+    n = len(G)
+    if int(G.max()) >= 1 << 53:      # the entries of G, exact in float64
+        return False
+    diag = np.diagonal(G)
+    top = int(diag.max())
+    bound = (Fraction(n + 1, (1 << 53) - 2 * (n + 1)) * int(diag.sum())
+             + Fraction(4 * (2 * (n + 1) + top), 1 << 1022))
+    # c = 2^e > bound; G_ii - c is exact when G_ii 2^-e < 2^53 and c < 2^53
+    e = bound.numerator.bit_length() - bound.denominator.bit_length() + 1
+    if e > 52 or top << max(-e, 0) >= 1 << 53:
+        return False
+    shifted = G.astype(np.float64)
+    shifted[np.diag_indices(n)] -= 2.0 ** e
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(shifted)).all())
+    except np.linalg.LinAlgError:
+        return False
 
 
 def _run_echelon(n, count, block, p, stop_rank):
@@ -441,18 +470,34 @@ def _run_echelon(n, count, block, p, stop_rank):
     return ech
 
 
-def _full(n, primes_used) -> SpanResult:
+def _full(n, primes_used, cholesky_blocks=0) -> SpanResult:
     return SpanResult(n, n, np.zeros((0, n), dtype=np.int64),
-                      np.ones(n, dtype=bool), primes_used)
+                      np.ones(n, dtype=bool), primes_used,
+                      cholesky_blocks=cholesky_blocks)
 
 
 def _span_block(n: int, columns: IndicatorColumns) -> SpanResult:
-    """Certified span data for the columns of one group of rows."""
+    """Certified span data for the columns of one group of rows.
+
+    With at least n columns the Gram matrix G is built and offered to
+    ``_cholesky_certifies``.  Otherwise, or if it refuses, rows are
+    eliminated modulo primes: with more columns than n the n rows of G,
+    which over Q span the same space as the columns, else one 0/1 row per
+    column.
+    """
     if not len(columns):
         return SpanResult(n, 0, np.eye(n, dtype=np.int64),
                           np.zeros(n, dtype=bool))
 
-    count, block = _row_source(n, columns)
+    if len(columns) >= n:
+        G = _gram(n, columns)
+        if _cholesky_certifies(G):
+            return _full(n, 0, cholesky_blocks=1)
+    if len(columns) > n:
+        count, block = n, lambda start, stop, p: G[start:stop] % p
+    else:
+        count, block = len(columns), (
+            lambda start, stop, p: columns.block(start, stop, n))
     ech = _run_echelon(n, count, block, PRIMES[0], n)
     if ech.rank == n:
         return _full(n, 1)
@@ -545,9 +590,9 @@ def span_of_indicator_columns(n: int, columns) -> SpanResult:
     if not np.array_equal(entry_group, np.repeat(col_group, lengths)):
         raise ArithmeticError("a column meets two row groups")
 
-    rank, used, fallback = 0, 0, False
+    rank, used, fallback, chol = 0, 0, False, 0
     membership = np.zeros(n, dtype=bool)
-    kernels = [np.zeros((0, n), dtype=np.int64)]
+    parts, frees = [], []
     local = np.empty(n, dtype=np.int64)
     for g in range(count):
         # the group's rows in increasing order, its columns in given order
@@ -559,57 +604,71 @@ def span_of_indicator_columns(n: int, columns) -> SpanResult:
         rank += res.rank
         used = max(used, res.primes_used)
         fallback |= res.fallback_used
+        chol += res.cholesky_blocks
         membership[rows] = res.membership
-        K = np.zeros((len(res.kernel), n), dtype=res.kernel.dtype)
-        K[:, rows] = res.kernel
-        kernels.append(K)
-    # a kernel row's free column is its last nonzero entry
-    kernel = np.concatenate(kernels)
-    last = n - 1 - np.argmax(kernel[:, ::-1] != 0, axis=1)
-    kernel = _int_matrix(kernel[np.argsort(last, kind="stable")])
-    return SpanResult(n, rank, kernel, membership, used, fallback, count)
+        if len(res.kernel):
+            # a kernel row's free column is its last nonzero entry
+            last = len(rows) - 1 - np.argmax(res.kernel[:, ::-1] != 0, axis=1)
+            parts.append((rows, res.kernel))
+            frees.append(rows[last])
+    # the kernel rows of all groups in order of their free columns, each
+    # group's written once into one array
+    dtype = object if any(K.dtype == object for _, K in parts) else np.int64
+    kernel = np.zeros((n - rank, n), dtype=dtype)
+    if parts:
+        dest = np.empty(n - rank, dtype=np.int64)
+        dest[np.argsort(np.concatenate(frees), kind="stable")] = np.arange(
+            n - rank)
+        start = 0
+        for rows, K in parts:
+            kernel[np.ix_(dest[start:start + len(K)], rows)] = K
+            start += len(K)
+    return SpanResult(n, rank, _int_matrix(kernel), membership, used,
+                      fallback, count, chol)
 
 
-def _fraction_rref(n: int, columns):
-    """Plain RREF over Q of the columns as rows, inserted one by one:
-    (rows, pivot columns)."""
-    rows: list[list[Fraction]] = []
+def _integer_rref(n: int, columns):
+    """RREF over Q of the columns as rows, inserted one by one, by
+    fraction-free (Bareiss) Gauss-Jordan elimination: (M, d, pivot
+    columns), the RREF being M / d.
+
+    Every pivot entry of M is the common denominator d.  A new row v is
+    reduced to v' = d v - sum_i v[c_i] M_i, which is d times v reduced
+    over Q; its first nonzero entry a becomes the new denominator, and
+    each stored row becomes (a M_i - M_i[c] v') / d, an exact division:
+    its entries are minors of the rows inserted so far.
+    """
+    M = np.zeros((0, n), dtype=object)
+    d = 1
     pivcols: list[int] = []
     for support in columns:
-        row = [Fraction(0)] * n
-        for i in support:
-            row[i] = Fraction(1)
-        for r, c in zip(rows, pivcols):
-            if row[c]:
-                f = row[c]
-                row = [x - f * y for x, y in zip(row, r)]
-        piv = next((i for i, x in enumerate(row) if x), None)
-        if piv is None:
+        v = np.zeros(n, dtype=object)
+        v[list(support)] = 1
+        if pivcols:
+            v = d * v - v[pivcols] @ M
+        nz = np.flatnonzero(v)
+        if not len(nz):
             continue
-        inv = 1 / row[piv]
-        row = [x * inv for x in row]
-        for r in rows:
-            if r[piv]:
-                f = r[piv]
-                for i in range(n):
-                    r[i] -= f * row[i]
-        rows.append(row)
-        pivcols.append(piv)
-    return rows, pivcols
+        c = int(nz[0])
+        a = v[c]
+        M = np.vstack([(a * M - np.outer(M[:, c], v)) // d, v])
+        d = a
+        pivcols.append(c)
+    return M, d, pivcols
 
 
 def _exact_fallback(n: int, columns) -> SpanResult:
-    """Span data from the ``Fraction`` RREF; only reached if every prime
+    """Span data from the exact integer RREF; only reached if every prime
     failed.  The RREF of a row space is canonical, so each distinct
     support goes in once."""
-    rows, pivcols = _fraction_rref(n, dict.fromkeys(_as_columns(columns)))
-    free = [c for c in range(n) if c not in set(pivcols)]
+    M, d, pivcols = _integer_rref(n, dict.fromkeys(_as_columns(columns)))
+    free = np.setdiff1d(np.arange(n), pivcols)
     kernel = np.zeros((len(free), n), dtype=object)
-    for j, f in enumerate(free):
-        den = lcm(1, *(r[f].denominator for r in rows))
+    for j, f in enumerate(free.tolist()):
+        # the RREF entries M[:, f] / d over their least common denominator
+        den = abs(d) // gcd(d, *M[:, f].tolist())
         kernel[j, f] = den
-        for r, c in zip(rows, pivcols):
-            kernel[j, c] = int(-r[f] * den)
+        kernel[j, pivcols] = -(M[:, f] * den) // d
     kernel = _int_matrix(kernel)
     return SpanResult(n, len(pivcols), kernel, ~(kernel != 0).any(axis=0),
                       fallback_used=True)

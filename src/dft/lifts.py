@@ -57,8 +57,12 @@ def isotropic_elements(form: DiscriminantForm, order_filter=None) -> list[Elemen
     return [form.element(i) for i in isotropic_indices(form, order_filter)]
 
 
-def prime_order_subgroups(form: DiscriminantForm) -> list[Subgroup]:
-    """The isotropic subgroups of prime order, sorted deterministically."""
+def prime_order_subgroups(form: DiscriminantForm) -> tuple[Subgroup, ...]:
+    """The isotropic subgroups of prime order, sorted deterministically;
+    enumerated once per form and kept on it, beside its lift span."""
+    cached = getattr(form, "_prime_lines", None)
+    if cached is not None:
+        return cached
     iso = isotropic_indices(form)
     iso = iso[np.isin(form.order_array()[iso], prime_power_factors(form.order))]
     seen = np.zeros(form.order, dtype=bool)
@@ -69,7 +73,8 @@ def prime_order_subgroups(form: DiscriminantForm) -> list[Subgroup]:
             seen[members] = True
             lines.append(index_subgroup(form, members))
     lines.sort(key=lambda H: (H.order, H.indices.tolist()))
-    return lines
+    form._prime_lines = tuple(lines)
+    return form._prime_lines
 
 
 def isotropic_subgroups(form: DiscriminantForm) -> list[Subgroup]:

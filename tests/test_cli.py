@@ -53,13 +53,16 @@ def test_image(capsys):
     assert [0, 0] in out["witnesses"] and [1, 1] in out["witnesses"]
     assert (out["primes_used"], out["fallback_used"], out["blocks"]) == (
         1, False, 1)
+    assert out["cholesky_blocks"] == 0
     code, out = run_cli(capsys, "image", "2_II^-6")
     assert out["rank"] == 64 and out["full_image"] is True
-    # 729 rows in three components of q, one group each
+    # 729 rows in three components of q, one group each, each certified
+    # by the Cholesky test without a prime
     code, out = run_cli(capsys, "image", "3^+6")
     assert out["rank"] == 729 and out["full_image"] is True
     assert (out["primes_used"], out["fallback_used"], out["blocks"]) == (
-        1, False, 3)
+        0, False, 3)
+    assert out["cholesky_blocks"] == 3
 
 
 def test_image_per_element(capsys):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dft.exact as exact
-from dft.exact import (_PACK_ROWS, PRIMES, IndicatorColumns, _exact_fallback,
-                       _gram, _rational_reconstruct, _row_groups, _rref,
+from dft.exact import (_PACK_ROWS, PRIMES, IndicatorColumns,
+                       _cholesky_certifies, _exact_fallback, _gram,
+                       _rational_reconstruct, _row_groups, _rref,
                        _run_echelon, _submul_mod, annihilates,
                        span_of_indicator_columns)
 
@@ -214,14 +215,70 @@ def test_gram_matrix_counts_shared_columns():
     assert np.array_equal(_gram(n, cols), A @ A.T)
 
 
-def test_gram_entry_divisible_by_the_first_prime():
+def test_gram_entry_divisible_by_the_first_prime(monkeypatch):
     # G = [[PRIMES[0]]] is 0 mod the first prime: one more prime certifies
     p = PRIMES[0]
     cols = IndicatorColumns(np.zeros(p, dtype=np.int64),
                             np.arange(p + 1, dtype=np.int64))
     res = span_of_indicator_columns(1, cols)
+    assert res.full and (res.primes_used, res.cholesky_blocks) == (0, 1)
+    monkeypatch.setattr(exact, "_cholesky_certifies", lambda G: False)
+    res = span_of_indicator_columns(1, cols)
     assert res.full and res.rank == 1
     assert (res.primes_used, res.fallback_used) == (2, False)
+    assert res.cholesky_blocks == 0
+
+
+def _singular_grams(count, seed):
+    """Gram matrices A A^T of random 0/1 matrices A with 3 to 11 rows and
+    40 columns whose last row repeats row 0 or is row 0 + row 1."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 12))
+        A = rng.integers(0, 2, size=(n, 40))
+        A[-1] = A[0] + (A[1] if rng.random() < 0.5 else 0)
+        yield A @ A.T
+
+
+def test_cholesky_refuses_singular_grams():
+    # a bare float64 Cholesky accepts some of these singular matrices;
+    # the shifted test must refuse every one
+    bare = 0
+    for G in _singular_grams(2000, 11):
+        assert not _cholesky_certifies(G)
+        try:
+            np.linalg.cholesky(G.astype(np.float64))
+            bare += 1
+        except np.linalg.LinAlgError:
+            pass
+    assert bare > 0
+
+
+def test_cholesky_guards_exactness():
+    # entries at 2^53 are not exact in float64: refused, whatever G is
+    assert _cholesky_certifies(np.array([[2 ** 52]]))
+    assert not _cholesky_certifies(np.array([[2 ** 53]]))
+    assert not _cholesky_certifies(np.zeros((2, 2), dtype=np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cholesky_accepts_only_full_rank(data):
+    # random 0/1 columns, some rows sums of two others: whenever the
+    # certificate accepts, the exact RREF has full rank
+    n = data.draw(st.integers(1, 10))
+    ncols = data.draw(st.integers(n, 3 * n))
+    A = np.array(data.draw(st.lists(st.lists(st.integers(0, 1), min_size=ncols,
+                                             max_size=ncols),
+                                    min_size=n, max_size=n)))
+    for _ in range(data.draw(st.integers(0, 2))):
+        i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        A[k] &= 1 - A[j]            # disjoint from row j: the sum is 0/1
+        A[i] = A[j] + A[k]
+    cols = IndicatorColumns.from_supports(
+        [tuple(np.flatnonzero(A[:, j]).tolist()) for j in range(ncols)])
+    if _cholesky_certifies(_gram(n, cols)):
+        assert _exact_fallback(n, cols).rank == n
 
 
 def _free_columns(kernel):
@@ -270,8 +327,15 @@ def test_row_groups_match_block_by_block_fallback(data):
     free = _free_columns(res.kernel)
     assert free == sorted(set(free))
     assert annihilates(res.kernel, cols)
-    assert (res.primes_used, res.fallback_used) == ((1, False) if cols
-                                                    else (0, False))
+    # the Cholesky test certifies every full-rank group (its blocks are
+    # small and well conditioned); one prime serves every other group
+    # with columns
+    group = _row_groups(n, IndicatorColumns.from_supports(cols))
+    with_cols = set(group[[c[0] for c in cols]].tolist())
+    full = {g for g in with_cols if membership[group == g].all()}
+    assert res.cholesky_blocks == len(full)
+    assert (res.primes_used, res.fallback_used) == (int(with_cols > full),
+                                                    False)
 
 
 @pytest.mark.parametrize("shuffle", [False, True])
@@ -295,7 +359,7 @@ def test_long_path_is_one_component(shuffle):
 
 def test_groups_aggregate_their_certificates():
     # fibonacci_columns(20) needs two primes, a connected full-rank block
-    # of 150 rows one; on interleaved rows they are two groups
+    # of 150 rows the Cholesky test; on interleaved rows they are two groups
     fib, size = 20, 150
     n = fib + size
     mine = np.zeros(n, dtype=bool)
@@ -307,6 +371,7 @@ def test_groups_aggregate_their_certificates():
     cols = [tuple(sorted(int(perm[i]) for i in c)) for c in local]
     res = span_of_indicator_columns(n, cols)
     assert (res.primes_used, res.fallback_used, res.blocks) == (2, False, 2)
+    assert res.cholesky_blocks == 1
     assert res.rank == n - 1
     slow = _exact_fallback(fib, fibonacci_columns(fib))
     want = np.zeros((1, n), dtype=object)
