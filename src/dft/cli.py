@@ -90,6 +90,8 @@ def cmd_image(args) -> int:
         "fallback_used": span.fallback_used,
         "blocks": span.blocks,
         "cholesky_blocks": span.cholesky_blocks,
+        "components": span.components,
+        "distinct_components": span.distinct_components,
     }
     two_adic = all(p == 2 for p in prime_power_factors(form.level))
     if two_adic:

@@ -17,9 +17,10 @@ row sources, chosen by the shape of A:
 
 Two rows are linked when some column holds both, so up to a permutation
 of its rows A is block-diagonal over the connected components of the
-rows.  Above ``_PACK_ROWS`` rows the components are packed, in the order
-of their least rows, into groups of at most ``_PACK_ROWS`` rows (a
-larger component is a group of its own), and each group's columns are
+rows.  Above ``_PACK_ROWS`` rows the components, or only their
+representatives when some are copies of others (below), are packed in
+the order of their least rows into groups of at most ``_PACK_ROWS`` rows
+(a larger component is a group of its own), and each group's columns are
 certified on their own by everything below.  The rank of A is the sum
 of the groups' ranks, ker A^T is the direct sum of the groups' kernels,
 and a group's verified kernel vanishes on every other group's columns,
@@ -29,6 +30,23 @@ kernel rows are the same as without the split.  For lift columns q is
 constant on every component (q(gamma + h) = q(gamma) for h in H, gamma
 in H_perp), so the components refine the split by the value of q; on
 ``27^-2`` the largest of 225 components has 9 of 729 rows.
+
+Most components are copies of a few.  Number a component's rows 0, 1, ...
+in increasing order; its local columns are its columns in those numbers.
+The RREF of the span of a set of vectors is unique whatever order the
+vectors come in, and rank, membership and kernel rows are read off it.
+So they depend only on the set of local columns, and two components
+with equal local columns have the same local kernel, entry for entry.
+Only one representative of each such class is certified; every copy
+takes membership and kernel rows from it by local index.  A copy needs no
+certificate of its own: its local columns are, entry for entry, those of
+its representative, so whatever certified the representative (a kernel
+checked by ``annihilates``, the Cholesky test, a full modular rank or the
+exact fallback) certifies the copy.  Classes are found by cheap
+order-free keys and confirmed by an exact comparison of the sorted local
+columns; two unequal components that share a key each keep their own
+echelon, so a collision of keys can cost time, never an answer.  On
+``27^-2`` the 225 components are copies of 2.
 
 A group with at least as many columns as rows is first offered to a
 floating-point certificate of full rank.  G = A A^T is an integer PSD
@@ -168,10 +186,18 @@ class SpanResult:
     rank: int
     kernel: np.ndarray               # k x dim integers, verified kernel basis
     membership: np.ndarray           # bool[n]; e_i in the span
+    # primes_used, blocks and cholesky_blocks count the groups of the
+    # representatives only: a copy of a component runs no certificate of
+    # its own (see span_of_indicator_columns)
     primes_used: int = 0             # primes whose modular echelon ran
     fallback_used: bool = False      # every prime failed: _exact_fallback ran
     blocks: int = 1                  # groups of rows certified one by one
     cholesky_blocks: int = 0         # groups certified by _cholesky_certifies
+    # connected components of the rows, and how many of them were
+    # certified rather than copied; 1 and 1 when the rows are certified as
+    # one block: at or below _PACK_ROWS rows, or without columns
+    components: int = 1
+    distinct_components: int = 1
 
     @property
     def full(self) -> bool:
@@ -438,24 +464,31 @@ def _gram(n: int, columns: IndicatorColumns) -> np.ndarray:
 def _cholesky_certifies(G: np.ndarray) -> bool:
     """Whether one float64 Cholesky of G - cI proves the integer PSD matrix
     G positive definite (see the module docstring).  False when it fails,
-    or when G or the shift cannot be held exactly in float64."""
+    or when G or the shift cannot be held exactly in float64.
+
+    A float64 G is shifted in place and restored exactly: G_ii - c is
+    exact, and so is adding c back to it.
+    """
+    G = np.asarray(G, dtype=np.float64)
     n = len(G)
-    if int(G.max()) >= 1 << 53:      # the entries of G, exact in float64
+    if G.max() >= 2.0 ** 53:          # the entries of G, exact in float64
         return False
-    diag = np.diagonal(G)
+    diag = np.diagonal(G).astype(np.int64)
     top = int(diag.max())
-    bound = (Fraction(n + 1, (1 << 53) - 2 * (n + 1)) * int(diag.sum())
+    bound = (Fraction(n + 1, (1 << 53) - 2 * (n + 1)) * sum(diag.tolist())
              + Fraction(4 * (2 * (n + 1) + top), 1 << 1022))
     # c = 2^e > bound; G_ii - c is exact when G_ii 2^-e < 2^53 and c < 2^53
     e = bound.numerator.bit_length() - bound.denominator.bit_length() + 1
     if e > 52 or top << max(-e, 0) >= 1 << 53:
         return False
-    shifted = G.astype(np.float64)
-    shifted[np.diag_indices(n)] -= 2.0 ** e
+    on_diag = np.diag_indices(n)
+    G[on_diag] -= 2.0 ** e
     try:
-        return bool(np.isfinite(np.linalg.cholesky(shifted)).all())
+        return bool(np.isfinite(np.linalg.cholesky(G)).all())
     except np.linalg.LinAlgError:
         return False
+    finally:
+        G[on_diag] += 2.0 ** e
 
 
 def _run_echelon(n, count, block, p, stop_rank):
@@ -490,11 +523,14 @@ def _span_block(n: int, columns: IndicatorColumns) -> SpanResult:
                           np.zeros(n, dtype=bool))
 
     if len(columns) >= n:
-        G = _gram(n, columns)
+        # one float64 copy only: each entry counts columns, so it is far
+        # below 2^53 and exact, and the echelon reads it back block by block
+        G = _gram(n, columns).astype(np.float64)
         if _cholesky_certifies(G):
             return _full(n, 0, cholesky_blocks=1)
     if len(columns) > n:
-        count, block = n, lambda start, stop, p: G[start:stop] % p
+        count, block = n, (
+            lambda start, stop, p: G[start:stop].astype(np.int64) % p)
     else:
         count, block = len(columns), (
             lambda start, stop, p: columns.block(start, stop, n))
@@ -533,14 +569,11 @@ def _span_block(n: int, columns: IndicatorColumns) -> SpanResult:
     return res
 
 
-def _row_groups(n: int, columns: IndicatorColumns) -> np.ndarray:
-    """The group of every row.
+def _component_labels(n: int, columns: IndicatorColumns) -> np.ndarray:
+    """The least row of every row's connected component.
 
-    Two rows are linked when a column holds both.  Every row is labelled
-    with the least row of its connected component, by min-label
-    propagation over the columns with pointer jumping; the components,
-    in label order, are packed greedily into groups of at most
-    ``_PACK_ROWS`` rows, and a larger component is a group of its own.
+    Two rows are linked when a column holds both.  The labels are found by
+    min-label propagation over the columns, with pointer jumping.
     """
     lengths = np.diff(columns.indptr)
     starts = columns.indptr[:-1][lengths > 0]
@@ -555,33 +588,149 @@ def _row_groups(n: int, columns: IndicatorColumns) -> np.ndarray:
         if np.array_equal(new, lab):
             break
         lab = new
-    roots = np.flatnonzero(lab == np.arange(n))
-    group = np.empty(n, dtype=np.int64)
+    return lab
+
+
+def _component_keys(size, col_comp, lengths, rows, starts) -> np.ndarray:
+    """Order-free invariants of each component, one column per component:
+    its rows, columns and entries, and over its columns the sums of s and
+    of s^2, s being a column's sum of local index + 1.  Equal components
+    have equal keys; unequal ones may share them."""
+    count = len(size)
+    sums = (np.add.reduceat(rows + 1, starts).astype(np.float64)
+            if len(starts) else np.zeros(0))
+    return np.stack([size, np.bincount(col_comp, minlength=count),
+                     np.bincount(col_comp, lengths, count),
+                     np.bincount(col_comp, sums, count),
+                     np.bincount(col_comp, sums * sums, count)])
+
+
+def _representatives(comp: np.ndarray, local: np.ndarray, size: np.ndarray,
+                     columns: IndicatorColumns) -> np.ndarray:
+    """For every component, the component that is certified in its place:
+    the first component of its class when their local columns are equal,
+    entry for entry, else itself.
+
+    ``comp`` and ``local`` give each row's component and its index among
+    that component's rows in increasing order; ``size`` counts the rows
+    of each component.  A component that shares its key
+    (``_component_keys``) with no other one is its own.  The others
+    compare their sorted column codes exactly with the first member of
+    their class.  A column's code is its length and its local rows in
+    base B, or, when that could overflow int64, the rank of its padded
+    local rows.
+    """
+    count = len(size)
+    lengths = np.diff(columns.indptr)
+    starts = columns.indptr[:-1][lengths > 0]
+    lengths = lengths[lengths > 0]
+    rows = local[columns.indices]
+    col_comp = comp[columns.indices[starts]]
+    keys = _component_keys(size, col_comp, lengths, rows, starts)
+    order = np.lexsort(keys)
+    keys = keys[:, order]
+    head = np.ones(count, dtype=bool)
+    head[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    cls = np.empty(count, dtype=np.int64)
+    cls[order] = np.cumsum(head) - 1
+    # lexsort is stable: a class's first member heads its run
+    first = order[head]
+    cand = np.flatnonzero(np.bincount(cls)[cls] > 1)
+    rep = np.arange(count)
+    if not len(cand):
+        return rep
+    # the candidates' columns, by candidate, then by code
+    slot = np.full(count, -1)
+    slot[cand] = np.arange(len(cand))
+    mine = slot[col_comp] >= 0
+    rows = rows[np.repeat(mine, lengths)]
+    lengths = lengths[mine]
+    width = int(lengths.max(initial=0))
+    base = int(size[cand].max())
+    span = base ** width * (width + 1)
+    begin = np.cumsum(lengths) - lengths
+    digit = np.arange(len(rows)) - np.repeat(begin, lengths)
+    if span * len(cand) < 1 << 63:
+        code = lengths * base ** width
+        if len(rows):
+            code += np.add.reduceat(rows * base ** digit, begin)
+    else:
+        padded = np.full((len(lengths), width + 1), -1)
+        padded[:, 0] = lengths
+        padded[np.repeat(np.arange(len(lengths)), lengths), digit + 1] = rows
+        code = np.unique(padded, axis=0, return_inverse=True)[1].ravel()
+        span = len(lengths)
+    owner = slot[col_comp[mine]]
+    code = np.sort(owner * span + code) - np.sort(owner) * span
+    # against the first member of the class: the same rows and columns,
+    # then position by position; nothing is taken from the keys
+    ncols = np.bincount(owner, minlength=len(cand))
+    head = slot[first[cls[cand]]]
+    same = (size[cand] == size[cand[head]]) & (ncols == ncols[head])
+    at = np.cumsum(ncols) - ncols
+    pos = np.flatnonzero(np.repeat(same, ncols))
+    who = np.repeat(np.arange(len(cand)), ncols)[pos]
+    twin = at[head[who]] + pos - at[who]
+    same[who[code[pos] != code[twin]]] = False
+    rep[cand[same]] = first[cls[cand[same]]]
+    return rep
+
+
+def _row_groups(lab: np.ndarray, columns: IndicatorColumns):
+    """(group, src): the group of every row, and the row whose part it
+    plays in its component's representative.
+
+    ``lab`` holds the least row of each row's component
+    (``_component_labels``).  A component whose local columns are equal
+    to those of an earlier one (``_representatives``) is a copy: row i of
+    it plays the part of row ``src[i]`` of the representative at the same
+    local index, and its group is -1.  On representatives ``src[i] == i``.
+    The representatives, in label order, are packed greedily into groups
+    of at most ``_PACK_ROWS`` rows; a larger one is a group of its own.
+    """
+    n = len(lab)
+    is_root = lab == np.arange(n)
+    comp = (np.cumsum(is_root) - 1)[lab]
+    size = np.bincount(comp)
+    order = np.argsort(comp, kind="stable")
+    start = np.cumsum(size) - size
+    local = np.empty(n, dtype=np.int64)
+    local[order] = np.arange(n) - np.repeat(start, size)
+    rep = _representatives(comp, local, size, columns)
+    src = order[start[rep[comp]] + local]
+    group = np.full(len(size), -1)
     g, fill = -1, _PACK_ROWS
-    for root, size in zip(roots.tolist(),
-                          np.bincount(lab)[roots].tolist()):
-        if fill + size > _PACK_ROWS:
+    reps = np.flatnonzero(rep == np.arange(len(size)))
+    for c, rows in zip(reps.tolist(), size[reps].tolist()):
+        if fill + rows > _PACK_ROWS:
             g, fill = g + 1, 0
-        fill += size
-        group[root] = g
-    return group[lab]
+        fill += rows
+        group[c] = g
+    return group[comp], src
 
 
 def span_of_indicator_columns(n: int, columns) -> SpanResult:
     """Certified span data for 0/1 columns, given as ``IndicatorColumns``
     or as a list of index tuples.
 
-    Above ``_PACK_ROWS`` rows the rows are split into the groups of
-    ``_row_groups`` and each group's columns are certified on their own;
-    A is block-diagonal over the groups, so the results add up.
+    Above ``_PACK_ROWS`` rows the rows are split into connected components.
+    Only one representative of each class of equal components is
+    certified, in the groups of ``_row_groups``; A is block-diagonal over
+    the components, so the results add up, and each copy takes its
+    representative's membership and kernel by local index.
     """
     columns = _as_columns(columns)
     if n <= _PACK_ROWS or not len(columns):
         return _span_block(n, columns)
-    group = _row_groups(n, columns)
+    lab = _component_labels(n, columns)
+    group, src = _row_groups(lab, columns)
+    roots = np.flatnonzero(lab == np.arange(n))
+    distinct = int(np.count_nonzero(src[roots] == roots))
     count = int(group.max()) + 1
-    if count == 1:
-        return _span_block(n, columns)
+    if count == 1 and distinct == len(roots):
+        res = _span_block(n, columns)
+        res.components = res.distinct_components = len(roots)
+        return res
 
     lengths = np.diff(columns.indptr)
     lengths = lengths[lengths > 0]
@@ -590,9 +739,10 @@ def span_of_indicator_columns(n: int, columns) -> SpanResult:
     if not np.array_equal(entry_group, np.repeat(col_group, lengths)):
         raise ArithmeticError("a column meets two row groups")
 
-    rank, used, fallback, chol = 0, 0, False, 0
+    used, fallback, chol = 0, False, 0
     membership = np.zeros(n, dtype=bool)
-    parts, frees = [], []
+    free = np.zeros(n, dtype=bool)
+    parts = []
     local = np.empty(n, dtype=np.int64)
     for g in range(count):
         # the group's rows in increasing order, its columns in given order
@@ -601,7 +751,6 @@ def span_of_indicator_columns(n: int, columns) -> SpanResult:
         res = _span_block(len(rows), IndicatorColumns(
             local[columns.indices[entry_group == g]],
             np.append(0, np.cumsum(lengths[col_group == g]))))
-        rank += res.rank
         used = max(used, res.primes_used)
         fallback |= res.fallback_used
         chol += res.cholesky_blocks
@@ -609,22 +758,31 @@ def span_of_indicator_columns(n: int, columns) -> SpanResult:
         if len(res.kernel):
             # a kernel row's free column is its last nonzero entry
             last = len(rows) - 1 - np.argmax(res.kernel[:, ::-1] != 0, axis=1)
-            parts.append((rows, res.kernel))
-            frees.append(rows[last])
-    # the kernel rows of all groups in order of their free columns, each
-    # group's written once into one array
-    dtype = object if any(K.dtype == object for _, K in parts) else np.int64
-    kernel = np.zeros((n - rank, n), dtype=dtype)
-    if parts:
-        dest = np.empty(n - rank, dtype=np.int64)
-        dest[np.argsort(np.concatenate(frees), kind="stable")] = np.arange(
-            n - rank)
-        start = 0
-        for rows, K in parts:
-            kernel[np.ix_(dest[start:start + len(K)], rows)] = K
-            start += len(K)
-    return SpanResult(n, rank, _int_matrix(kernel), membership, used,
-                      fallback, count, chol)
+            parts.append((rows, res.kernel, rows[last]))
+            free[rows[last]] = True
+    # a copy's row is what its representative's row is
+    membership, free = membership[src], free[src]
+    # the kernel rows in order of their free columns, each group's written
+    # once into one array, then each copy's read from its representative's
+    dest = np.cumsum(free) - 1
+    dtype = object if any(K.dtype == object for _, K, _ in parts) else np.int64
+    kernel = np.zeros((int(free.sum()), n), dtype=dtype)
+    for rows, K, frees in parts:
+        kernel[np.ix_(dest[frees], rows)] = K
+    copy = np.flatnonzero(src != np.arange(n))
+    if len(copy) and len(kernel):
+        # a kernel row lies on its free column's component: pair each free
+        # row of a copy with every row of its component
+        copy = copy[np.argsort(lab[copy], kind="stable")]
+        f = copy[free[copy]]
+        lo = np.searchsorted(lab[copy], lab[f])
+        width = np.searchsorted(lab[copy], lab[f], side="right") - lo
+        fr = np.repeat(f, width)
+        step = np.arange(len(fr)) - np.repeat(np.cumsum(width) - width, width)
+        at = copy[np.repeat(lo, width) + step]
+        kernel[dest[fr], at] = kernel[dest[src[fr]], src[at]]
+    return SpanResult(n, n - len(kernel), _int_matrix(kernel), membership,
+                      used, fallback, count, chol, len(roots), distinct)
 
 
 def _integer_rref(n: int, columns):

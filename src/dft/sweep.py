@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -73,7 +72,8 @@ def evaluate_symbol(text: str, span_order: int | None = None) -> dict:
     if not span.full:
         missing = [int(i) for i in (~span.membership).nonzero()[0]]
         record["witness_count"] = len(missing)
-        record["witnesses"] = [list(form.element(i))
+        # tuples: the JSON is the same as for lists, and they are smaller
+        record["witnesses"] = [form.element(i)
                                for i in missing[:MAX_WITNESSES]]
     record["elapsed_ms"] = round(1000 * (time.perf_counter() - t0), 3)
     return record
@@ -110,6 +110,8 @@ def run_sweep(config: SweepConfig, log=None) -> dict:
             f"jobs={config.jobs}")
     evaluate = partial(evaluate_symbol, span_order=config.span_order)
     if config.jobs > 1 and len(todo) > 1:
+        # imported only here: a one-process sweep does not pay for it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             fresh = list(pool.map(evaluate, todo, chunksize=8))
     else:

@@ -63,6 +63,13 @@ def test_image(capsys):
     assert (out["primes_used"], out["fallback_used"], out["blocks"]) == (
         0, False, 3)
     assert out["cholesky_blocks"] == 3
+    # three components, none a copy of another
+    assert (out["components"], out["distinct_components"]) == (3, 3)
+    # 225 components, copies of 2: one group of representatives
+    code, out = run_cli(capsys, "image", "27^-2")
+    assert out["rank"] == 297 and out["full_image"] is False
+    assert (out["components"], out["distinct_components"]) == (225, 2)
+    assert (out["blocks"], out["primes_used"]) == (1, 1)
 
 
 def test_image_per_element(capsys):

@@ -6,10 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 import dft.exact as exact
 from dft.exact import (_PACK_ROWS, PRIMES, IndicatorColumns,
-                       _cholesky_certifies, _exact_fallback, _gram,
-                       _rational_reconstruct, _row_groups, _rref,
-                       _run_echelon, _submul_mod, annihilates,
-                       span_of_indicator_columns)
+                       _cholesky_certifies, _component_labels,
+                       _exact_fallback, _gram, _rational_reconstruct,
+                       _row_groups, _rref, _run_echelon, _submul_mod,
+                       annihilates, span_of_indicator_columns)
+from dft.fqm import build_form
+from dft.lifts import prime_order_subgroups, span_columns
+from dft.symbols import parse_symbol
 
 
 def test_empty_column_set():
@@ -291,7 +294,8 @@ def _free_columns(kernel):
 @given(st.data())
 def test_row_groups_match_block_by_block_fallback(data):
     # small blocks of columns on disjoint, shuffled index sets, with more
-    # rows than one group holds
+    # rows than one group holds; some blocks are exact copies of earlier
+    # ones on other rows, their columns in another order
     n = data.draw(st.integers(_PACK_ROWS + 1, 2 * _PACK_ROWS + 40))
     perm = data.draw(st.permutations(range(n)))
     blocks, used = [], 0
@@ -300,10 +304,15 @@ def test_row_groups_match_block_by_block_fallback(data):
         # increasing, so that the local RREF is the global one
         rows = sorted(perm[used:used + size])
         used += size
-        local = []
-        for _ in range(data.draw(st.integers(0, 2 * size))):
-            local.append(tuple(sorted(data.draw(st.sets(
-                st.integers(0, size - 1), min_size=1, max_size=size)))))
+        twins = [local for rows_, local in blocks if len(rows_) == size]
+        if twins and data.draw(st.booleans()):
+            local = data.draw(st.permutations(data.draw(
+                st.sampled_from(twins))))
+        else:
+            local = []
+            for _ in range(data.draw(st.integers(0, 2 * size))):
+                local.append(tuple(sorted(data.draw(st.sets(
+                    st.integers(0, size - 1), min_size=1, max_size=size)))))
         blocks.append((rows, local))
     cols = [tuple(sorted(rows[i] for i in c))
             for rows, local in blocks for c in local]
@@ -327,15 +336,98 @@ def test_row_groups_match_block_by_block_fallback(data):
     free = _free_columns(res.kernel)
     assert free == sorted(set(free))
     assert annihilates(res.kernel, cols)
-    # the Cholesky test certifies every full-rank group (its blocks are
-    # small and well conditioned); one prime serves every other group
-    # with columns
-    group = _row_groups(n, IndicatorColumns.from_supports(cols))
-    with_cols = set(group[[c[0] for c in cols]].tolist())
+    # the Cholesky test certifies every full-rank group of representatives
+    # (its blocks are small and well conditioned); one prime serves every
+    # other such group with columns, and copies (group -1) run neither
+    columns = IndicatorColumns.from_supports(cols)
+    lab = _component_labels(n, columns)
+    group, src = _row_groups(lab, columns)
+    assert np.array_equal(group < 0, src != np.arange(n))
+    with_cols = set(group[[c[0] for c in cols]].tolist()) - {-1}
     full = {g for g in with_cols if membership[group == g].all()}
     assert res.cholesky_blocks == len(full)
     assert (res.primes_used, res.fallback_used) == (int(with_cols > full),
                                                     False)
+    if cols:        # without columns the rows are one block
+        roots = np.flatnonzero(lab == np.arange(n))
+        assert res.components == len(roots)
+        assert res.distinct_components == np.count_nonzero(group[roots] >= 0)
+
+
+def _spans_apart(n, columns):
+    """The span with every component certified on its own."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(exact, "_representatives",
+                  lambda comp, local, size, columns: np.arange(len(size)))
+        return span_of_indicator_columns(n, columns)
+
+
+def _assert_same_span(a, b):
+    assert (a.rank, a.kernel.dtype) == (b.rank, b.kernel.dtype)
+    assert np.array_equal(a.membership, b.membership)
+    assert a.kernel.tobytes() == b.kernel.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_a_collision_of_keys_changes_no_answer(data):
+    # every component gets the same key, so every one is compared exactly
+    # with the first component; only true copies may take its answer.
+    # Rows base..2 base-1 copy the columns of rows 0..base-1.
+    n = data.draw(st.integers(_PACK_ROWS + 1, _PACK_ROWS + 60))
+    base = n // 4
+
+    def draw(low, high):
+        return [tuple(sorted(data.draw(st.sets(st.integers(low, high - 1),
+                                               min_size=1, max_size=3))))
+                for _ in range(data.draw(st.integers(0, high - low)))]
+
+    first = draw(0, base)
+    cols = first + draw(2 * base, n) + [tuple(i + base for i in c)
+                                        for c in first]
+    columns = IndicatorColumns.from_supports(data.draw(st.permutations(cols)))
+    want = _spans_apart(n, columns)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(exact, "_component_keys",
+                  lambda size, *rest: np.zeros((1, len(size))))
+        got = span_of_indicator_columns(n, columns)
+    _assert_same_span(got, want)
+    assert annihilates(got.kernel, columns)
+    if cols:
+        assert got.distinct_components < got.components
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_long_columns_are_compared_without_overflow(collide):
+    # three 100-row components on the rows 0, 1 and 2 mod 3: paths with one
+    # column of 10 rows, at local rows 0..9 in the first two and 1..10 in
+    # the third.  100^10 > 2^63: the codes are ranks of padded rows.
+    local = [(i, i + 1) for i in range(99)]
+    cols = []
+    for r, long in enumerate((range(10), range(10), range(1, 11))):
+        cols += [tuple(3 * i + r for i in c) for c in local + [tuple(long)]]
+    columns = IndicatorColumns.from_supports(cols)
+    with pytest.MonkeyPatch.context() as m:
+        if collide:
+            m.setattr(exact, "_component_keys",
+                      lambda size, *rest: np.zeros((1, len(size))))
+        got = span_of_indicator_columns(300, columns)
+    assert (got.components, got.distinct_components) == (3, 2)
+    _assert_same_span(got, _spans_apart(300, columns))
+
+
+@pytest.mark.parametrize("symbol, components, distinct", [
+    ("27^-2", 225, 2), ("25^+2", 121, 2), ("16_1^+1.9^+1", 84, 4),
+    ("3^+6", 3, 3)])
+def test_copies_match_every_component_apart(symbol, components, distinct):
+    form = build_form(parse_symbol(symbol))
+    columns = span_columns(form, prime_order_subgroups(form))
+    got = span_of_indicator_columns(form.order, columns)
+    assert (got.components, got.distinct_components) == (components,
+                                                         distinct)
+    want = _spans_apart(form.order, columns)
+    assert want.distinct_components == components
+    _assert_same_span(got, want)
 
 
 @pytest.mark.parametrize("shuffle", [False, True])
@@ -347,7 +439,7 @@ def test_long_path_is_one_component(shuffle):
              else np.arange(n))
     cols = [tuple(sorted((int(order[i]), int(order[i + 1]))))
             for i in range(n - 1)]
-    assert not _row_groups(n, IndicatorColumns.from_supports(cols)).any()
+    assert not _component_labels(n, IndicatorColumns.from_supports(cols)).any()
     res = span_of_indicator_columns(n, cols)
     assert (res.rank, res.blocks) == (n - 1, 1)
     # the kernel alternates in sign along the path
@@ -384,7 +476,8 @@ def test_a_column_across_two_groups_is_refused(monkeypatch):
     n = _PACK_ROWS + 2
     cols = [(0, n - 1)]
     monkeypatch.setattr(exact, "_row_groups",
-                        lambda n, columns: (np.arange(n) >= _PACK_ROWS
-                                            ).astype(np.int64))
+                        lambda lab, columns: (
+                            (np.arange(len(lab)) >= _PACK_ROWS).astype(
+                                np.int64), np.arange(len(lab))))
     with pytest.raises(ArithmeticError):
         span_of_indicator_columns(n, cols)
