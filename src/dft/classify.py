@@ -16,7 +16,6 @@ span exactly when gamma's connected component contains an odd cycle.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,6 +23,7 @@ import numpy as np
 
 from . import bounds
 from .errors import NotTwoAdic, ValidityError
+from .exact import component_labels
 from .fqm import DiscriminantForm, Element
 from .lifts import isotropic_indices
 from .ntheory import legendre, kronecker2, prime_power, prime_power_factors
@@ -310,7 +310,39 @@ def contains_isotropic_elementary(form: DiscriminantForm, p: int, k: int) -> boo
 
 class IsotropyGraph:
     """Vertices are the form's elements; edges join gamma to gamma + mu for
-    isotropic order-2 mu orthogonal to gamma."""
+    isotropic order-2 mu orthogonal to gamma.
+
+    The edges are found in bulk: for a chunk of the mu, one product gives
+    the rows of mu_perp, and ``add_indices`` the partners gamma + mu.  They
+    are kept once each, as the rows (gamma, gamma + mu) of the int32 array
+    ``edges`` with gamma < gamma + mu.  The relation is symmetric:
+    b(mu, gamma + mu) = b(mu, gamma) + 2 q(mu) = b(mu, gamma).
+
+    Components and bipartiteness are read off the bipartite double cover,
+    whose vertices are the pairs (gamma, c), c in {0, 1}, numbered
+    2 gamma + c, with the edges (gamma, c) -- (gamma + mu, 1 - c).  A
+    component holds an odd closed walk through gamma exactly when (gamma, 0)
+    and (gamma, 1) are joined in the cover: an odd closed walk
+    gamma = v_0, v_1, ..., v_k = gamma lifts, step by step, to the path
+    (v_0, 0), (v_1, 1), ..., (v_k, k mod 2) = (gamma, 1); and a path from
+    (gamma, 0) to (gamma, 1) flips c at every step, so it has odd length
+    and projects to an odd closed walk through gamma.  A component is
+    connected, so it holds an odd closed walk through one of its vertices
+    exactly when it does through every one of them.
+
+    One labelling of the cover (``exact.component_labels``) gives it all.
+    The least vertex of gamma's component is
+    min(cover[2 gamma], cover[2 gamma + 1]) // 2, since the lifts of a
+    component are the cover vertices over it; components are numbered in
+    the order of their least vertices.  A component with least vertex r is
+    bipartite exactly when (r, 0) and (r, 1) carry different labels, and
+    then gamma's colour is 1 exactly when (gamma, 0) is not joined to
+    (r, 0), that is when every walk from r to gamma is odd.  Colours are
+    0 on the other components.
+
+    ``neighbors`` is built from ``edges`` on first use, and so is the
+    breadth-first search of one component's cover in ``odd_walk_through``.
+    """
 
     def __init__(self, form: DiscriminantForm):
         if any(p != 2 for p in prime_power_factors(form.level)):
@@ -318,61 +350,40 @@ class IsotropyGraph:
         bounds.check_span_order(form.order)
         self.form = form
         n = form.order
-        neighbors: list[list[int]] = [[] for _ in range(n)]
-        idx = np.arange(n)
-        for i in isotropic_indices(form, 2):
-            mask = form.b_row_num(int(i)) == 0
-            partners = form.add_index_vec(idx[mask], int(i))
-            for a, c in zip(idx[mask], partners):
-                neighbors[int(a)].append(int(c))
-        self.neighbors = [sorted(set(ns)) for ns in neighbors]
-        self._analyze()
+        self.edges = _graph_edges(form)
+        a, b = 2 * self.edges[:, 0], 2 * self.edges[:, 1]
+        cover = component_labels(2 * n, np.concatenate([a, a + 1]),
+                                 np.concatenate([b + 1, b]))
+        least = np.minimum(cover[0::2], cover[1::2]) // 2
+        is_root = least == np.arange(n)
+        roots = np.flatnonzero(is_root)
+        self.component = (np.cumsum(is_root) - 1)[least]
+        self.bipartite: list[bool] = (cover[2 * roots]
+                                      != cover[2 * roots + 1]).tolist()
+        self.color = (cover[0::2] != cover[2 * least]).astype(np.int64)
+        self.n_components = len(roots)
+        self._adjacency = self._neighbors = None
 
-    def _analyze(self):
-        n = self.form.order
-        comp = np.full(n, -1, dtype=np.int64)
-        color = np.zeros(n, dtype=np.int64)
-        parent = np.full(n, -1, dtype=np.int64)
-        self.bipartite: list[bool] = []
-        self.odd_cycles: dict[int, list[int]] = {}
-        cid = 0
-        for root in range(n):
-            if comp[root] >= 0:
-                continue
-            comp[root] = cid
-            color[root] = 0
-            queue = deque([root])
-            conflict = None
-            while queue:
-                u = queue.popleft()
-                for w in self.neighbors[u]:
-                    if comp[w] < 0:
-                        comp[w] = cid
-                        color[w] = color[u] ^ 1
-                        parent[w] = u
-                        queue.append(w)
-                    elif color[w] == color[u] and conflict is None:
-                        conflict = (u, w)
-            self.bipartite.append(conflict is None)
-            if conflict is not None:
-                self.odd_cycles[cid] = self._trace_cycle(parent, *conflict)
-            cid += 1
-        self.component = comp
-        self.color = color
-        self.n_components = cid
+    @property
+    def neighbors(self) -> list[list[int]]:
+        """The neighbours of every vertex, ascending."""
+        if self._neighbors is None:
+            indptr, nbrs = self._csr()
+            flat, ends = nbrs.tolist(), indptr.tolist()
+            self._neighbors = [flat[i:j] for i, j in zip(ends, ends[1:])]
+        return self._neighbors
 
-    @staticmethod
-    def _trace_cycle(parent, u, w):
-        anc_u = [u]
-        while parent[anc_u[-1]] >= 0:
-            anc_u.append(int(parent[anc_u[-1]]))
-        pos = {v: i for i, v in enumerate(anc_u)}
-        path_w = [w]
-        while path_w[-1] not in pos:
-            path_w.append(int(parent[path_w[-1]]))
-        lca = path_w[-1]
-        cycle = anc_u[:pos[lca] + 1] + path_w[-2::-1]
-        return cycle
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, nbrs): vertex v's neighbours, ascending, are
+        nbrs[indptr[v]:indptr[v + 1]]."""
+        if self._adjacency is None:
+            n = self.form.order
+            a, b = self.edges[:, 0].astype(np.int64), self.edges[:, 1]
+            key = np.sort(np.concatenate([a * n + b, b * n + a]))
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+            self._adjacency = indptr, key % n
+        return self._adjacency
 
     def component_of(self, gamma: Element) -> int:
         return int(self.component[self.form.index(gamma)])
@@ -381,35 +392,56 @@ class IsotropyGraph:
         return not self.bipartite[self.component_of(gamma)]
 
     def odd_walk_through(self, gamma: Element) -> Optional[list[Element]]:
-        """A closed walk of odd length through gamma, or None if bipartite."""
-        cid = self.component_of(gamma)
-        if self.bipartite[cid]:
+        """A closed walk of odd length through gamma, or None if bipartite:
+        the projection of a shortest path from (gamma, 0) to (gamma, 1) in
+        the double cover, found by a breadth-first search of gamma's
+        component."""
+        if not self.is_nonbipartite_at(gamma):
             return None
-        cycle = self.odd_cycles[cid]
+        indptr, nbrs = self._csr()
         start = self.form.index(gamma)
-        if start in cycle:
-            at = cycle.index(start)
-            walk = cycle[at:] + cycle[:at]
-        else:
-            path = self._bfs_path(start, cycle[0])
-            walk = path + cycle[1:] + [cycle[0]] + path[-2:0:-1]
-        return [self.form.element(i) for i in walk]
+        src, dst = 2 * start, 2 * start + 1
+        parent = np.full(2 * self.form.order, -1, dtype=np.int64)
+        parent[src] = src
+        frontier = np.array([src])
+        while parent[dst] < 0:
+            lo = indptr[frontier // 2]
+            deg = indptr[frontier // 2 + 1] - lo
+            tail = np.repeat(frontier, deg)
+            at = np.arange(len(tail)) + np.repeat(lo - np.cumsum(deg) + deg,
+                                                  deg)
+            head = 2 * nbrs[at] + 1 - tail % 2
+            fresh = parent[head] < 0
+            head, tail = head[fresh], tail[fresh]
+            parent[head] = tail
+            # a head reached twice keeps one of its tails
+            frontier = head[parent[head] == tail]
+        walk = [dst]
+        while walk[-1] != src:
+            walk.append(int(parent[walk[-1]]))
+        # the path ends at (gamma, 1); the closing step returns to gamma
+        return [self.form.element(v // 2) for v in walk[:0:-1]]
 
-    def _bfs_path(self, src: int, dst: int) -> list[int]:
-        prev = {src: None}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            if u == dst:
-                break
-            for w in self.neighbors[u]:
-                if w not in prev:
-                    prev[w] = u
-                    queue.append(w)
-        path = [dst]
-        while prev[path[-1]] is not None:
-            path.append(prev[path[-1]])
-        return path[::-1]
+
+# entries of the mu x |D| orthogonality table per chunk of _graph_edges
+_EDGE_CHUNK = 1 << 18
+
+
+def _graph_edges(form: DiscriminantForm) -> np.ndarray:
+    """The isotropy graph's edges (gamma, gamma + mu), gamma < gamma + mu,
+    as int32 rows, chunked over the isotropic order-2 mu."""
+    mus = isotropic_indices(form, 2)
+    step = max(1, _EDGE_CHUNK // form.order)
+    parts = [np.zeros((0, 2), dtype=np.int32)]
+    for s in range(0, len(mus), step):
+        mu = mus[s:s + step]
+        # mu_perp has |D| / 2 elements: one row of gamma per mu
+        gamma = np.nonzero(form.b_row_num(mu) == 0)[1].reshape(len(mu), -1)
+        partner = form.add_indices(gamma, mu[:, None])
+        keep = gamma < partner
+        parts.append(np.stack([gamma[keep], partner[keep]],
+                              axis=1).astype(np.int32))
+    return np.concatenate(parts)
 
 
 def build_isotropy_graph(form: DiscriminantForm) -> IsotropyGraph:
@@ -424,7 +456,7 @@ def gamma_in_image_by_graph(form: DiscriminantForm, gamma: Element) -> bool:
 def build_graph_cached(form: DiscriminantForm) -> IsotropyGraph:
     """The isotropy graph, built once per form.
 
-    The form caches the graph's adjacency and components, not the graph:
+    The form caches the graph's edges and components, not the graph:
     the graph refers to the form, and a cycle between the two would leave
     both, with everything else cached on the form, to the cyclic garbage
     collector.

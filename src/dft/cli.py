@@ -117,14 +117,13 @@ def cmd_graph(args) -> int:
     bounds.check_span_order(sym.order)
     form = build_form(sym)
     graph = build_graph_cached(form)
-    dot = graph_to_dot(graph)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot + "\n")
+            fh.write(graph_to_dot(graph) + "\n")
     summary = {
         "symbol": str(sym),
         "vertices": form.order,
-        "edges": sum(len(ns) for ns in graph.neighbors) // 2,
+        "edges": len(graph.edges),
         "components": graph.n_components,
         "bipartite_components": sum(graph.bipartite),
         "nonbipartite_components": graph.n_components - sum(graph.bipartite),

@@ -454,7 +454,7 @@ def _gram(n: int, columns: IndicatorColumns) -> np.ndarray:
     counts the columns that contain both i and j."""
     lengths = np.diff(columns.indptr)
     keys = []
-    for size in np.unique(lengths):
+    for size in np.flatnonzero(np.bincount(lengths)):
         starts = columns.indptr[:-1][lengths == size]
         support = columns.indices[starts[:, None] + np.arange(size)]
         keys.append((support[:, :, None] * n + support[:, None, :]).ravel())
@@ -569,26 +569,40 @@ def _span_block(n: int, columns: IndicatorColumns) -> SpanResult:
     return res
 
 
-def _component_labels(n: int, columns: IndicatorColumns) -> np.ndarray:
-    """The least row of every row's connected component.
+def component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The least vertex of every vertex's connected component, in the graph
+    on range(n) with the edges a[k] -- b[k].
 
-    Two rows are linked when a column holds both.  The labels are found by
-    min-label propagation over the columns, with pointer jumping.
+    Min-label propagation with pointer jumping (Shiloach and Vishkin,
+    J. Algorithms 3 (1982) 57-67).  Each round lowers the label of both
+    ends of every edge to the lesser of their labels, then replaces every
+    label by the label of its label until that is a fixed point.  A label
+    only falls and always names a vertex of the same component, so the
+    least vertex keeps its own label; the rounds stop when no label falls,
+    that is when the ends of every edge carry the same label, which then
+    labels itself: the least vertex of the component.
     """
-    lengths = np.diff(columns.indptr)
-    starts = columns.indptr[:-1][lengths > 0]
-    lengths = lengths[lengths > 0]
-    lab = np.arange(n)
-    while len(starts):
-        low = np.minimum.reduceat(lab[columns.indices], starts)
+    lab = np.arange(n, dtype=np.result_type(a, b))
+    while len(a):
+        low = np.minimum(lab[a], lab[b])
         new = lab.copy()
-        np.minimum.at(new, columns.indices, np.repeat(low, lengths))
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
         while not np.array_equal(new[new], new):
             new = new[new]
         if np.array_equal(new, lab):
             break
         lab = new
     return lab
+
+
+def _component_labels(n: int, columns: IndicatorColumns) -> np.ndarray:
+    """The least row of every row's connected component, two rows being
+    linked when a column holds both: each column links its first row to
+    every one of its rows."""
+    first = columns.indices[np.repeat(columns.indptr[:-1],
+                                      np.diff(columns.indptr))]
+    return component_labels(n, first, columns.indices)
 
 
 def _component_keys(size, col_comp, lengths, rows, starts) -> np.ndarray:

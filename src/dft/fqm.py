@@ -5,7 +5,8 @@ o_1, ..., o_m and two integer tables over the level L, the numerators of
 q(g_i) and of the Gram table b(g_i, g_j).  An element is its coefficient
 tuple (x_1, ..., x_m) with 0 <= x_i < o_i; its index is the mixed-radix
 number with those digits, the last generator varying fastest, and the
-vectorized methods work on arrays of indices.
+vectorized methods work on arrays of indices.  ``add_indices`` is the one
+translate kernel: it adds index arrays digit by digit, without division.
 
 Forms built from a genus symbol use the Jordan block models below.  A
 quotient H_perp/H gets generators of its own, of prime-power order, from
@@ -277,11 +278,24 @@ class DiscriminantForm:
         """Sorted indices of all s + t with s in S and t in T: the subgroup
         S + T when S and T are subgroups."""
         C = self.coeff_matrix()
-        return np.unique(self.indices(C[S][:, None, :] + C[T][None, :, :]))
+        s = np.sort(self.indices(C[S][:, None, :] + C[T][None, :, :]),
+                    axis=None)
+        return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
-    def add_index_vec(self, indices: np.ndarray, j: int) -> np.ndarray:
-        return self.indices(self.coeff_matrix()[indices]
-                            + np.array(self.element(j), dtype=np.int64))
+    def add_indices(self, x, y) -> np.ndarray:
+        """Indices of element(x) + element(y), elementwise over the
+        broadcast index arrays x and y.
+
+        Digit by digit from the columns of ``coeff_matrix``, with no
+        division: 0 <= x_i + y_i < 2 o_i, so the digit carries exactly when
+        x_i + y_i >= o_i, and
+        idx(x + y) = x + y - sum_i o_i place_i [x_i + y_i >= o_i].
+        """
+        C = self.coeff_matrix()
+        out = np.add(x, y, dtype=np.int64)
+        for i, (o, place) in enumerate(zip(self.orders, self._places)):
+            out -= (C[x, i] + C[y, i] >= o) * (o * place)
+        return out
 
     def neg_index_vec(self, indices: np.ndarray) -> np.ndarray:
         return self.indices(-self.coeff_matrix()[indices])

@@ -64,7 +64,8 @@ def prime_order_subgroups(form: DiscriminantForm) -> tuple[Subgroup, ...]:
     if cached is not None:
         return cached
     iso = isotropic_indices(form)
-    iso = iso[np.isin(form.order_array()[iso], prime_power_factors(form.order))]
+    primes = np.array(prime_power_factors(form.order), dtype=np.int64)
+    iso = iso[(form.order_array()[iso, None] == primes).any(axis=1)]
     seen = np.zeros(form.order, dtype=bool)
     lines = []
     for i in iso:
@@ -175,17 +176,58 @@ def descent_matrix(form: DiscriminantForm, H: Subgroup) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# pairs (H, x in H_perp) per chunk of span_columns
+_CHUNK = 1 << 15
+
+
 def span_columns(form: DiscriminantForm, subgroups) -> IndicatorColumns:
     """All lift-matrix columns (coset supports) for the given subgroups,
     subgroup by subgroup, each subgroup's cosets in order of their least
-    member."""
+    member.
+
+    The subgroups are taken in runs of consecutive ones with the same
+    order |H| and the same number of generators, and each run in chunks
+    of at most max(1, _CHUNK |H| / |D|) subgroups: H_perp has |D| / |H|
+    elements, so a chunk holds about _CHUNK pairs (H, x in H_perp) and no
+    intermediate more than about _CHUNK |H| entries.  A chunk's H_perp
+    rows come from one product of its generators' Gram rows, and every
+    pair is translated by the nonzero members of its H at once
+    (``add_indices``).  x is the least member of its coset x + H when
+    every translate exceeds it; those pairs give the columns, x first,
+    then the translates in increasing order.  The pairs come out by
+    subgroup, then by x, so the order is the one above.
+    """
+    subgroups = list(subgroups)
     blocks = []
-    for H in subgroups:
-        perp = perp_indices(form, H.generators)
-        stacked = np.stack([form.add_index_vec(perp, j) for j in H.indices])
-        is_rep = perp == stacked.min(axis=0)
-        blocks.append(np.sort(stacked[:, is_rep].T, axis=1))
+    start = 0
+    while start < len(subgroups):
+        h, g = subgroups[start].order, len(subgroups[start].generators)
+        stop = start + 1
+        while (stop < len(subgroups) and subgroups[stop].order == h
+               and len(subgroups[stop].generators) == g):
+            stop += 1
+        step = max(1, _CHUNK * h // form.order)
+        for a in range(start, stop, step):
+            blocks.append(_coset_columns(form, subgroups[a:min(a + step,
+                                                               stop)]))
+        start = stop
     return IndicatorColumns.from_blocks(blocks)
+
+
+def _coset_columns(form: DiscriminantForm, run) -> np.ndarray:
+    """The sorted coset supports of subgroups of one order and one number
+    of generators, subgroup by subgroup, by least member."""
+    g = len(run[0].generators)
+    gens = form.indices(np.array([H.generators for H in run], dtype=np.int64)
+                        .reshape(len(run) * g, len(form.orders)))
+    perp = (form.b_row_num(gens) == 0).reshape(len(run), g, form.order)
+    # H_perp has |D| / |H| elements: one row of x per subgroup
+    x = np.nonzero(perp.all(axis=1))[1].reshape(len(run), -1, 1)
+    # the members but 0, which is H.indices[0]
+    members = np.stack([H.indices[1:] for H in run])
+    shifted = form.add_indices(x, members[:, None, :])
+    keep = (shifted > x).all(axis=2)
+    return np.concatenate([x[keep], np.sort(shifted[keep], axis=1)], axis=1)
 
 
 def lift_span(form: DiscriminantForm, max_order=None) -> SpanResult:
@@ -289,7 +331,7 @@ def kernel_vector(form: DiscriminantForm, gamma: Element) -> dict[Element, Fract
     row[g] = p - 1
     for S in cyclic.values():
         if len(S) == p:
-            row[form.add_index_vec(S[1:], g)] -= 1
+            row[form.add_indices(S[1:], g)] -= 1
     # a descent kills v when v sums to zero over every coset column
     subs = [index_subgroup(form, S) for S in cyclic.values()]
     if not annihilates(row[None, :], span_columns(form, subs)):
@@ -436,7 +478,7 @@ def rank5_expression(form: DiscriminantForm, gamma: Element):
 def check_transitivity(form: DiscriminantForm, H: Subgroup, K: Subgroup) -> bool:
     """Exact identity: lifting along H then along K/H equals lifting along K
     (and dually for descents), through the quotient-form maps."""
-    if not np.isin(H.indices, K.indices).all():
+    if not np.isin(H.indices, K.indices, kind="table").all():
         raise NotNested("H must be contained in K")
     for S in (H, K):
         if not is_isotropic(form, S):
@@ -446,8 +488,9 @@ def check_transitivity(form: DiscriminantForm, H: Subgroup, K: Subgroup) -> bool
     if H.order == 1:
         raise ValidityError("H must be non-trivial")
     QH, QK = _quotient(form, H), _quotient(form, K)
-    KH = index_subgroup(QH.form, np.unique(QH.form.indices(
-        QH.project.rows(form.coeff_matrix()[K.indices]))))
+    KH = index_subgroup(QH.form, np.flatnonzero(np.bincount(
+        QH.form.indices(QH.project.rows(form.coeff_matrix()[K.indices])),
+        minlength=QH.form.order)))
     QKH = _quotient(QH.form, KH)
     left = (_lift_map(form, H, QH).matrix()
             @ _lift_map(QH.form, KH, QKH).matrix())

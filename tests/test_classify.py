@@ -1,6 +1,8 @@
 import gc
 import weakref
+from collections import deque
 
+import numpy as np
 import pytest
 
 from dft.classify import (build_graph_cached, build_isotropy_graph,
@@ -10,7 +12,8 @@ from dft.classify import (build_graph_cached, build_isotropy_graph,
                           small_type)
 from dft.errors import NotTwoAdic, ValidityError
 from dft.fqm import build_form
-from dft.lifts import e_gamma_in_image, lift_span
+from dft.lifts import (e_gamma_in_image, isotropic_indices, lift_span,
+                       prime_order_subgroups, span_columns)
 from dft.symbols import enumerate_symbols, parse_symbol
 
 
@@ -169,6 +172,84 @@ def test_odd_walk_through():
     assert walk[0] == d.elements[5]
     d2 = build("2_II^+2")
     assert build_isotropy_graph(d2).odd_walk_through((0, 0)) is None
+
+
+def _graph_by_bfs(form):
+    """(component, bipartite, color, neighbors) from per-vertex neighbour
+    lists and a breadth-first search from each component's least vertex."""
+    n, C = form.order, form.coeff_matrix()
+    neighbors = [[] for _ in range(n)]
+    for mu in isotropic_indices(form, 2):
+        perp = np.flatnonzero(form.b_row_num(mu) == 0)
+        for i, j in zip(perp, form.indices(C[perp] + C[mu])):
+            neighbors[int(i)].append(int(j))
+    neighbors = [sorted(ns) for ns in neighbors]
+    comp = np.full(n, -1)
+    color = np.zeros(n, dtype=np.int64)
+    bipartite = []
+    for root in range(n):
+        if comp[root] >= 0:
+            continue
+        comp[root] = len(bipartite)
+        queue, ok = deque([root]), True
+        while queue:
+            u = queue.popleft()
+            for w in neighbors[u]:
+                if comp[w] < 0:
+                    comp[w], color[w] = comp[root], color[u] ^ 1
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    ok = False
+        bipartite.append(ok)
+    return comp, bipartite, color, neighbors
+
+
+def _two_adic_forms(max_order):
+    return [build_form(s) for s in enumerate_symbols(max_order, {2})]
+
+
+def test_graph_matches_the_breadth_first_search():
+    for form in _two_adic_forms(128):
+        g = build_isotropy_graph(form)
+        comp, bipartite, color, neighbors = _graph_by_bfs(form)
+        assert np.array_equal(g.component, comp)
+        assert g.bipartite == bipartite and g.n_components == len(bipartite)
+        on_bipartite = np.array(bipartite)[comp]
+        assert np.array_equal(g.color[on_bipartite], color[on_bipartite])
+        assert not g.color[~on_bipartite].any()
+        assert g.neighbors == neighbors
+
+
+def test_graph_edges_are_the_columns_of_the_lines():
+    # the two-element coset columns of the order-2 lines are the edges,
+    # found by an independent route
+    for form in _two_adic_forms(128):
+        g = build_isotropy_graph(form)
+        cols = span_columns(form, prime_order_subgroups(form))
+        pairs = cols.indices.reshape(-1, 2)[np.diff(cols.indptr) == 2] \
+            if len(cols) else np.zeros((0, 2), dtype=np.int64)
+        assert g.edges.dtype == np.int32
+        assert (g.edges[:, 0] < g.edges[:, 1]).all()
+        assert sorted(map(tuple, g.edges.tolist())) == \
+            sorted(map(tuple, pairs.tolist()))
+
+
+def test_odd_walks_close_along_edges():
+    for text in ("2_II^+6", "2_2^+6"):
+        d = build(text)
+        g = build_isotropy_graph(d)
+        edges = set(map(tuple, g.edges.tolist()))
+        walks = 0
+        for i, e in enumerate(d.elements):
+            if g.bipartite[int(g.component[i])]:
+                assert g.odd_walk_through(e) is None
+                continue
+            walk = [d.index(v) for v in g.odd_walk_through(e)]
+            assert walk[0] == i and len(walk) % 2 == 1
+            for u, v in zip(walk, walk[1:] + walk[:1]):
+                assert (min(u, v), max(u, v)) in edges
+            walks += 1
+        assert walks
 
 
 def test_dot_output():

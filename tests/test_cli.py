@@ -1,8 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dft
+from dft.classify import IsotropyGraph
 from dft.cli import main
 from dft.errors import BoundExceeded
 from dft.sweep import SweepConfig, run_sweep
@@ -128,12 +133,18 @@ def test_sweep_hash_ignores_enumeration_and_cyclotomic_bounds(monkeypatch):
     assert SweepConfig(max_order=9, primes=(3,)).config_hash() == before
 
 
-def test_graph_command(capsys, tmp_path):
+def test_graph_command(capsys, tmp_path, monkeypatch):
     dot = tmp_path / "g.dot"
     code, out = run_cli(capsys, "graph", "2_II^+2", "--dot", str(dot))
     assert code == 0
     assert out["components"] == 2 and out["vertices"] == 4
+    assert out["edges"] == 2
     assert dot.read_text().startswith("graph isotropy {")
+    # without --dot the summary comes from the edge array alone
+    monkeypatch.setattr(IsotropyGraph, "neighbors", property(
+        lambda self: pytest.fail("per-vertex lists were built")))
+    code, out = run_cli(capsys, "graph", "2_II^+2")
+    assert (code, out["edges"], out["components"]) == (0, 2, 2)
 
 
 def test_graph_rejects_odd_level(capsys, monkeypatch):
@@ -209,3 +220,19 @@ def test_sweep_resume_config_mismatch(tmp_path, capsys):
     code, err = run_cli(capsys, "classify-sweep", "--max-order", "27",
                         "--primes", "3", "--out", str(out), "--resume")
     assert code == 2 and err["error"]["type"] == "ConfigError"
+
+
+def test_sweep_records_do_not_import_numpy_ma():
+    # numpy.ma costs about 1.25 MB of resident memory in a sweep process;
+    # the first one-dimensional np.unique (or np.isin through it) loads it
+    code = ("import sys\n"
+            "from dft.sweep import evaluate_symbol\n"
+            "for text in ('2_II^+4.4_II^-2', '3^-6', '25^+2', '2_1^+1.3^-1'):\n"
+            "    evaluate_symbol(text)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(dft.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -7,7 +7,10 @@ import pytest
 
 from dft.errors import (EvenLength, HypothesisFailed, NotACycle, NotIsotropic,
                         NotNested, ValidityError)
-from dft.fqm import build_form, direct_sum, subgroup_from_generators
+from dft import lifts
+from dft.exact import IndicatorColumns
+from dft.fqm import (build_form, direct_sum, perp_indices,
+                     subgroup_from_generators)
 from dft.lifts import (_perp_has_pair, check_transitivity, descent_matrix,
                        e_gamma_in_image, isotropic_elements,
                        isotropic_subgroups, kernel_vector, lift_matrix,
@@ -16,7 +19,7 @@ from dft.lifts import (_perp_has_pair, check_transitivity, descent_matrix,
                        span_columns, spans_agree_with_all_subgroups)
 from dft.ntheory import prime_power_factors
 from dft.symbols import enumerate_symbols, parse_symbol
-from dft.verify import CHECKS
+from dft.verify import CHECKS, lemma_corpus
 
 
 def build(text):
@@ -131,7 +134,8 @@ def test_quotient_cache_makes_no_reference_cycle():
         subs = isotropic_subgroups(d)
         H = next(H for H in subs if H.order == 2)
         for K in subs:
-            if K.order > 2 and np.isin(H.indices, K.indices).all():
+            if K.order > 2 and np.isin(H.indices, K.indices,
+                                       kind="table").all():
                 assert check_transitivity(d, H, K)
         lift_matrix(d, H).matrix()
         assert d._quotients
@@ -164,6 +168,59 @@ def test_span_certificate_sides():
 def test_span_kernel_duality_check():
     result = CHECKS["span-kernel-duality"](max_order=32)
     assert result.passed, result.detail
+
+
+def _span_columns_by_subgroup(form, subgroups):
+    """The coset columns one subgroup at a time: each member of H_perp is
+    translated by every member of H through the coefficient rows."""
+    C = form.coeff_matrix()
+    blocks = []
+    for H in subgroups:
+        perp = perp_indices(form, H.generators)
+        stacked = np.stack([form.indices(C[perp] + C[j]) for j in H.indices])
+        is_rep = perp == stacked.min(axis=0)
+        blocks.append(np.sort(stacked[:, is_rep].T, axis=1))
+    return IndicatorColumns.from_blocks(blocks)
+
+
+def _same_columns(form, subgroups):
+    got = span_columns(form, subgroups)
+    want = _span_columns_by_subgroup(form, subgroups)
+    return (got.indices.tobytes() == want.indices.tobytes()
+            and got.indptr.tobytes() == want.indptr.tobytes())
+
+
+def _column_corpus():
+    small = lemma_corpus(64)
+    return small + [s for s in enumerate_symbols(128, {2}) if s.order > 64]
+
+
+def test_span_columns_match_the_subgroup_loop():
+    # every isotropic subgroup of every form, in the enumeration's order,
+    # which mixes runs of every order and number of generators
+    for sym in _column_corpus():
+        form = build_form(sym)
+        assert _same_columns(form, isotropic_subgroups(form)), str(sym)
+
+
+def test_span_columns_split_runs_into_chunks(monkeypatch):
+    form = build("2_0^+2.4_II^+2")
+    subs = isotropic_subgroups(form)
+    cyclic = [H for H in subs if H.order == 4 and len(H.generators) == 1]
+    klein = [H for H in subs if H.order == 4 and len(H.generators) == 2]
+    # runs of one subgroup each: the order of the columns is the list's
+    mixed = [H for pair in zip(cyclic, klein) for H in pair]
+    assert len(mixed) >= 6
+    for chunk in (1, 20, 64, 1 << 15):
+        # in |D| = 64 a chunk of 64 pairs takes two subgroups of order 2
+        # or four of order 4, so longer runs split mid-run; 20 and 1 take
+        # one subgroup a chunk
+        monkeypatch.setattr(lifts, "_CHUNK", chunk)
+        assert _same_columns(form, mixed)
+        assert _same_columns(form, mixed[::-1])
+        assert _same_columns(form, subs)
+        assert _same_columns(form, prime_order_subgroups(form))
+    assert _same_columns(form, [])
 
 
 def test_spans_agree_with_all_subgroups_small():
