@@ -25,7 +25,7 @@ from . import bounds
 from .errors import NotTwoAdic, ValidityError
 from .exact import component_labels
 from .fqm import DiscriminantForm, Element
-from .lifts import isotropic_indices
+from .lifts import isotropic_indices, isotropic_lines
 from .ntheory import legendre, kronecker2, prime_power, prime_power_factors
 from .symbols import EVEN, ODD, GenusSymbol
 
@@ -279,28 +279,49 @@ def max_isotropic_rank(p: int, n: int, eps: int) -> int:
 
 
 def contains_isotropic_elementary(form: DiscriminantForm, p: int, k: int) -> bool:
-    """Search for an isotropic subgroup isomorphic to (Z/pZ)^k."""
+    """Search for an isotropic subgroup isomorphic to (Z/pZ)^k.
+
+    The isotropic elementary subgroups are walked once each, through their
+    greedy bases: a subgroup W has the basis h_1 < h_2 < ... of line
+    generators (``isotropic_lines``) in which h_{j+1} is the least
+    generator of a line of W outside S_j = <h_1, ..., h_j>.  The basis is
+    pairwise orthogonal, since b vanishes on an isotropic subgroup.  So
+    the search extends S_j only by generators g of lines outside it that
+    come after h_j and are orthogonal to every h_i, and keeps S_j + <g>
+    only when no line it adds has a generator below g.  Every W is
+    reached, along its greedy basis, and along no other path: on a kept
+    path every line added after step j has a generator above h_{j+1}.
+    Each S_j + <g> is isotropic, since q(s + i g) = q(s) + i^2 q(g)
+    + i b(s, g), and elementary of one more rank.
+    """
     bounds.check_span_order(form.order)
     if k == 0:
         return True
-    cand = isotropic_indices(form, p)
-    if len(cand) < p ** k - 1:
+    lines = isotropic_lines(form, p)
+    if len(lines) < (p ** k - 1) // (p - 1):
         return False
-    orth = form.b_row_num(cand)[:, cand] == 0
-    lines = [form.cyclic_indices(c) for c in cand]
+    gens = lines[:, 1]
+    orth = form.b_row_num(gens)[:, gens] == 0
 
-    def extend(depth, span, mask, start):
+    def extend(depth, span, inside, allowed):
+        # inside: which lines lie in span; allowed: the candidate lines
         if depth == k:
             return True
-        for a in range(start, len(cand)):
-            if mask[a] and cand[a] not in span:
-                if extend(depth + 1, form.sum_indices(span, lines[a]),
-                          mask & orth[a], a + 1):
-                    return True
+        for a in np.flatnonzero(allowed):
+            bigger = form.sum_indices(span, lines[a])
+            in_bigger = np.zeros(form.order, dtype=bool)
+            in_bigger[bigger] = True
+            added = in_bigger[gens] & ~inside
+            if added[:a].any():
+                continue
+            after = allowed & orth[a] & ~added
+            after[:a + 1] = False
+            if extend(depth + 1, bigger, inside | added, after):
+                return True
         return False
 
-    return extend(0, np.zeros(1, dtype=np.int64),
-                  np.ones(len(cand), dtype=bool), 0)
+    none = np.zeros(len(gens), dtype=bool)
+    return extend(0, np.zeros(1, dtype=np.int64), none, ~none)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,17 @@ coordinates in the quotient, not representatives in the parent, and
 p-parts keep and direct sums concatenate generators.
 
 Inside the package a subgroup is the sorted array of its element indices.
-Four primitives build every subgroup: ``order_array`` (the element
-orders), ``cyclic_indices`` (one cyclic subgroup), ``sum_indices`` (the
-sum S + T of two subgroups) and ``_minimal_generators``.  ``Subgroup``
-carries that array beside its sorted element tuples and generators, which
-are the form subgroups take at the API.
+Four primitives build subgroups: ``order_array`` (the element orders),
+``cyclic_indices`` (one cyclic subgroup), ``sum_indices`` (the sum S + T
+of two subgroups) and ``_minimal_generators`` (generators of an index
+set, and the check that it is closed).  The lines of prime order, the
+subgroups the lift span is built from, do not go through them: one
+array pass of ``lifts.isotropic_lines`` gives all the lines of one
+prime, each with its least nonzero member as generator, which is the
+one ``_minimal_generators`` would pick.  ``Subgroup`` carries the index
+array beside the members' coefficient rows and the generators; its
+sorted element tuples, the form subgroups take at the API, are built on
+first use.
 
 ``Fraction`` appears only at the API boundary: the public constructor
 takes the values on the generators as rationals, and ``q`` / ``b`` and
@@ -50,6 +56,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -377,18 +384,41 @@ def milgram_check(form: DiscriminantForm) -> bool:
 # subgroups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subgroup:
-    elements: tuple[Element, ...]   # sorted, closed under addition and negation
+    """A subgroup of a form: its generators, the sorted indices of its
+    members and the members' coefficient rows, in the same order.
+
+    The element tuples, the form a subgroup takes at the API, are built
+    from the rows on first access to ``elements`` and kept; code inside
+    the package reads ``indices`` and ``order`` and never builds them.
+    Equality and hash compare (elements, generators), not the arrays.
+    """
+
     generators: tuple[Element, ...]
-    indices: np.ndarray = field(compare=False, repr=False)  # sorted
+    indices: np.ndarray = field(repr=False)   # sorted
+    coeffs: np.ndarray = field(repr=False)    # |H| x rank, rows of indices
+
+    @cached_property
+    def elements(self) -> tuple[Element, ...]:
+        """The members' coefficient tuples, sorted."""
+        return tuple(map(tuple, self.coeffs.tolist()))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.indices)
 
     def __contains__(self, e) -> bool:
         return tuple(e) in set(self.elements)
+
+    def __eq__(self, other):
+        if not isinstance(other, Subgroup):
+            return NotImplemented
+        return (self.elements, self.generators) == (other.elements,
+                                                    other.generators)
+
+    def __hash__(self):
+        return hash((self.elements, self.generators))
 
 
 def _minimal_generators(form: DiscriminantForm,
@@ -416,8 +446,7 @@ def index_subgroup(form: DiscriminantForm, idx: np.ndarray) -> Subgroup:
     if not np.array_equal(span, idx):
         raise ValidityError("element set is not closed under addition")
     C = form.coeff_matrix()
-    return Subgroup(tuple(map(tuple, C[idx].tolist())),
-                    tuple(map(tuple, C[gens].tolist())), idx)
+    return Subgroup(tuple(map(tuple, C[gens].tolist())), idx, C[idx])
 
 
 def subgroup(form: DiscriminantForm, elements: Iterable[Element]) -> Subgroup:

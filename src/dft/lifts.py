@@ -7,7 +7,9 @@ lifts; per-element membership is decided against a verified exact basis
 of the orthogonal complement (the common kernel of the descents).
 
 Subgroups are enumerated as sorted index arrays (see ``fqm``), from the
-isotropic element indices of ``isotropic_indices``.
+isotropic element indices of ``isotropic_indices``; the prime-order
+lines, which the span is built from, in one array pass per prime
+(``isotropic_lines``).
 
 Also here: the explicit certificate constructions -- the kernel vector
 showing e^gamma misses the span when gamma_perp carries at most one
@@ -57,23 +59,48 @@ def isotropic_elements(form: DiscriminantForm, order_filter=None) -> list[Elemen
     return [form.element(i) for i in isotropic_indices(form, order_filter)]
 
 
+def _multiples(form: DiscriminantForm, x: np.ndarray, p: int) -> np.ndarray:
+    """Indices of k element(x) for k = 1, ..., p - 1, one sorted row per
+    index in x.  For x of order p the row is the line that x spans, less
+    0, and its first entry is the line's least nonzero member."""
+    k = np.arange(1, p, dtype=np.int64)
+    return np.sort(form.indices(k[:, None, None] * form.coeff_matrix()[x]).T,
+                   axis=1)
+
+
+def isotropic_lines(form: DiscriminantForm, p: int) -> np.ndarray:
+    """The isotropic subgroups of prime order p, one sorted row of member
+    indices [0, g, ...] per line, in increasing order of its least nonzero
+    member g.
+
+    One pass over the isotropic elements x of order p: x heads its line
+    exactly when it is the least of its multiples, and the line is 0 with
+    those multiples, a set closed under addition by construction."""
+    x = isotropic_indices(form, p)
+    rows = _multiples(form, x, p)
+    rows = rows[rows[:, 0] == x]
+    return np.concatenate([np.zeros((len(rows), 1), dtype=np.int64), rows],
+                          axis=1)
+
+
 def prime_order_subgroups(form: DiscriminantForm) -> tuple[Subgroup, ...]:
-    """The isotropic subgroups of prime order, sorted deterministically;
-    enumerated once per form and kept on it, beside its lift span."""
+    """The isotropic subgroups of prime order, sorted by (order, indices);
+    enumerated once per form and kept on it, beside its lift span.
+
+    Each prime's lines come from one pass of ``isotropic_lines``, already
+    in that order, and each line is generated by its least nonzero
+    member, the generator ``index_subgroup`` would choose."""
     cached = getattr(form, "_prime_lines", None)
     if cached is not None:
         return cached
-    iso = isotropic_indices(form)
-    primes = np.array(prime_power_factors(form.order), dtype=np.int64)
-    iso = iso[(form.order_array()[iso, None] == primes).any(axis=1)]
-    seen = np.zeros(form.order, dtype=bool)
+    C = form.coeff_matrix()
     lines = []
-    for i in iso:
-        if not seen[i]:
-            members = form.cyclic_indices(i)
-            seen[members] = True
-            lines.append(index_subgroup(form, members))
-    lines.sort(key=lambda H: (H.order, H.indices.tolist()))
+    for p in prime_power_factors(form.order):
+        members = isotropic_lines(form, p)
+        members.flags.writeable = False
+        gens = C[members[:, 1]].tolist()
+        lines += [Subgroup((tuple(g),), idx, coeffs)
+                  for g, idx, coeffs in zip(gens, members, C[members])]
     form._prime_lines = tuple(lines)
     return form._prime_lines
 
@@ -274,7 +301,7 @@ def perp_pair_table(form: DiscriminantForm, p: int) -> np.ndarray:
     if len(cand) < 2:
         return out
     B = form.b_row_num(cand)                              # b(cand_i, -)
-    pairok = _pair_ok(form, cand, B)
+    pairok = _pair_ok(form, cand, B, p)
     for g in range(n):
         mask = B[:, g] == 0
         if mask.sum() < 2:
@@ -284,11 +311,12 @@ def perp_pair_table(form: DiscriminantForm, p: int) -> np.ndarray:
     return out
 
 
-def _pair_ok(form: DiscriminantForm, cand: np.ndarray,
-             B: np.ndarray) -> np.ndarray:
+def _pair_ok(form: DiscriminantForm, cand: np.ndarray, B: np.ndarray,
+             p: int) -> np.ndarray:
     """pairok[i, j]: the isotropic order-p elements cand[i] and cand[j] are
-    orthogonal and span distinct lines; B holds their rows b(cand[i], -)."""
-    line = np.array([form.cyclic_indices(c)[1] for c in cand])
+    orthogonal and span distinct lines; B holds their rows b(cand[i], -).
+    A line is named by its least nonzero member."""
+    line = _multiples(form, cand, p)[:, 0]
     return (B[:, cand] == 0) & (line[:, None] != line[None, :])
 
 
@@ -297,7 +325,7 @@ def _perp_has_pair(form: DiscriminantForm, p: int, g: int) -> bool:
     cand = isotropic_indices(form, p)
     cand = cand[form.b_row_num(g)[cand] == 0]
     return len(cand) >= 2 and bool(
-        _pair_ok(form, cand, form.b_row_num(cand)).any())
+        _pair_ok(form, cand, form.b_row_num(cand), p).any())
 
 
 def kernel_vector(form: DiscriminantForm, gamma: Element) -> dict[Element, Fraction]:

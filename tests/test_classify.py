@@ -14,6 +14,7 @@ from dft.errors import NotTwoAdic, ValidityError
 from dft.fqm import build_form
 from dft.lifts import (e_gamma_in_image, isotropic_indices, lift_span,
                        prime_order_subgroups, span_columns)
+from dft.ntheory import prime_power_factors
 from dft.symbols import enumerate_symbols, parse_symbol
 
 
@@ -111,6 +112,42 @@ def test_elementary_search_anchors():
     assert not contains_isotropic_elementary(build("3^+6"), 3, 3)
     assert contains_isotropic_elementary(build("3^-6"), 3, 3)
     assert contains_isotropic_elementary(build("2_II^+2"), 2, 1)
+
+
+def _elementary_by_ordered_sequences(form, p, k):
+    """The earlier search, over increasing sequences of order-p isotropic
+    elements, each outside the span of those before it."""
+    if k == 0:
+        return True
+    cand = isotropic_indices(form, p)
+    if len(cand) < p ** k - 1:
+        return False
+    orth = form.b_row_num(cand)[:, cand] == 0
+    lines = [form.cyclic_indices(c) for c in cand]
+
+    def extend(depth, span, mask, start):
+        if depth == k:
+            return True
+        for a in range(start, len(cand)):
+            if mask[a] and cand[a] not in span:
+                if extend(depth + 1, form.sum_indices(span, lines[a]),
+                          mask & orth[a], a + 1):
+                    return True
+        return False
+
+    return extend(0, np.zeros(1, dtype=np.int64),
+                  np.ones(len(cand), dtype=bool), 0)
+
+
+def test_elementary_search_matches_the_sequence_search():
+    texts = [f"3^{s}{n}" for n in range(1, 7) for s in "+-"]
+    texts += ["5^+4", "5^-4", "2_II^+6", "2_II^-6"]
+    for text in texts:
+        d = build(text)
+        p = prime_power_factors(d.order)[0]
+        for k in range(5):
+            assert (contains_isotropic_elementary(d, p, k)
+                    == _elementary_by_ordered_sequences(d, p, k)), (text, k)
 
 
 def test_graph_anchors():

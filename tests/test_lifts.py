@@ -7,19 +7,21 @@ import pytest
 
 from dft.errors import (EvenLength, HypothesisFailed, NotACycle, NotIsotropic,
                         NotNested, ValidityError)
-from dft import lifts
+from dft import fqm, lifts
 from dft.exact import IndicatorColumns
-from dft.fqm import (build_form, direct_sum, perp_indices,
+from dft.fqm import (build_form, direct_sum, index_subgroup, perp_indices,
                      subgroup_from_generators)
 from dft.lifts import (_perp_has_pair, check_transitivity, descent_matrix,
                        e_gamma_in_image, isotropic_elements,
-                       isotropic_subgroups, kernel_vector, lift_matrix,
+                       isotropic_indices, isotropic_subgroups,
+                       kernel_vector, lift_matrix,
                        lift_span, odd_cycle_expression, perp_pair_table,
                        prime_order_subgroups, rank5_expression,
                        span_columns, spans_agree_with_all_subgroups)
 from dft.ntheory import prime_power_factors
+from dft.sweep import evaluate_symbol
 from dft.symbols import enumerate_symbols, parse_symbol
-from dft.verify import CHECKS, lemma_corpus
+from dft.verify import CHECKS, form_of, lemma_corpus
 
 
 def build(text):
@@ -101,6 +103,68 @@ def test_prime_order_sublist():
     lines = prime_order_subgroups(d)
     assert {H.elements for H in lines} == \
         {H.elements for H in all_subs if H.order == 2}
+
+
+def _lines_by_index_subgroup(form):
+    """The per-line route: the cyclic closure of each isotropic element of
+    prime order not yet seen, through ``index_subgroup``."""
+    iso = isotropic_indices(form)
+    primes = np.array(prime_power_factors(form.order), dtype=np.int64)
+    iso = iso[(form.order_array()[iso, None] == primes).any(axis=1)]
+    seen = np.zeros(form.order, dtype=bool)
+    lines = []
+    for i in iso:
+        if not seen[i]:
+            members = form.cyclic_indices(i)
+            seen[members] = True
+            lines.append(index_subgroup(form, members))
+    lines.sort(key=lambda H: (H.order, H.indices.tolist()))
+    return lines
+
+
+def test_prime_order_lines_match_the_per_line_search():
+    # A1 and the {2, 3, 5} forms of A3: the forms the span is certified on
+    syms = {}
+    for primes, max_order in (({3}, 729), ({5}, 625), ({2}, 256),
+                              ({2, 3, 5}, 256)):
+        for sym in enumerate_symbols(max_order, primes):
+            syms.setdefault(str(sym), sym)
+    for text, sym in syms.items():
+        form = form_of(sym)
+        got, want = prime_order_subgroups(form), _lines_by_index_subgroup(form)
+        assert list(got) == want, text
+        assert ([(H.indices.dtype, H.indices.tobytes()) for H in got]
+                == [(H.indices.dtype, H.indices.tobytes()) for H in want]), text
+
+
+def test_lines_build_their_element_tuples_on_first_use():
+    form = build("2_II^+2.3^-2")
+    lines = prime_order_subgroups(form)
+    assert {H.order for H in lines} == {2, 3}
+    C = form.coeff_matrix()
+    for H in lines:
+        assert H.order == len(H.indices)
+        assert "elements" not in vars(H)
+        assert H.elements == tuple(map(tuple, C[H.indices].tolist()))
+        eager = subgroup_from_generators(form, H.generators)
+        assert eager.elements == H.elements
+        assert eager == H and hash(eager) == hash(H)
+        assert len({H, eager}) == 1
+    assert lines[0] != lines[1]
+
+
+def test_sweep_path_never_searches_for_generators(monkeypatch):
+    def refuse(form, idx):
+        raise AssertionError("generator search on the lift-span path")
+
+    monkeypatch.setattr(fqm, "_minimal_generators", refuse)
+    with pytest.raises(AssertionError):
+        subgroup_from_generators(build("3^-1"), [(1,)])
+    for text in ("3^+6", "3^-6", "5^-4", "25^+2", "2_2^-8",
+                 "2_II^+4.4_II^-2"):
+        assert evaluate_symbol(text)["agreement"], text
+    res = lift_span(build("2_II^+2.3^-3.5^+2"))
+    assert not res.full
 
 
 def test_lift_matrix_anchors():
@@ -267,6 +331,32 @@ def test_odd_cycle_expression():
         odd_cycle_expression(d, [(0, 0, 0, 0), (1, 0, 0, 0)])
     with pytest.raises(NotACycle):
         odd_cycle_expression(d, [(0, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0)])
+
+
+def _pair_table_by_cyclic_closures(form, p):
+    """``perp_pair_table`` with each line named by its cyclic closure."""
+    cand = isotropic_indices(form, p)
+    out = np.zeros(form.order, dtype=bool)
+    if len(cand) < 2:
+        return out
+    B = form.b_row_num(cand)
+    line = np.array([form.cyclic_indices(c)[1] for c in cand])
+    pairok = (B[:, cand] == 0) & (line[:, None] != line[None, :])
+    for g in range(form.order):
+        mask = B[:, g] == 0
+        out[g] = bool(pairok[np.ix_(mask, mask)].any())
+    return out
+
+
+def test_pair_table_matches_the_cyclic_closures():
+    # the forms of orthogonal-pair-forces-membership and
+    # odd-p-membership-iff-pair
+    cases = [(s, s.primes[0]) for s in lemma_corpus(128) if len(s.primes) == 1]
+    cases += [(s, p) for p in (3, 5) for s in enumerate_symbols(125, {p})]
+    for sym, p in cases:
+        form = form_of(sym)
+        assert np.array_equal(perp_pair_table(form, p),
+                              _pair_table_by_cyclic_closures(form, p)), str(sym)
 
 
 @pytest.mark.parametrize("text", ["3^-3", "3^+4", "3^-5", "9^+1.3^-1", "5^+2",
