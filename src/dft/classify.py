@@ -406,6 +406,12 @@ class IsotropyGraph:
             self._adjacency = indptr, key % n
         return self._adjacency
 
+    @property
+    def nonbipartite(self) -> np.ndarray:
+        """Per element: does its component hold an odd closed walk?  This
+        is the graph's verdict on membership of e^gamma in the lift span."""
+        return ~np.asarray(self.bipartite)[self.component]
+
     def component_of(self, gamma: Element) -> int:
         return int(self.component[self.form.index(gamma)])
 

@@ -18,7 +18,7 @@ from .classify import (build_graph_cached, graph_to_dot, small_type)
 from .errors import (BoundExceeded, DftError, NotTwoAdic, RelationFailed,
                      SymbolSyntaxError, ValidityError)
 from .fqm import build_form
-from .lifts import isotropic_elements, isotropic_subgroups, lift_span
+from .lifts import isotropic_indices, isotropic_subgroups, lift_span
 from .ntheory import prime_power_factors
 from .sweep import SweepConfig, run_sweep
 from .symbols import parse_symbol
@@ -55,7 +55,7 @@ def cmd_info(args) -> int:
             "q": [str(x) for x in form.qdiag],
             "gram": [[str(x) for x in row] for row in form.gram],
         },
-        "isotropic_elements": len(isotropic_elements(form)),
+        "isotropic_elements": len(isotropic_indices(form)),
     }
     if form.order <= bounds.max_enum_order():
         info["isotropic_subgroups"] = len(isotropic_subgroups(form))
@@ -95,10 +95,8 @@ def cmd_image(args) -> int:
     }
     two_adic = all(p == 2 for p in prime_power_factors(form.level))
     if two_adic:
-        graph = build_graph_cached(form)
-        verdicts = np.array([not graph.bipartite[int(c)]
-                             for c in graph.component])
-        out["graph_agrees"] = bool(np.array_equal(verdicts, span.membership))
+        out["graph_agrees"] = bool(np.array_equal(
+            build_graph_cached(form).nonbipartite, span.membership))
     if args.per_element:
         out["members"] = {str(e): bool(span.membership[i])
                           for i, e in enumerate(form.elements)}

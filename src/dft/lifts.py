@@ -294,21 +294,15 @@ def spans_agree_with_all_subgroups(form: DiscriminantForm) -> bool:
 
 def perp_pair_table(form: DiscriminantForm, p: int) -> np.ndarray:
     """For every element index: does its orthogonal complement contain an
-    isotropic subgroup isomorphic to (Z/pZ)^2?  Vectorized over the form."""
+    isotropic subgroup isomorphic to (Z/pZ)^2?
+
+    Element g qualifies when some pair (i, j) of candidates has pairok[i, j]
+    with both in g_perp, Z[i, g] and Z[j, g]: one boolean product over the
+    whole form finds, for each (i, g), whether such a j exists."""
     cand = isotropic_indices(form, p)
-    n = form.order
-    out = np.zeros(n, dtype=bool)
-    if len(cand) < 2:
-        return out
     B = form.b_row_num(cand)                              # b(cand_i, -)
-    pairok = _pair_ok(form, cand, B, p)
-    for g in range(n):
-        mask = B[:, g] == 0
-        if mask.sum() < 2:
-            continue
-        sub = pairok[np.ix_(mask, mask)]
-        out[g] = bool(sub.any())
-    return out
+    Z = B == 0
+    return ((_pair_ok(form, cand, B, p) @ Z) & Z).any(axis=0)
 
 
 def _pair_ok(form: DiscriminantForm, cand: np.ndarray, B: np.ndarray,

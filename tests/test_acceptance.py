@@ -6,25 +6,18 @@ step (choosing the signature between the two residues its certificate
 leaves open) is re-certified exactly afterwards.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-lines; the full module takes a few minutes.
+lines; the full module takes under a minute.
 """
 
 import random
-from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from dft.classify import (build_graph_cached, contains_isotropic_elementary,
-                          max_isotropic_rank, no_cube_catalog_check,
-                          small_type)
-from dft.errors import HypothesisFailed, ValidityError
-from dft.fqm import build_form, direct_sum, milgram_check, subgroup_from_generators
-from dft.lifts import (check_transitivity, e_gamma_in_image,
-                       isotropic_subgroups, kernel_vector, lift_matrix,
-                       lift_span, odd_cycle_expression, perp_pair_table,
-                       prime_order_subgroups, rank5_expression,
-                       spans_agree_with_all_subgroups)
+from dft.classify import contains_isotropic_elementary, small_type
+from dft.errors import ValidityError
+from dft.fqm import build_form, direct_sum
+from dft.lifts import (check_transitivity, isotropic_subgroups, lift_span,
+                       perp_pair_table)
 from dft.symbols import enumerate_symbols, format_symbol, parse_symbol
 from dft.verify import CHECKS, form_of, weil_corpus
 
@@ -33,6 +26,18 @@ random.seed(20240811)
 
 def _ok(line):
     print(f"ACCEPTANCE {line}: PASS")
+
+
+def _run(name, *args):
+    """Run the registry check ``name``; it must pass."""
+    res = CHECKS[name](*args)
+    assert res.passed, f"{res.name}: {res.detail}"
+    return res
+
+
+def _count(res):
+    """The count a check's detail starts with."""
+    return int(res.detail.split()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -73,26 +78,15 @@ def test_a2_sharp_boundary_cases():
 
 
 def test_a3_prime_order_spans_suffice():
-    count = 0
-    for sym in enumerate_symbols(256, {2, 3, 5}):
-        assert spans_agree_with_all_subgroups(form_of(sym)), str(sym)
-        count += 1
-    _ok(f"A3 prime-order span == full isotropic span on {count} forms "
+    res = _run("prime-order-spans-suffice", 256)
+    _ok(f"A3 prime-order span == full isotropic span on {res.detail} "
         "with |D| <= 256")
 
 
 def test_a4_graph_criterion_matches_algebra():
-    count = 0
-    for sym in enumerate_symbols(256, {2}):
-        form = form_of(sym)
-        member = lift_span(form).membership
-        graph = build_graph_cached(form)
-        verdicts = np.array([not graph.bipartite[int(c)]
-                             for c in graph.component])
-        assert np.array_equal(verdicts, member), str(sym)
-        count += 1
+    res = _run("graph-matches-algebra", 256)
     _ok(f"A4 graph verdict == algebraic membership for every element of "
-        f"{count} 2-adic forms with |D| <= 256")
+        f"{_count(res)} 2-adic forms with |D| <= 256")
 
 
 def test_a5_odd_prime_membership_iff_orthogonal_pair():
@@ -122,20 +116,10 @@ _A6_LARGE = ("4_II^+4", "16_II^+2", "8_II^+2.2_1^+1", "4_0^+2.16_1^+1")
 
 
 def test_a6_lift_structure():
-    lifts = 0
-    for sym in enumerate_symbols(48, {2, 3, 5}):
-        form = form_of(sym)
-        for H in prime_order_subgroups(form):
-            lm = lift_matrix(form, H)
-            U = lm.matrix()
-            assert np.array_equal(lm.descent(), U.T)
-            assert np.all(U.sum(axis=0) == H.order)
-            lifts += 1
-    pairs = 0
-    corpus = [s for s in enumerate_symbols(64, {2, 3, 5})] + \
-        [parse_symbol(t) for t in _A6_LARGE]
-    for sym in corpus:
-        form = form_of(sym)
+    lifts = _count(_run("descent-is-transpose", 48))
+    pairs = _count(_run("lift-transitivity", 64))
+    for text in _A6_LARGE:
+        form = form_of(parse_symbol(text))
         subs = isotropic_subgroups(form)
         for H in subs:
             h_set = set(H.elements)
@@ -143,17 +127,15 @@ def test_a6_lift_structure():
                 if K.order <= H.order or not h_set <= set(K.elements):
                     continue
                 assert check_transitivity(form, H, K), \
-                    (str(sym), H.generators, K.generators)
+                    (text, H.generators, K.generators)
                 pairs += 1
     _ok(f"A6 descent = transpose on {lifts} lift maps; transitivity exact "
         f"on {pairs} nested pairs (|D| <= 256)")
 
 
 def test_a7_weil_relations_exact():
-    res = CHECKS["weil-relations"]()
-    assert res.passed, res.detail
-    res = CHECKS["lift-equivariance"]()
-    assert res.passed, res.detail
+    _run("weil-relations")
+    _run("lift-equivariance")
     n = len(weil_corpus())
     _ok(f"A7 Weil matrix relations and lift equivariance exact on {n} forms "
         "with |D| <= 64")
@@ -162,10 +144,7 @@ def test_a7_weil_relations_exact():
 def test_a8_signature_engine():
     assert form_of(parse_symbol("2_1^+1")).signature == 1
     assert form_of(parse_symbol("2_II^-2")).signature == 4
-    count = 0
-    for sym in enumerate_symbols(96, {2, 3, 5}):
-        assert milgram_check(form_of(sym)), str(sym)
-        count += 1
+    res = _run("milgram-certificate")
     pool = enumerate_symbols(64, {2, 3, 5})
     rng = random.Random(8128)
     for _ in range(200):
@@ -173,41 +152,25 @@ def test_a8_signature_engine():
         da, db = form_of(a), form_of(b)
         assert direct_sum(da, db).signature == \
             (da.signature + db.signature) % 8, (str(a), str(b))
-    _ok(f"A8 Gauss-sum certificate exact on {count} forms; anchors "
+    _ok(f"A8 Gauss-sum certificate exact on {res.detail}; anchors "
         "sign(2_1^+1)=1, sign(2_II^-2)=4; additivity on 200 random sums")
 
 
 def test_a9_maximal_isotropic_rank():
-    cases = 0
-    for n in range(1, 6):
-        for sign, ch in ((1, "+"), (-1, "-")):
-            form = form_of(parse_symbol(f"3^{ch}{n}"))
-            want = max_isotropic_rank(3, n, sign)
-            if want:
-                assert contains_isotropic_elementary(form, 3, want)
-            assert not contains_isotropic_elementary(form, 3, want + 1)
-            cases += 1
-    for sign, ch in ((1, "+"), (-1, "-")):
-        form = form_of(parse_symbol(f"3^{ch}6"))
-        want = max_isotropic_rank(3, 6, sign)
-        assert contains_isotropic_elementary(form, 3, want)
-        assert not contains_isotropic_elementary(form, 3, want + 1)
-        cases += 1
+    res = _run("max-isotropic-rank")
     _ok(f"A9 maximal isotropic rank formula == exhaustive search "
-        f"({cases} level-3 forms incl. 3^{{+-6}})")
+        f"({res.detail} incl. 3^{{+-6}})")
 
 
 def test_a10_explicit_constructions():
     for name in ("kernel-vector", "odd-cycle-expression", "rank5-expression"):
-        res = CHECKS[name]()
-        assert res.passed, f"{res.name}: {res.detail}"
+        _run(name)
     _ok("A10 kernel vectors, odd closed-walk combinations and the rank-5 "
         "expression re-evaluate exactly")
 
 
 def test_a11_tail_independence():
-    res = CHECKS["tail-independence"]()
-    assert res.passed, res.detail
+    res = _run("tail-independence")
     _ok(f"A11 full-image verdict independent of the attached 8_t / 16_t "
         f"factor ({res.detail})")
 

@@ -9,7 +9,7 @@ import pytest
 
 from dft.errors import (DegenerateForm, DimensionMismatch, NotIsotropic,
                         ValidityError)
-from dft.fqm import (DiscriminantForm, build_form, direct_sum, milgram_check,
+from dft.fqm import (DiscriminantForm, build_form, direct_sum,
                      orthogonal_complement, p_part, perp_indices, q_value,
                      quotient_form, subgroup, subgroup_from_generators)
 from dft.lifts import isotropic_subgroups, prime_order_subgroups
@@ -76,11 +76,6 @@ def test_level_and_order_anchors():
     assert d.level == 3 and d.order == 9
     assert build("4_1^+1").element_order((1,)) == 4
     assert build("8_1^+1").level == 16
-
-
-def test_milgram_certificate_holds():
-    for sym in enumerate_symbols(48, {2, 3, 5}):
-        assert milgram_check(build_form(sym))
 
 
 def test_signature_additivity_on_random_sums():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from dft import verify
 from dft.errors import HypothesisFailed
@@ -9,6 +10,16 @@ from dft.symbols import enumerate_symbols
 def test_suites_name_registered_checks():
     names = [name for suite in verify.SUITES.values() for name in suite]
     assert sorted(names) == sorted(verify.CHECKS)
+
+
+# the registry entries no other test runs, at their CLI defaults
+@pytest.mark.parametrize("name", [
+    "membership-needs-two-lines", "orthogonal-pair-forces-membership",
+    "odd-p-membership-iff-pair", "rank7-never-small",
+    "conductor-independence"])
+def test_check_passes_at_its_default(name):
+    res = verify.CHECKS[name]()
+    assert res.passed, res.detail
 
 
 def test_failing_check_reports_its_registry_name(monkeypatch):
