@@ -301,53 +301,6 @@ def _rref(block: np.ndarray, p: int):
     return keep[pos].tolist(), cols, R
 
 
-class _Echelon:
-    """Reduced row echelon accumulator modulo p with unit pivots."""
-
-    def __init__(self, n: int, p: int):
-        self.n = n
-        self.p = p
-        # rows of a fresh zero array take memory only once written to
-        self._store = np.zeros((n, n), dtype=np.int64)
-        self.pivcols: list[int] = []
-        self.pivot_ids: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivcols)
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self._store[:self.rank]
-
-    def reduce(self, block: np.ndarray) -> np.ndarray:
-        """Residue rows reduced by the stored pivots."""
-        if self.rank:
-            return _eliminate(block, self.pivcols, self.rows, self.p)
-        return block
-
-    def insert_block(self, block: np.ndarray, ids) -> None:
-        """Insert the rows of ``block`` in order; ``ids`` names them."""
-        pos, cols, R = _rref(self.reduce(block), self.p)
-        if not cols:
-            return
-        S = self.rows
-        for start in range(0, self.rank, _BLOCK):
-            S[start:start + _BLOCK] = _eliminate(S[start:start + _BLOCK],
-                                                 cols, R, self.p)
-        self._store[self.rank:self.rank + len(R)] = R
-        self.pivcols += cols
-        self.pivot_ids += [int(ids[i]) for i in pos]
-
-    def kernel_residues(self) -> tuple[np.ndarray, np.ndarray]:
-        """Free columns and the k x rank residue matrix of the modular
-        kernel: vector j is 1 at free[j] and residues[j, r] at pivcols[r]."""
-        free = np.ones(self.n, dtype=bool)
-        free[self.pivcols] = False
-        free = np.flatnonzero(free)
-        return free, np.ascontiguousarray((-self.rows[:, free].T) % self.p)
-
-
 def _rational_reconstruct(x: int, m: int):
     """n/d with n/d = x mod m and |n|, d <= sqrt(m/2), or None."""
     bound = isqrt(m // 2)
@@ -491,16 +444,40 @@ def _cholesky_certifies(G: np.ndarray) -> bool:
         G[on_diag] += 2.0 ** e
 
 
-def _run_echelon(n, count, block, p, stop_rank):
-    """Echelon of the ``count`` rows given by ``block`` modulo p, stopped
-    after the first block of rows that brings the rank to ``stop_rank``."""
-    ech = _Echelon(n, p)
+def _run_echelon(n, count, block, p):
+    """RREF modulo p of the ``count`` rows given by ``block``, inserted
+    ``_BLOCK`` at a time: (ids, cols, R) as for ``_rref``, with ids the
+    numbers of the pivot rows among all ``count``.
+
+    Each block is reduced by the stored pivots in one product and put into
+    RREF, and the stored rows are back-substituted by its new pivots."""
+    # rows of a fresh zero array take memory only once written to
+    store = np.zeros((n, n), dtype=np.int64)
+    ids: list[int] = []
+    cols: list[int] = []
     for start in range(0, count, _BLOCK):
-        stop = min(start + _BLOCK, count)
-        ech.insert_block(block(start, stop, p), range(start, stop))
-        if ech.rank >= stop_rank:
-            break
-    return ech
+        x = block(start, min(start + _BLOCK, count), p)
+        rank = len(cols)
+        S = store[:rank]
+        pos, new, R = _rref(_eliminate(x, cols, S, p) if rank else x, p)
+        if not new:
+            continue
+        for s in range(0, rank, _BLOCK):
+            S[s:s + _BLOCK] = _eliminate(S[s:s + _BLOCK], new, R, p)
+        store[rank:rank + len(R)] = R
+        ids += [start + i for i in pos]
+        cols += new
+    return ids, cols, store[:len(cols)]
+
+
+def _kernel_residues(n: int, cols: list[int], R: np.ndarray, p: int):
+    """Free columns and the k x rank residue matrix of the kernel of the
+    RREF (cols, R) modulo p: vector j is 1 at free[j] and residues[j, r]
+    at cols[r]."""
+    free = np.ones(n, dtype=bool)
+    free[cols] = False
+    free = np.flatnonzero(free)
+    return free, np.ascontiguousarray((-R[:, free].T) % p)
 
 
 def _full(n, primes_used, cholesky_blocks=0) -> SpanResult:
@@ -534,32 +511,30 @@ def _span_block(n: int, columns: IndicatorColumns) -> SpanResult:
     else:
         count, block = len(columns), (
             lambda start, stop, p: columns.block(start, stop, n))
-    ech = _run_echelon(n, count, block, PRIMES[0], n)
-    if ech.rank == n:
+    _, cols, R = _run_echelon(n, count, block, PRIMES[0])
+    if len(cols) == n:
         return _full(n, 1)
 
-    # Deficient modulo the first prime (the early stop never fired, so the
-    # run saw every row): reconstruct and verify the kernel.
-    base = ech
-    free, residues = base.kernel_residues()
+    # Deficient modulo the first prime: reconstruct and verify the kernel.
+    free, residues = _kernel_residues(n, cols, R, PRIMES[0])
     modulus = PRIMES[0]
     used = 1
     for extra in (None,) + PRIMES[1:]:
         if extra is not None:
             used += 1
-            run = _run_echelon(n, count, block, extra, n + 1)
-            if run.rank == n:
+            _, run_cols, R = _run_echelon(n, count, block, extra)
+            if len(run_cols) == n:
                 return _full(n, used)
-            if run.pivcols == base.pivcols:
+            if run_cols == cols:
                 residues = _crt(residues, modulus,
-                                run.kernel_residues()[1], extra)
+                                _kernel_residues(n, cols, R, extra)[1], extra)
                 modulus *= extra
-            elif run.rank > base.rank:
-                base, modulus = run, extra
-                free, residues = run.kernel_residues()
+            elif len(run_cols) > len(cols):
+                cols, modulus = run_cols, extra
+                free, residues = _kernel_residues(n, cols, R, extra)
             else:
                 continue
-        kernel = _reconstruct_kernel(residues, modulus, free, base.pivcols, n)
+        kernel = _reconstruct_kernel(residues, modulus, free, cols, n)
         if kernel is not None and annihilates(kernel, columns):
             return SpanResult(n, n - len(kernel), kernel,
                               ~(kernel != 0).any(axis=0), used)

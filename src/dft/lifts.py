@@ -11,22 +11,21 @@ isotropic element indices of ``isotropic_indices``; the prime-order
 lines, which the span is built from, in one array pass per prime
 (``isotropic_lines``).
 
-Also here: the explicit certificate constructions -- the kernel vector
-showing e^gamma misses the span when gamma_perp carries at most one
-isotropic line, the signed odd-closed-walk combination equal to e^gamma
-for 2-power level, and the five-generator expression for forms splitting
-as an anisotropic rank-four block plus one higher-order generator.  The
-kernel vector is an integer row over element indices, and its descent
-test is the same exact ``annihilates`` check as the span's: a descent
-along H kills a vector exactly when the vector sums to zero over every
-coset column of H's lift, so one call covers all cyclic isotropic H
-inside gamma_perp.
+Also here: the explicit certificate constructions, on element indices.
+The kernel vector (e^gamma misses the span when gamma_perp carries at
+most one isotropic line) is an integer row, checked against every descent
+inside gamma_perp by one ``annihilates`` call.  The odd-closed-walk
+combination (2-power level) and the rank-5 expression (an anisotropic
+rank-four block plus one higher-order generator) sum lifts along cached
+lines and are checked by one exact expansion; element tuples and
+``Fraction`` appear only in the terms they return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -36,8 +35,7 @@ from .errors import (BoundExceeded, EvenLength, HypothesisFailed, NotACycle,
 from .exact import (IndicatorColumns, SpanResult, annihilates,
                     span_of_indicator_columns)
 from .fqm import (DiscriminantForm, Element, QuotientResult, Subgroup,
-                  index_subgroup, is_isotropic, orthogonal_complement,
-                  perp_indices, quotient_form, subgroup_from_generators)
+                  index_subgroup, is_isotropic, perp_indices, quotient_form)
 from .ntheory import prime_power, prime_power_factors
 
 # ---------------------------------------------------------------------------
@@ -363,6 +361,42 @@ def kernel_vector(form: DiscriminantForm, gamma: Element) -> dict[Element, Fract
             for i in np.nonzero(row)[0]}
 
 
+def _lines_of(form: DiscriminantForm, x: np.ndarray, p: int) -> list[Subgroup]:
+    """The lines of ``prime_order_subgroups`` spanned by the elements x of
+    order p, found by their least nonzero members."""
+    lines = {int(H.indices[1]): H for H in prime_order_subgroups(form)
+             if H.order == p}
+    heads = _multiples(form, x, p)[:, 0].tolist()
+    if not all(h in lines for h in heads):
+        raise HypothesisFailed("a term's line is not an isotropic line")
+    return [lines[h] for h in heads]
+
+
+def _verified_terms(form: DiscriminantForm, lines, reps: np.ndarray, coeffs,
+                    target: int, error) -> list:
+    """The terms (H, rep, coeff) of sum_t coeffs[t] 1_{reps[t] + lines[t]},
+    once each rep is found in H_perp and the sum equal to e^target; raises
+    ``error`` otherwise.  The sum is taken by element index, numerators
+    over one denominator, exactly: in int64 while their absolute values sum
+    below 2^63, in Python integers otherwise."""
+    members = np.stack([H.indices for H in lines])
+    cosets = form.add_indices(reps[:, None], members)
+    # b(rep, h) = q(rep + h) - q(rep) - q(h) at H's generator h
+    qn = form.qnum_array()
+    if ((qn[cosets[:, 1]] - qn[reps] - qn[members[:, 1]]) % form.level).any():
+        raise error("coset representative misses H_perp")
+    den = lcm(*{c.denominator for c in coeffs})
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    dtype = np.int64 if sum(map(abs, nums)) + den < 1 << 63 else object
+    total = np.zeros(form.order, dtype=dtype)
+    np.add.at(total, cosets, np.array(nums, dtype=dtype)[:, None])
+    total[target] -= den
+    if total.any():
+        raise error("expansion is not the unit vector")
+    return [(H, form.element(r), c)
+            for H, r, c in zip(lines, reps.tolist(), coeffs)]
+
+
 def odd_cycle_expression(form: DiscriminantForm, cycle):
     """Lift combination summing to e^{cycle[0]} along an odd closed walk.
 
@@ -371,32 +405,25 @@ def odd_cycle_expression(form: DiscriminantForm, cycle):
     representative, coefficient) triples; their expansion is verified to
     equal the unit vector exactly.
     """
-    walk = [tuple(g) for g in cycle]
-    n = len(walk)
-    if n % 2 == 0:
-        raise EvenLength(f"closed walk of even length {n}")
-    steps = []
-    for i in range(n):
-        mu = form.add(walk[(i + 1) % n], form.neg(walk[i]))
-        if mu == form.zero or form.element_order(mu) != 2:
-            raise NotACycle(f"step {i} is not an order-2 difference")
-        if form.q(mu) != 0 or form.b(mu, walk[i]) != 0:
-            raise NotACycle(f"step {i} is not an edge of the isotropy graph")
-        steps.append(mu)
-    terms = []
-    total: dict[Element, Fraction] = {}
-    for i, mu in enumerate(steps, start=1):
-        H = subgroup_from_generators(form, [mu])
-        coeff = Fraction(-1, 2) * (-1) ** i
-        rep = min(walk[i - 1], form.add(walk[i - 1], mu))
-        terms.append((H, rep, coeff))
-        for h in H.elements:
-            key = form.add(rep, h)
-            total[key] = total.get(key, Fraction(0)) + coeff
-    target = {walk[0]: Fraction(1)}
-    if {k: v for k, v in total.items() if v} != target:
-        raise NotACycle("expansion does not telescope to the unit vector")
-    return terms
+    cycle = list(cycle)
+    if len(cycle) % 2 == 0:
+        raise EvenLength(f"closed walk of even length {len(cycle)}")
+    walk = np.array([form.index(g) for g in cycle], dtype=np.int64)
+    ahead = np.roll(walk, -1)
+    mu = form.add_indices(ahead, form.neg_index_vec(walk))
+    # with q(mu) = 0, b(mu, walk) = q(ahead) - q(walk)
+    qn = form.qnum_array()
+    bad = ((form.order_array()[mu] != 2) | (qn[mu] != 0)
+           | (qn[ahead] != qn[walk]))
+    if bad.any():
+        raise NotACycle(f"step {int(np.argmax(bad))} is not an edge of the "
+                        "isotropy graph")
+    # step i lifts the coset {walk[i], walk[i + 1]} with sign (-1)^i / 2,
+    # and the signed sum telescopes to e^{walk[0]}
+    return _verified_terms(form, _lines_of(form, mu, 2),
+                           np.minimum(walk, ahead),
+                           [Fraction((-1) ** i, 2) for i in range(len(walk))],
+                           walk[0], NotACycle)
 
 
 def rank5_expression(form: DiscriminantForm, gamma: Element):
@@ -405,91 +432,62 @@ def rank5_expression(form: DiscriminantForm, gamma: Element):
 
     The combination averages plain lifts of gamma over all isotropic
     lines, corrects with lifts along mixed lines through (q/p)*gamma, and
-    rebalances with lifts of shifted cosets; the occurrence counts are
-    obtained by enumeration and the final expansion is verified exactly.
+    rebalances with lifts of shifted cosets; the hypotheses and counts are
+    read off the integer tables and the expansion is verified exactly.
     """
-    gamma = tuple(gamma)
-    n = form.element_order(gamma)
+    g = form.index(gamma)
+    n = int(form.order_array()[g])
     pk = prime_power(n)
-    if pk is None or pk[0] == 2:
-        raise HypothesisFailed("order of gamma must be a power of an odd prime")
-    p, k = pk
-    if k < 2:
-        raise HypothesisFailed("order of gamma must exceed p")
-    qg = form.q(gamma)
-    if qg.denominator != n:
+    if pk is None or pk[0] == 2 or pk[1] < 2:
+        raise HypothesisFailed("order of gamma must be p^k, p odd, k >= 2")
+    p = pk[0]
+    L, qnum, C = form.level, form.qnum_array(), form.coeff_matrix()
+    d = gcd(int(qnum[g]), L)
+    if L // d != n:
         raise HypothesisFailed("q(gamma) must have denominator ord(gamma)")
-    j = qg.numerator
-    perp = orthogonal_complement(form, gamma)
-    if perp.order != p ** 4 or form.order != n * p ** 4:
+    j = int(qnum[g]) // d
+    block = np.flatnonzero(form.b_row_num(g) == 0)
+    if len(block) != p ** 4 or form.order != n * p ** 4:
         raise HypothesisFailed("gamma_perp is not a rank-four block of order p^4")
-    if not np.isin(form.order_array()[perp.indices], (1, p)).all():
+    if not np.isin(form.order_array()[block], (1, p)).all():
         raise HypothesisFailed("gamma_perp is not of level p")
-    block = list(perp.elements)
-    iso = [form.element(i) for i in
-           np.intersect1d(isotropic_indices(form), perp.indices)]
-    if not iso or _perp_has_pair(form, p, form.index(gamma)):
+    iso = block[qnum[block] == 0][1:]           # block[0] is 0
+    if not len(iso) or _perp_has_pair(form, p, g):
         raise HypothesisFailed("the block must be anisotropic of its rank")
 
-    # counts: a0 over pairs inside the isotropic set, a_l and b_l over
-    # shifted norm classes; all must be positive and choice-independent
-    target0 = Fraction(-2 * j, p) % 1
-    a0_vals = {sum(1 for beta in iso if form.b(beta, mu) == target0)
-               for mu in iso}
-    if len(a0_vals) != 1 or 0 in a0_vals:
+    # numerators over L: b(mu, -) for mu in iso, and the norms -2 l j / p
+    # mod 1 of the shifted classes; l = 1 gives the pair target
+    B = form.b_row_num(iso)
+    norm = [(-2 * el * j % p) * (L // p) for el in range(p)]
+    pairs = B[:, iso] == norm[1]
+    a0 = pairs.sum(axis=1)
+    if np.ptp(a0) or not a0[0]:
         raise HypothesisFailed("pair count a0 is not constant and positive")
-    a0 = a0_vals.pop()
-    a_l, b_l = {}, {}
+    a0, size = int(a0[0]), len(iso)
+    mu, beta = np.nonzero(pairs)
+    gens = [iso, form.add_indices(form.indices((n // p) * C[g]), iso[beta])]
+    reps = [np.full(size, g), form.add_indices(g, iso[mu])]
+    coeffs = ([Fraction(1, size)] * size
+              + [Fraction(1 - p, a0 * size)] * len(mu))
     for el in range(1, p):
-        norm = Fraction(-2 * el * j, p) % 1
-        alphas = [e for e in block if e != form.zero and form.q(e) == norm]
-        if not alphas:
-            raise HypothesisFailed(f"no block elements of norm {norm}")
-        counts_a = {sum(1 for mu in iso if form.b(alpha, mu) == norm)
-                    for alpha in alphas}
-        counts_b = {sum(1 for mu in iso if form.b(alpha, mu) == 0)
-                    for alpha in alphas}
-        if len(counts_a) != 1 or len(counts_b) != 1:
-            raise HypothesisFailed("occurrence counts depend on the choice")
-        a_l[el] = counts_a.pop()
-        b_l[el] = counts_b.pop()
-        if a_l[el] == 0 or b_l[el] == 0:
-            raise HypothesisFailed("vanishing occurrence count")
+        alphas = block[qnum[block] == norm[el]]
+        if not len(alphas):
+            raise HypothesisFailed(
+                f"no block elements of norm {-2 * el * j % p}/{p}")
+        apart = B[:, alphas] == 0
+        a_l, b_l = (B[:, alphas] == norm[el]).sum(axis=0), apart.sum(axis=0)
+        if np.ptp(a_l) or np.ptp(b_l) or not a_l[0] or not b_l[0]:
+            raise HypothesisFailed("occurrence counts are not constant and "
+                                   "positive")
+        mu, beta = np.nonzero(apart)
+        shift = form.indices((1 + el * (n // p)) * C[g])
+        gens.append(iso[mu])
+        reps.append(form.add_indices(shift, alphas[beta]))
+        coeffs += [Fraction((p - 1) * int(a_l[0]),
+                            a0 * p * int(b_l[0]) * size)] * len(mu)
 
-    size = len(iso)
-    terms = []
-    for mu in iso:
-        H = subgroup_from_generators(form, [mu])
-        terms.append((H, gamma, Fraction(1, size)))
-    g_over = form.smul(n // p, gamma)
-    coeff_w = Fraction(-(p - 1), a0 * size)
-    for mu in iso:
-        for beta in iso:
-            if form.b(mu, beta) != target0:
-                continue
-            H = subgroup_from_generators(form, [form.add(g_over, beta)])
-            terms.append((H, form.add(gamma, mu), coeff_w))
-    for el in range(1, p):
-        norm = Fraction(-2 * el * j, p) % 1
-        coeff_u = Fraction((p - 1) * a_l[el], a0 * p * b_l[el] * size)
-        shift = form.smul(1 + el * (n // p), gamma)
-        for mu in iso:
-            for beta in block:
-                if form.q(beta) != norm or form.b(mu, beta) != 0:
-                    continue
-                H = subgroup_from_generators(form, [mu])
-                terms.append((H, form.add(shift, beta), coeff_u))
-
-    total: dict[Element, Fraction] = {}
-    for H, rep, coeff in terms:
-        if any(form.b(rep, g) != 0 for g in H.generators):
-            raise HypothesisFailed("coset representative misses H_perp")
-        for h in H.elements:
-            key = form.add(rep, h)
-            total[key] = total.get(key, Fraction(0)) + coeff
-    if {e: c for e, c in total.items() if c} != {gamma: Fraction(1)}:
-        raise HypothesisFailed("expansion does not collapse to e^gamma")
-    return terms
+    return _verified_terms(form, _lines_of(form, np.concatenate(gens), p),
+                           np.concatenate(reps), coeffs, g, HypothesisFailed)
 
 
 # ---------------------------------------------------------------------------

@@ -171,8 +171,8 @@ def _check_prime_order_spans(max_order: int = 128) -> tuple[bool, str]:
 
 def _line_counts(form: DiscriminantForm) -> np.ndarray:
     """Number of isotropic prime-order subgroups inside each gamma_perp."""
-    gens = np.array([form.index(H.generators[0])
-                     for H in prime_order_subgroups(form)], dtype=np.int64)
+    gens = np.array([H.indices[1] for H in prime_order_subgroups(form)],
+                    dtype=np.int64)
     return (form.b_row_num(gens) == 0).sum(axis=0)
 
 
@@ -367,12 +367,9 @@ def _check_odd_cycles(max_order: int = 64) -> tuple[bool, str]:
     for sym in enumerate_symbols(max_order, {2}):
         form = form_of(sym)
         graph = build_graph_cached(form)
-        done = set()
-        for i in range(form.order):
-            cid = int(graph.component[i])
-            if cid in done or graph.bipartite[cid]:
-                continue
-            done.add(cid)
+        # the least element of each component, in the order of the components
+        _, first = np.unique(graph.component, return_index=True)
+        for i in first[~np.array(graph.bipartite, dtype=bool)].tolist():
             gamma = form.element(i)
             walk = graph.odd_walk_through(gamma)
             terms = odd_cycle_expression(form, walk)  # self-verifying
@@ -419,20 +416,25 @@ def _check_adjointness(max_order: int = 64) -> tuple[bool, str]:
     return True, f"{pairs} lift maps"
 
 
+def _nested_pairs(form: DiscriminantForm):
+    """The pairs (H, K) of isotropic subgroups with H properly inside K,
+    in the order of ``isotropic_subgroups``, by H and then by K."""
+    subs = isotropic_subgroups(form)
+    for H in subs:
+        for K in subs:
+            if K.order > H.order and np.isin(H.indices, K.indices).all():
+                yield H, K
+
+
 @_check("lift-transitivity")
 def _check_transitivity(max_order: int = 64) -> tuple[bool, str]:
     pairs = 0
     for sym in lemma_corpus(max_order):
         form = form_of(sym)
-        subs = isotropic_subgroups(form)
-        for H in subs:
-            for K in subs:
-                if (K.order <= H.order
-                        or not np.isin(H.indices, K.indices).all()):
-                    continue
-                if not check_transitivity(form, H, K):
-                    return False, f"{sym}: {H.generators} in {K.generators}"
-                pairs += 1
+        for H, K in _nested_pairs(form):
+            if not check_transitivity(form, H, K):
+                return False, f"{sym}: {H.generators} in {K.generators}"
+            pairs += 1
     return True, f"{pairs} nested pairs"
 
 

@@ -16,12 +16,9 @@ import pytest
 from dft.classify import contains_isotropic_elementary, small_type
 from dft.errors import ValidityError
 from dft.fqm import build_form, direct_sum
-from dft.lifts import (check_transitivity, isotropic_subgroups, lift_span,
-                       perp_pair_table)
+from dft.lifts import check_transitivity, lift_span, perp_pair_table
 from dft.symbols import enumerate_symbols, format_symbol, parse_symbol
-from dft.verify import CHECKS, form_of, weil_corpus
-
-random.seed(20240811)
+from dft.verify import CHECKS, _nested_pairs, form_of, weil_corpus
 
 
 def _ok(line):
@@ -120,15 +117,10 @@ def test_a6_lift_structure():
     pairs = _count(_run("lift-transitivity", 64))
     for text in _A6_LARGE:
         form = form_of(parse_symbol(text))
-        subs = isotropic_subgroups(form)
-        for H in subs:
-            h_set = set(H.elements)
-            for K in subs:
-                if K.order <= H.order or not h_set <= set(K.elements):
-                    continue
-                assert check_transitivity(form, H, K), \
-                    (text, H.generators, K.generators)
-                pairs += 1
+        for H, K in _nested_pairs(form):
+            assert check_transitivity(form, H, K), \
+                (text, H.generators, K.generators)
+            pairs += 1
     _ok(f"A6 descent = transpose on {lifts} lift maps; transitivity exact "
         f"on {pairs} nested pairs (|D| <= 256)")
 

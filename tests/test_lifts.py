@@ -316,17 +316,23 @@ def test_kernel_vector_cases():
         kernel_vector(build("2_II^+6"), (0,) * 6)
 
 
+def _tuple_expansion(form, terms):
+    """sum coeff 1_{rep + H} over the terms, in element tuples and
+    Fractions: an oracle independent of the constructions' index space."""
+    total = {}
+    for H, rep, coeff in terms:
+        for h in H.elements:
+            key = form.add(rep, h)
+            total[key] = total.get(key, Fraction(0)) + coeff
+    return {k: v for k, v in total.items() if v}
+
+
 def test_odd_cycle_expression():
     d = build("2_II^+4")
     cycle = [(0, 0, 0, 0), (1, 0, 0, 0), (1, 0, 1, 0)]
     terms = odd_cycle_expression(d, cycle)
     assert len(terms) == 3
-    total = {}
-    for H, rep, coeff in terms:
-        for h in H.elements:
-            key = d.add(rep, h)
-            total[key] = total.get(key, Fraction(0)) + coeff
-    assert {k: v for k, v in total.items() if v} == {(0, 0, 0, 0): Fraction(1)}
+    assert _tuple_expansion(d, terms) == {(0, 0, 0, 0): Fraction(1)}
     with pytest.raises(EvenLength):
         odd_cycle_expression(d, [(0, 0, 0, 0), (1, 0, 0, 0)])
     with pytest.raises(NotACycle):
@@ -388,6 +394,20 @@ def test_rank5_on_shifted_generator():
     if d.q(gamma).denominator == 9:
         terms = rank5_expression(d, gamma)
         assert terms and e_gamma_in_image(d, gamma)
+
+
+@pytest.mark.parametrize("tail, gamma", [("9^+1", (0, 0, 0, 0, 1)),
+                                         ("9^-1", (0, 0, 0, 0, 1)),
+                                         ("9^+1", (1, 0, 0, 0, 2))])
+def test_rank5_terms_expand_to_the_unit_vector(tail, gamma):
+    d = direct_sum(build("3^-4"), build(tail))
+    assert d.q(gamma).denominator == 9
+    terms = rank5_expression(d, gamma)
+    for H, rep, _ in terms:
+        # an isotropic line, with the coset representative in H_perp
+        assert len(H.elements) == 3
+        assert all(d.q(h) == 0 and d.b(rep, h) == 0 for h in H.elements)
+    assert _tuple_expansion(d, terms) == {gamma: Fraction(1)}
 
 
 def test_transitivity():
