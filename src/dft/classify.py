@@ -25,7 +25,7 @@ from . import bounds
 from .errors import NotTwoAdic, ValidityError
 from .exact import component_labels
 from .fqm import DiscriminantForm, Element
-from .lifts import isotropic_indices, isotropic_lines
+from .lifts import _greedy_walk, isotropic_indices
 from .ntheory import legendre, kronecker2, prime_power, prime_power_factors
 from .symbols import EVEN, ODD, GenusSymbol
 
@@ -279,49 +279,16 @@ def max_isotropic_rank(p: int, n: int, eps: int) -> int:
 
 
 def contains_isotropic_elementary(form: DiscriminantForm, p: int, k: int) -> bool:
-    """Search for an isotropic subgroup isomorphic to (Z/pZ)^k.
-
-    The isotropic elementary subgroups are walked once each, through their
-    greedy bases: a subgroup W has the basis h_1 < h_2 < ... of line
-    generators (``isotropic_lines``) in which h_{j+1} is the least
-    generator of a line of W outside S_j = <h_1, ..., h_j>.  The basis is
-    pairwise orthogonal, since b vanishes on an isotropic subgroup.  So
-    the search extends S_j only by generators g of lines outside it that
-    come after h_j and are orthogonal to every h_i, and keeps S_j + <g>
-    only when no line it adds has a generator below g.  Every W is
-    reached, along its greedy basis, and along no other path: on a kept
-    path every line added after step j has a generator above h_{j+1}.
-    Each S_j + <g> is isotropic, since q(s + i g) = q(s) + i^2 q(g)
-    + i b(s, g), and elementary of one more rank.
-    """
+    """Search for an isotropic subgroup isomorphic to (Z/pZ)^k: the walk
+    ``lifts._greedy_walk`` over the isotropic elements of order p reaches
+    each isotropic (Z/pZ)^j once, and stops at the first of rank k."""
     bounds.check_span_order(form.order)
     if k == 0:
         return True
-    lines = isotropic_lines(form, p)
-    if len(lines) < (p ** k - 1) // (p - 1):
+    x = isotropic_indices(form, p)
+    if len(x) < p ** k - 1:
         return False
-    gens = lines[:, 1]
-    orth = form.b_row_num(gens)[:, gens] == 0
-
-    def extend(depth, span, inside, allowed):
-        # inside: which lines lie in span; allowed: the candidate lines
-        if depth == k:
-            return True
-        for a in np.flatnonzero(allowed):
-            bigger = form.sum_indices(span, lines[a])
-            in_bigger = np.zeros(form.order, dtype=bool)
-            in_bigger[bigger] = True
-            added = in_bigger[gens] & ~inside
-            if added[:a].any():
-                continue
-            after = allowed & orth[a] & ~added
-            after[:a + 1] = False
-            if extend(depth + 1, bigger, inside | added, after):
-                return True
-        return False
-
-    none = np.zeros(len(gens), dtype=bool)
-    return extend(0, np.zeros(1, dtype=np.int64), none, ~none)
+    return any(len(gens) == k for gens, _ in _greedy_walk(form, x, k))
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,10 @@ def cmd_weil(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    primes = tuple(int(p) for p in args.primes.split(","))
+    try:
+        primes = tuple(int(p) for p in args.primes.split(","))
+    except ValueError:
+        return _fail("ConfigError", "--primes takes integers", EXIT_INPUT)
     config = SweepConfig(max_order=args.max_order, primes=primes,
                          jobs=args.jobs, out=args.out, resume=args.resume)
     try:

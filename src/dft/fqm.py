@@ -15,18 +15,18 @@ coordinates in the quotient, not representatives in the parent, and
 ``project`` / ``section`` are integer coordinate maps between the two.
 p-parts keep and direct sums concatenate generators.
 
-Inside the package a subgroup is the sorted array of its element indices.
-Four primitives build subgroups: ``order_array`` (the element orders),
-``cyclic_indices`` (one cyclic subgroup), ``sum_indices`` (the sum S + T
-of two subgroups) and ``_minimal_generators`` (generators of an index
-set, and the check that it is closed).  The lines of prime order, the
-subgroups the lift span is built from, do not go through them: one
-array pass of ``lifts.isotropic_lines`` gives all the lines of one
-prime, each with its least nonzero member as generator, which is the
-one ``_minimal_generators`` would pick.  ``Subgroup`` carries the index
-array beside the members' coefficient rows and the generators; its
-sorted element tuples, the form subgroups take at the API, are built on
-first use.
+Inside the package a subgroup is the sorted array of its element indices,
+built from generators already known: ``lifts.prime_order_subgroups``
+gives the isotropic lines, one array pass per prime, each generated by
+its least nonzero member, and the greedy-basis walk ``lifts._greedy_walk``
+every other isotropic subgroup, with the generators ``_minimal_generators``
+would pick.  That search (greedy generators by decreasing order, then
+index, on ``cyclic_indices`` and ``sum_indices``, and the check that the
+set is closed) serves only subgroups handed in at the API: ``subgroup``,
+``subgroup_from_generators``, ``orthogonal_complement`` and the K/H of
+``lifts.check_transitivity``.  ``Subgroup`` carries the index array beside
+the members' coefficient rows and the generators; its sorted element
+tuples, the form subgroups take at the API, are built on first use.
 
 ``Fraction`` appears only at the API boundary: the public constructor
 takes the values on the generators as rationals, and ``q`` / ``b`` and

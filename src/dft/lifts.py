@@ -6,10 +6,10 @@ exactly when every basis vector e^gamma is a combination of isotropic
 lifts; per-element membership is decided against a verified exact basis
 of the orthogonal complement (the common kernel of the descents).
 
-Subgroups are enumerated as sorted index arrays (see ``fqm``), from the
-isotropic element indices of ``isotropic_indices``; the prime-order
-lines, which the span is built from, in one array pass per prime
-(``isotropic_lines``).
+Subgroups are sorted index arrays (see ``fqm``): the prime-order lines,
+which the span is built from, from one array pass per prime
+(``prime_order_subgroups``), and every other isotropic subgroup from one
+greedy-basis walk (``_greedy_walk``) that keeps the generators it adds.
 
 Also here: the explicit certificate constructions, on element indices.
 The kernel vector (e^gamma misses the span when gamma_perp carries at
@@ -66,35 +66,25 @@ def _multiples(form: DiscriminantForm, x: np.ndarray, p: int) -> np.ndarray:
                    axis=1)
 
 
-def isotropic_lines(form: DiscriminantForm, p: int) -> np.ndarray:
-    """The isotropic subgroups of prime order p, one sorted row of member
-    indices [0, g, ...] per line, in increasing order of its least nonzero
-    member g.
-
-    One pass over the isotropic elements x of order p: x heads its line
-    exactly when it is the least of its multiples, and the line is 0 with
-    those multiples, a set closed under addition by construction."""
-    x = isotropic_indices(form, p)
-    rows = _multiples(form, x, p)
-    rows = rows[rows[:, 0] == x]
-    return np.concatenate([np.zeros((len(rows), 1), dtype=np.int64), rows],
-                          axis=1)
-
-
 def prime_order_subgroups(form: DiscriminantForm) -> tuple[Subgroup, ...]:
     """The isotropic subgroups of prime order, sorted by (order, indices);
     enumerated once per form and kept on it, beside its lift span.
 
-    Each prime's lines come from one pass of ``isotropic_lines``, already
-    in that order, and each line is generated by its least nonzero
-    member, the generator ``index_subgroup`` would choose."""
+    One array pass per prime p over the isotropic elements x of order p:
+    x heads its line exactly when it is the least of its multiples, and
+    the line, generated by x as ``_minimal_generators`` would choose, is 0
+    with those multiples, a set closed under addition by construction."""
     cached = getattr(form, "_prime_lines", None)
     if cached is not None:
         return cached
     C = form.coeff_matrix()
     lines = []
     for p in prime_power_factors(form.order):
-        members = isotropic_lines(form, p)
+        x = isotropic_indices(form, p)
+        rows = _multiples(form, x, p)
+        rows = rows[rows[:, 0] == x]
+        members = np.concatenate(
+            [np.zeros((len(rows), 1), dtype=np.int64), rows], axis=1)
         members.flags.writeable = False
         gens = C[members[:, 1]].tolist()
         lines += [Subgroup((tuple(g),), idx, coeffs)
@@ -103,35 +93,83 @@ def prime_order_subgroups(form: DiscriminantForm) -> tuple[Subgroup, ...]:
     return form._prime_lines
 
 
-def isotropic_subgroups(form: DiscriminantForm) -> list[Subgroup]:
-    """All non-trivial subgroups on which q vanishes identically.
+def _greedy_walk(form: DiscriminantForm, x: np.ndarray, depth=None):
+    """Every isotropic subgroup generated by the isotropic elements x, once
+    each, as (generator indices, sorted member indices), up to ``depth``
+    generators if given.
 
-    Every subgroup found, starting from the cyclic ones, is extended by each
-    isotropic e orthogonal to it; S + <e> is again isotropic, since
-    q(s + k e) = q(s) + k^2 q(e) + k b(s, e).  The prime-order sublist is
-    exactly ``prime_order_subgroups``.  Bounded by the enumeration bound.
+    Elements are ordered by the key (-order, index), as in
+    ``fqm._minimal_generators``; the candidates are the g in x that come
+    first among the generators of <g>.  From S_j = <g_1, ..., g_j> the walk
+    tries each candidate g after g_j, orthogonal to every g_i and outside
+    S_j, and keeps S_j + <g> (isotropic: q(s + i g) = q(s) + i^2 q(g)
+    + i b(s, g)) only when g is first in (S_j + <g>) - S_j.
+
+    Each W is reached along its greedy basis, w_{j+1} first in W - S_j,
+    which passes every test (the generators of <w_{j+1}> lie in W - S_j,
+    so w_{j+1} is a candidate).  A kept path that first leaves that basis at
+    step j + 1 has some w in W - S_j before g_{j+1}; w is not in S_{j+1}
+    by the test at j + 1, so it enters at a step m > j + 1, whose test
+    gives g_m <= w < g_{j+1}, though g_m comes after g_{j+1}.  So each W
+    is reached once, with the generators ``_minimal_generators`` picks.
     """
+    if not len(x):
+        return
+    C, orders = form.coeff_matrix(), form.order_array()
+    key = (orders.max() - orders) * form.order + np.arange(form.order)
+    last = form.order * orders.max()         # above every key
+    # rows[t, i] = i x[t], x sorted by key; x[t] is a candidate when it is
+    # the least of the i x[t] with i prime to ord(x[t])
+    x = x[np.lexsort((x, -orders[x]))]
+    i = np.arange(orders[x].max())
+    rows = form.indices(i[:, None, None] * C[x]).T
+    unit = np.gcd(i, orders[x, None]) == 1
+    rows = rows[np.where(unit, rows, form.order).min(axis=1) == x]
+    cand = rows[:, 1]
+    members = C[rows][:, None]
+    orth = form.b_row_num(cand)[:, cand] == 0
+    # depth first on a stack: a recursive closure would be a ref cycle
+    stack = [((), np.zeros(1, dtype=np.int64), np.ones(len(cand), bool))]
+    while stack:
+        gens, S, allowed = stack.pop()
+        # the keys, with S's members lifted above all others
+        outside = key.copy()
+        outside[S] = last
+        a = np.flatnonzero(allowed & (outside[cand] < last))
+        if not len(a):
+            continue
+        sums = form.indices(C[S][:, None] + members[a])
+        kept = outside[sums].min(axis=(1, 2)) == key[cand[a]]
+        children = []
+        for g, T in zip(a[kept], sums[kept]):
+            T = np.sort(T, axis=None)
+            T = T[np.concatenate(([True], T[1:] != T[:-1]))]
+            walk = gens + (int(cand[g]),)
+            yield walk, T
+            if depth is None or len(walk) < depth:
+                after = allowed & orth[g]
+                after[:g + 1] = False
+                children.append((walk, T, after))
+        stack += children[::-1]
+
+
+def _subgroup(form: DiscriminantForm, gens, S: np.ndarray) -> Subgroup:
+    C = form.coeff_matrix()
+    return Subgroup(tuple(map(tuple, C[list(gens)].tolist())), S, C[S])
+
+
+def isotropic_subgroups(form: DiscriminantForm) -> list[Subgroup]:
+    """All non-trivial subgroups on which q vanishes identically, by
+    (order, indices), from one greedy-basis walk; the prime-order sublist
+    is exactly ``prime_order_subgroups``.  Bounded by the enumeration
+    bound."""
     limit = bounds.max_enum_order()
     if form.order > limit:
         raise BoundExceeded(
             f"|D| = {form.order} exceeds the enumeration bound {limit}")
-    iso = isotropic_indices(form)
-    apart = form.b_row_num(iso) != 0        # |iso| x |D|
-    cyclic = [form.cyclic_indices(i) for i in iso]
-    found = {S.tobytes(): S for S in cyclic}
-    queue = list(found.values())
-    while queue:
-        S = queue.pop()
-        outside = np.ones(form.order, dtype=bool)
-        outside[S] = False
-        extends = ~apart[:, S].any(axis=1) & outside[iso]
-        for a in np.nonzero(extends)[0]:
-            bigger = form.sum_indices(S, cyclic[a])
-            if bigger.tobytes() not in found:
-                found[bigger.tobytes()] = bigger
-                queue.append(bigger)
-    subs = sorted(found.values(), key=lambda S: (len(S), S.tolist()))
-    return [index_subgroup(form, S) for S in subs]
+    found = _greedy_walk(form, isotropic_indices(form))
+    return [_subgroup(form, gens, S) for gens, S in
+            sorted(found, key=lambda w: (len(w[1]), w[1].tolist()))]
 
 
 # ---------------------------------------------------------------------------
@@ -294,30 +332,23 @@ def perp_pair_table(form: DiscriminantForm, p: int) -> np.ndarray:
     """For every element index: does its orthogonal complement contain an
     isotropic subgroup isomorphic to (Z/pZ)^2?
 
-    Element g qualifies when some pair (i, j) of candidates has pairok[i, j]
-    with both in g_perp, Z[i, g] and Z[j, g]: one boolean product over the
-    whole form finds, for each (i, g), whether such a j exists."""
+    Element g qualifies when some pair (i, j) of candidates, orthogonal and
+    on distinct lines (named by their least nonzero members), has both in
+    g_perp: one boolean product over the whole form finds, for each
+    (i, g), whether such a j exists."""
     cand = isotropic_indices(form, p)
-    B = form.b_row_num(cand)                              # b(cand_i, -)
-    Z = B == 0
-    return ((_pair_ok(form, cand, B, p) @ Z) & Z).any(axis=0)
-
-
-def _pair_ok(form: DiscriminantForm, cand: np.ndarray, B: np.ndarray,
-             p: int) -> np.ndarray:
-    """pairok[i, j]: the isotropic order-p elements cand[i] and cand[j] are
-    orthogonal and span distinct lines; B holds their rows b(cand[i], -).
-    A line is named by its least nonzero member."""
+    Z = form.b_row_num(cand) == 0                   # b(cand_i, -) = 0
     line = _multiples(form, cand, p)[:, 0]
-    return (B[:, cand] == 0) & (line[:, None] != line[None, :])
+    pair_ok = Z[:, cand] & (line[:, None] != line[None, :])
+    return ((pair_ok @ Z) & Z).any(axis=0)
 
 
 def _perp_has_pair(form: DiscriminantForm, p: int, g: int) -> bool:
-    """``perp_pair_table(form, p)[g]``, from the column of element g alone."""
+    """``perp_pair_table(form, p)[g]``, by a walk to depth 2 over the
+    isotropic elements of order p in g_perp."""
     cand = isotropic_indices(form, p)
-    cand = cand[form.b_row_num(g)[cand] == 0]
-    return len(cand) >= 2 and bool(
-        _pair_ok(form, cand, form.b_row_num(cand), p).any())
+    walk = _greedy_walk(form, cand[form.b_row_num(g)[cand] == 0], 2)
+    return any(len(gens) == 2 for gens, _ in walk)
 
 
 def kernel_vector(form: DiscriminantForm, gamma: Element) -> dict[Element, Fraction]:
@@ -335,25 +366,20 @@ def kernel_vector(form: DiscriminantForm, gamma: Element) -> dict[Element, Fract
     if form.order == 1:
         return {form.element(g): Fraction(1)}
     p = pk[0]
-    if _perp_has_pair(form, p, g):
-        raise HypothesisFailed("gamma_perp contains an isotropic (Z/pZ)^2")
-    in_perp = form.b_row_num(g) == 0
-    # without an isotropic (Z/pZ)^2 every isotropic subgroup inside
-    # gamma_perp is cyclic, so cyclic closures exhaust them
+    # the isotropic subgroups of gamma_perp are cyclic unless one is (Z/pZ)^2
     iso = isotropic_indices(form)
-    cyclic = {}
-    for i in iso[in_perp[iso]]:
-        S = form.cyclic_indices(i)
-        cyclic.setdefault(S.tobytes(), S)
+    walk = list(_greedy_walk(form, iso[form.b_row_num(g)[iso] == 0], 2))
+    if any(len(gens) > 1 for gens, _ in walk):
+        raise HypothesisFailed("gamma_perp contains an isotropic (Z/pZ)^2")
+    subs = [_subgroup(form, gens, S) for gens, S in walk]
     # (p - 1) v = (p - 1) e^gamma - sum over the lines H in gamma_perp of
     # the e^(gamma + mu), mu in H - 0
     row = np.zeros(form.order, dtype=np.int64)
     row[g] = p - 1
-    for S in cyclic.values():
-        if len(S) == p:
-            row[form.add_indices(S[1:], g)] -= 1
+    for H in subs:
+        if H.order == p:
+            row[form.add_indices(H.indices[1:], g)] -= 1
     # a descent kills v when v sums to zero over every coset column
-    subs = [index_subgroup(form, S) for S in cyclic.values()]
     if not annihilates(row[None, :], span_columns(form, subs)):
         raise HypothesisFailed("a descent along a cyclic isotropic subgroup "
                                "of gamma_perp does not vanish")

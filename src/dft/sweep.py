@@ -99,6 +99,8 @@ def _load_existing(path: str, config_hash: str) -> dict[str, dict]:
 
 def run_sweep(config: SweepConfig, log=None) -> dict:
     """Execute the sweep, write the JSONL output, return the summary."""
+    if config.jobs < 1:
+        raise ValueError(f"jobs = {config.jobs}: the sweep needs a worker")
     t0 = time.perf_counter()
     symbols = [str(s) for s in enumerate_symbols(config.max_order,
                                                  config.primes)]

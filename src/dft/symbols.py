@@ -20,7 +20,7 @@ from math import lcm, prod
 from typing import Iterable, Optional
 
 from .errors import SymbolSyntaxError, ValidityError
-from .ntheory import prime_power
+from .ntheory import is_prime, prime_power
 
 EVEN = "even"
 ODD = "odd"
@@ -241,9 +241,10 @@ def _local_symbols(p: int, max_order: int):
 def enumerate_symbols(max_order: int, primes: Iterable[int]) -> list[GenusSymbol]:
     """All valid genus symbols supported on the given primes with group
     order <= max_order, in a fixed deterministic order."""
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
     plist = sorted(set(primes))
+    if max_order < 1 or not all(map(is_prime, plist)):
+        raise ValueError(f"max_order = {max_order} must be >= 1 and the "
+                         f"primes {plist} prime")
     combos = [()]
     for p in plist:
         locals_p = _local_symbols(p, max_order)

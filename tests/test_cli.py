@@ -222,6 +222,23 @@ def test_sweep_resume_config_mismatch(tmp_path, capsys):
     assert code == 2 and err["error"]["type"] == "ConfigError"
 
 
+@pytest.mark.parametrize("option, value", [("--primes", "x"),
+                                           ("--primes", "2,,3"),
+                                           ("--primes", ""),
+                                           ("--primes", "1"),
+                                           ("--primes", "2,4"),
+                                           ("--jobs", "0")])
+def test_sweep_bad_option_exits_2(tmp_path, capsys, option, value):
+    argv = {"--max-order": "9", "--primes": "3",
+            "--out": str(tmp_path / "s.jsonl"), option: value}
+    code = main(["classify-sweep"] + [x for kv in argv.items() for x in kv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"]["type"] == "ConfigError"
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "s.jsonl").exists()
+
+
 def test_sweep_records_do_not_import_numpy_ma():
     # numpy.ma costs about 1.25 MB of resident memory in a sweep process;
     # the first one-dimensional np.unique (or np.isin through it) loads it

@@ -8,6 +8,7 @@ import pytest
 from dft.errors import (EvenLength, HypothesisFailed, NotACycle, NotIsotropic,
                         NotNested, ValidityError)
 from dft import fqm, lifts
+from dft.classify import contains_isotropic_elementary
 from dft.exact import IndicatorColumns
 from dft.fqm import (build_form, direct_sum, index_subgroup, perp_indices,
                      subgroup_from_generators)
@@ -105,6 +106,38 @@ def test_prime_order_sublist():
         {H.elements for H in all_subs if H.order == 2}
 
 
+def _subgroups_by_closure(form):
+    """The breadth-first route: every subgroup found, from the cyclic ones
+    up, extended by each isotropic element orthogonal to it and outside it,
+    then sorted and given generators by ``index_subgroup``."""
+    iso = isotropic_indices(form)
+    apart = form.b_row_num(iso) != 0
+    cyclic = [form.cyclic_indices(i) for i in iso]
+    found = {S.tobytes(): S for S in cyclic}
+    queue = list(found.values())
+    while queue:
+        S = queue.pop()
+        outside = np.ones(form.order, dtype=bool)
+        outside[S] = False
+        for a in np.nonzero(~apart[:, S].any(axis=1) & outside[iso])[0]:
+            bigger = form.sum_indices(S, cyclic[a])
+            if bigger.tobytes() not in found:
+                found[bigger.tobytes()] = bigger
+                queue.append(bigger)
+    subs = sorted(found.values(), key=lambda S: (len(S), S.tolist()))
+    return [index_subgroup(form, S) for S in subs]
+
+
+def test_isotropic_subgroups_match_the_closure_route():
+    for sym in enumerate_symbols(128, {2, 3, 5}):
+        form = form_of(sym)
+        got, want = isotropic_subgroups(form), _subgroups_by_closure(form)
+        assert ([(H.generators, H.indices.dtype, H.indices.tobytes())
+                 for H in got]
+                == [(H.generators, H.indices.dtype, H.indices.tobytes())
+                    for H in want]), str(sym)
+
+
 def _lines_by_index_subgroup(form):
     """The per-line route: the cyclic closure of each isotropic element of
     prime order not yet seen, through ``index_subgroup``."""
@@ -165,6 +198,22 @@ def test_sweep_path_never_searches_for_generators(monkeypatch):
         assert evaluate_symbol(text)["agreement"], text
     res = lift_span(build("2_II^+2.3^-3.5^+2"))
     assert not res.full
+
+
+def test_subgroup_walks_never_search_for_generators(monkeypatch):
+    def refuse(form, idx):
+        raise AssertionError("generator search inside a subgroup walk")
+
+    monkeypatch.setattr(fqm, "_minimal_generators", refuse)
+    assert len(isotropic_subgroups(build("2_II^+4"))) == 15
+    deficient = build("3^-5")
+    assert not lift_span(deficient).full
+    assert spans_agree_with_all_subgroups(deficient)
+    d = build("3^-6")
+    assert contains_isotropic_elementary(d, 3, 3)
+    assert not contains_isotropic_elementary(d, 3, 4)
+    result = CHECKS["kernel-vector"]()
+    assert result.passed, result.detail
 
 
 def test_lift_matrix_anchors():
