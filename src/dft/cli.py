@@ -90,6 +90,7 @@ def cmd_image(args) -> int:
         "fallback_used": span.fallback_used,
         "blocks": span.blocks,
         "cholesky_blocks": span.cholesky_blocks,
+        "guided_blocks": span.guided_blocks,
         "components": span.components,
         "distinct_components": span.distinct_components,
     }

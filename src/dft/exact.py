@@ -2,9 +2,10 @@
 
 The columns to be spanned are supports in Z^n, held as CSR index arrays
 (``IndicatorColumns``); A is the n x ncols 0/1 matrix they form.  Full
-rank is first tried by a float64 Cholesky certificate (below); otherwise
-rank is computed by row reduction modulo a word-size prime, of one of two
-row sources, chosen by the shape of A:
+rank is first tried by a float64 Cholesky certificate, and a deficient
+span by a kernel guessed in float64 and certified exactly (both below);
+otherwise rank is computed by row reduction modulo a word-size prime, of
+one of two row sources, chosen by the shape of A:
 
 * ncols <= n: the columns themselves, one 0/1 row each (the rows of A^T);
 * ncols > n: the n rows of the Gram matrix G = A A^T, built by counting
@@ -64,7 +65,43 @@ lambda_min(G) >= c - ||dG||_2 > 0 and G is positive definite (Higham,
 *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm. 10.3;
 Rump, "Verification of positive definiteness", BIT 46 (2006) 433-452).
 A certified group needs no prime at all; a refused one, which may still
-have full rank, goes to the modular echelon below.
+have full rank, goes to the guided kernel next.
+
+The guided kernel (``_guided_kernel``) takes a group the full-rank test
+refuses, or one with fewer columns than rows, when it is large enough to
+gain (``_offers_guided``), and returns exactly the kernel the modular
+route below would.  Write a_i for row i of A.  The
+RREF of the span of the columns (the row space of A^T) has a pivot at c
+exactly when a_c is not in the span of a_0, ..., a_{c-1}, since its
+projection onto the coordinates 0..c has dimension rank A[:c+1].  Its
+kernel row for a free column f is the one x with x^T A = 0, x_f = 1 and
+x_g = 0 at every other free g; the modular route scales it by the lcm of
+its denominators, which makes it the integer vector of gcd 1 with a
+positive entry at f.  A float64 Cholesky of G + eps I (eps = 2^-30 max
+G_ii, shifted in place) guesses the free rows F: those whose squared
+pivot, the squared distance of a_i from the rows before it plus about
+eps, falls below 2^-20 max G_ii; the others are P.  Solving
+G[P, P] X = G[P, F] in float64 and rounding (scaling a row that is not
+integral by the lcm of its entries' denominators) gives an integer
+k x n matrix K, accepted only when
+
+* every |entry| is below 2^52, so the float64 rounding is exact;
+* the Cholesky test above certifies G[P, P]: the rows a_P are
+  independent, and rank A >= |P|;
+* K annihilates every column exactly and K[:, F] is a positive diagonal:
+  |F| independent vectors of ker A^T, so rank A <= n - |F| = |P|;
+* K[j, p] = 0 at every p in P after F[j]: each free row is a combination
+  of the pivot rows before it.  So every row before a pivot row p lies in
+  the span of the pivot rows before p, and a_p, independent of them, is
+  not in it: P is the greedy pivot set and F the free columns;
+* each row of K has gcd 1.  Divided by its entry at F[j], row j is in
+  ker A^T, 1 at F[j] and 0 at the other free columns: the RREF kernel
+  row.  With gcd 1 and a positive entry at F[j] it is that row times the
+  lcm of its denominators, entry for entry the modular route's answer.
+
+Rank is then certified from both sides, as below.  A wrong guess can only
+make a test refuse, and a refused group goes to the modular echelon, so
+the guess costs time, never an answer.
 
 A full modular rank already certifies full rational rank.  When the span
 is deficient, the kernel of the modular RREF (free columns set to 1, one
@@ -126,6 +163,15 @@ _TERMS = 4096
 _CHECK_ENTRIES = 1 << 16
 # residues and kernel entries stay int64 below this; Python ints above
 _INT64_SAFE = 1 << 62
+# the guided kernel's shift of G, and the squared pivot below which it
+# guesses a row free, both as shares of max G_ii
+_GUIDE_SHIFT = 2.0 ** -30
+_GUIDE_FREE = 2.0 ** -20
+# a guided kernel row within 1/_GUIDE_DEN of integers is rounded as it
+# is; any other is scaled by its entries' denominators up to _GUIDE_DEN
+_GUIDE_DEN = 1 << 20
+# guided kernel entries are exact integers in float64 below this
+_GUIDE_MAX = 2.0 ** 52
 
 
 @dataclass(frozen=True)
@@ -186,9 +232,9 @@ class SpanResult:
     rank: int
     kernel: np.ndarray               # k x dim integers, verified kernel basis
     membership: np.ndarray           # bool[n]; e_i in the span
-    # primes_used, blocks and cholesky_blocks count the groups of the
-    # representatives only: a copy of a component runs no certificate of
-    # its own (see span_of_indicator_columns)
+    # primes_used, blocks, cholesky_blocks and guided_blocks count the
+    # groups of the representatives only: a copy of a component runs no
+    # certificate of its own (see span_of_indicator_columns)
     primes_used: int = 0             # primes whose modular echelon ran
     fallback_used: bool = False      # every prime failed: _exact_fallback ran
     blocks: int = 1                  # groups of rows certified one by one
@@ -198,6 +244,7 @@ class SpanResult:
     # one block: at or below _PACK_ROWS rows, or without columns
     components: int = 1
     distinct_components: int = 1
+    guided_blocks: int = 0           # groups certified by _guided_kernel
 
     @property
     def full(self) -> bool:
@@ -444,6 +491,114 @@ def _cholesky_certifies(G: np.ndarray) -> bool:
         G[on_diag] += 2.0 ** e
 
 
+def _free_rows(G: np.ndarray) -> np.ndarray | None:
+    """The rows of the float64 Gram matrix G guessed dependent on the rows
+    before them, as a boolean mask: those whose squared pivot in a Cholesky
+    of G + eps I, eps = 2^-30 max G_ii, lies below 2^-20 max G_ii.  None
+    when the factorisation fails.
+
+    G is shifted in place and its diagonal restored from a copy."""
+    diag = np.diagonal(G).copy()
+    top = float(diag.max())
+    if not top > 0:
+        return None
+    on_diag = np.diag_indices(len(G))
+    G[on_diag] += _GUIDE_SHIFT * top
+    try:
+        pivots = np.square(np.diagonal(np.linalg.cholesky(G)))
+    except np.linalg.LinAlgError:
+        return None
+    finally:
+        G[on_diag] = diag
+    if not np.isfinite(pivots).all():
+        return None
+    return pivots < _GUIDE_FREE * top
+
+
+def _scaled_rows(K: np.ndarray) -> np.ndarray:
+    """The float64 rows of K rounded to integers, each first multiplied by
+    the lcm of its entries' denominators.
+
+    A row more than 1/``_GUIDE_DEN`` away from integers is multiplied by
+    the denominator of its entry farthest from an integer (the least up to
+    ``_GUIDE_DEN`` that fits it), until it is near integers.  That entry's
+    denominator divides the lcm, and the entry is integral afterwards, so
+    the multipliers make up exactly the lcm.  Each multiplier is at least
+    2 (by Dirichlet's theorem some a/b with b <= _GUIDE_DEN lies nearer
+    than 1/_GUIDE_DEN, so nearer than any integer), so the entry 1 at the
+    row's free column doubles at least; scaling stops once an entry
+    reaches 2^52, or at once if one is not finite: the caller refuses
+    both.
+    """
+    K = K.copy()
+    while np.abs(K).max() < _GUIDE_MAX:
+        R = np.rint(K)
+        off = np.abs(K - R)
+        rows = np.flatnonzero(off.max(axis=1) > 1 / _GUIDE_DEN)
+        if not len(rows):
+            return R
+        worst = K[rows, off[rows].argmax(axis=1)].tolist()
+        K[rows] *= np.array([Fraction(x).limit_denominator(_GUIDE_DEN)
+                             .denominator for x in worst])[:, None]
+    return np.rint(K)
+
+
+def _offers_guided(n: int, ncols: int) -> bool:
+    """Whether a group of n rows and ncols columns that the full-rank test
+    does not certify goes to ``_guided_kernel`` before the modular echelon.
+
+    It does when the echelon would eliminate more than ``_BASE_ROWS`` rows
+    (min(n, ncols) of them), since one row-at-a-time base case costs less
+    than the guided kernel's fixed overhead, and when there are at least
+    n / 3 columns: a few rows of a wide matrix eliminate faster than the
+    n x n Gram matrix factors.  Both limits were measured on the groups of
+    the lift spans of {2, 3, 5} forms.
+    """
+    return min(n, ncols) > _BASE_ROWS and 3 * ncols >= n
+
+
+def _guided_kernel(n: int, columns: IndicatorColumns,
+                   G: np.ndarray) -> np.ndarray | None:
+    """The kernel the modular route returns, found in float64 and certified
+    exactly (see the module docstring), or None when a test refuses it.
+
+    The free rows F come from ``_free_rows``, the rest are the pivot rows
+    P.  Rank >= |P| is certified by ``_cholesky_certifies(G[P, P])``; the
+    kernel row of f in F is e_f - x with G[P, P] x = G[P, f], solved in
+    float64 and made integral by ``_scaled_rows``.  The integer rows are
+    accepted only if every entry is below 2^52, K[:, F] is a positive
+    diagonal, each row has gcd 1, no row has a nonzero entry at a pivot
+    after its free row, and ``annihilates`` holds exactly.
+    """
+    free = _free_rows(G)
+    if free is None or not free.any():
+        return None
+    F, P = np.flatnonzero(free), np.flatnonzero(~free)
+    K = np.zeros((len(F), n))
+    K[np.arange(len(F)), F] = 1.0
+    if len(P):
+        GPP = G[np.ix_(P, P)]
+        if not _cholesky_certifies(GPP):
+            return None
+        try:
+            K[:, P] = -np.linalg.solve(GPP, G[np.ix_(P, F)]).T
+        except np.linalg.LinAlgError:
+            return None
+    K = _scaled_rows(K)
+    if not np.abs(K).max() < _GUIDE_MAX:      # also refuses NaN and inf
+        return None
+    K = K.astype(np.int64)
+    on_free = K[:, F]
+    if (np.count_nonzero(on_free) != len(F)
+            or not (np.diagonal(on_free) > 0).all()):
+        return None
+    if K[:, P][P > F[:, None]].any():
+        return None
+    if (np.gcd.reduce(K, axis=1) != 1).any():
+        return None
+    return K if annihilates(K, columns) else None
+
+
 def _run_echelon(n, count, block, p):
     """RREF modulo p of the ``count`` rows given by ``block``, inserted
     ``_BLOCK`` at a time: (ids, cols, R) as for ``_rref``, with ids the
@@ -490,21 +645,27 @@ def _span_block(n: int, columns: IndicatorColumns) -> SpanResult:
     """Certified span data for the columns of one group of rows.
 
     With at least n columns the Gram matrix G is built and offered to
-    ``_cholesky_certifies``.  Otherwise, or if it refuses, rows are
-    eliminated modulo primes: with more columns than n the n rows of G,
-    which over Q span the same space as the columns, else one 0/1 row per
-    column.
+    ``_cholesky_certifies``.  Otherwise, or if it refuses, G is offered to
+    ``_guided_kernel`` when ``_offers_guided`` says so.  If that refuses
+    too, or does not run, rows are eliminated modulo primes: with more
+    columns than n the n rows of G, which over Q span the same space as
+    the columns, else one 0/1 row per column.
     """
     if not len(columns):
         return SpanResult(n, 0, np.eye(n, dtype=np.int64),
                           np.zeros(n, dtype=bool))
 
-    if len(columns) >= n:
+    guided = _offers_guided(n, len(columns))
+    if len(columns) >= n or guided:
         # one float64 copy only: each entry counts columns, so it is far
         # below 2^53 and exact, and the echelon reads it back block by block
         G = _gram(n, columns).astype(np.float64)
-        if _cholesky_certifies(G):
-            return _full(n, 0, cholesky_blocks=1)
+    if len(columns) >= n and _cholesky_certifies(G):
+        return _full(n, 0, cholesky_blocks=1)
+    kernel = _guided_kernel(n, columns, G) if guided else None
+    if kernel is not None:
+        return SpanResult(n, n - len(kernel), kernel,
+                          ~(kernel != 0).any(axis=0), guided_blocks=1)
     if len(columns) > n:
         count, block = n, (
             lambda start, stop, p: G[start:stop].astype(np.int64) % p)
@@ -728,7 +889,7 @@ def span_of_indicator_columns(n: int, columns) -> SpanResult:
     if not np.array_equal(entry_group, np.repeat(col_group, lengths)):
         raise ArithmeticError("a column meets two row groups")
 
-    used, fallback, chol = 0, False, 0
+    used, fallback, chol, guided = 0, False, 0, 0
     membership = np.zeros(n, dtype=bool)
     free = np.zeros(n, dtype=bool)
     parts = []
@@ -743,6 +904,7 @@ def span_of_indicator_columns(n: int, columns) -> SpanResult:
         used = max(used, res.primes_used)
         fallback |= res.fallback_used
         chol += res.cholesky_blocks
+        guided += res.guided_blocks
         membership[rows] = res.membership
         if len(res.kernel):
             # a kernel row's free column is its last nonzero entry
@@ -771,7 +933,8 @@ def span_of_indicator_columns(n: int, columns) -> SpanResult:
         at = copy[np.repeat(lo, width) + step]
         kernel[dest[fr], at] = kernel[dest[src[fr]], src[at]]
     return SpanResult(n, n - len(kernel), _int_matrix(kernel), membership,
-                      used, fallback, count, chol, len(roots), distinct)
+                      used, fallback, count, chol, len(roots), distinct,
+                      guided)
 
 
 def _integer_rref(n: int, columns):

@@ -64,6 +64,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import cyclo
+from .bounds import check_form_order
 from .errors import (DegenerateForm, DimensionMismatch, NotIsotropic,
                      ValidityError)
 from .ntheory import legendre, prime_power, prime_power_factors
@@ -737,7 +738,9 @@ def _odd_prime_units(p: int, rank: int, sign: int) -> list[int]:
 
 
 def build_form(sym: GenusSymbol) -> DiscriminantForm:
-    """Realize a genus symbol by explicit Jordan block models."""
+    """Realize a genus symbol by explicit Jordan block models; its order
+    is checked against ``bounds.MAX_FORM_ORDER`` first."""
+    check_form_order(sym.order)
     L = 2 * lcm(*(comp.scale for comp in sym.components))
     orders: list[int] = []
     qn: list[int] = []                      # numerators over L

@@ -27,6 +27,18 @@ MAX_WITNESSES = 8
 FORMAT_VERSION = 2
 
 
+class _Record:
+    """The fields of one sweep record, set as attributes.
+
+    A sweep holds one record per symbol.  The ``__dict__`` of instances of
+    one class share a single key table (PEP 412), so ``vars(record)``, a
+    plain dict, stores only its values: about 200 bytes in CPython 3.11,
+    against about 470 for a dict literal of the same 13 fields.  Every
+    record sets its fields in one order, so that the shared table never
+    has to change; a full span's record then drops the witness fields.
+    """
+
+
 @dataclass
 class SweepConfig:
     max_order: int
@@ -57,26 +69,25 @@ def evaluate_symbol(text: str, span_order: int | None = None) -> dict:
     form = build_form(sym)
     verdict = small_type(sym)
     span = lift_span(form, span_order)
-    record = {
-        "kind": "record",
-        "symbol": text,
-        "order": form.order,
-        "level": form.level,
-        "signature": form.signature,
-        "small": verdict.small,
-        "rule": verdict.rule,
-        "image_rank": span.rank,
-        "full_image": span.full,
-        "agreement": verdict.small == (not span.full),
-    }
-    if not span.full:
-        missing = [int(i) for i in (~span.membership).nonzero()[0]]
-        record["witness_count"] = len(missing)
-        # tuples: the JSON is the same as for lists, and they are smaller
-        record["witnesses"] = [form.element(i)
-                               for i in missing[:MAX_WITNESSES]]
-    record["elapsed_ms"] = round(1000 * (time.perf_counter() - t0), 3)
-    return record
+    missing = [int(i) for i in (~span.membership).nonzero()[0]]
+    record = _Record()
+    record.kind = "record"
+    record.symbol = text
+    record.order = form.order
+    record.level = form.level
+    record.signature = form.signature
+    record.small = verdict.small
+    record.rule = verdict.rule
+    record.image_rank = span.rank
+    record.full_image = span.full
+    record.agreement = verdict.small == (not span.full)
+    record.witness_count = len(missing)
+    # tuples: the JSON is the same as for lists, and they are smaller
+    record.witnesses = [form.element(i) for i in missing[:MAX_WITNESSES]]
+    if span.full:
+        del record.witness_count, record.witnesses
+    record.elapsed_ms = round(1000 * (time.perf_counter() - t0), 3)
+    return vars(record)
 
 
 def _load_existing(path: str, config_hash: str) -> dict[str, dict]:

@@ -18,6 +18,7 @@ every entry of ``CHECKS`` is run by at least one test.
 from __future__ import annotations
 
 import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -52,11 +53,13 @@ CHECKS: dict[str, Callable[..., CheckResult]] = {}
 
 def _check(name: str):
     """Register a check returning (passed, detail) in ``CHECKS`` under the
-    name its results carry."""
+    name its results carry.  A check run on its own keeps the forms it
+    builds with ``form_of`` until it returns."""
     def register(fn):
         @functools.wraps(fn)
         def run(*args, **kwargs) -> CheckResult:
-            return CheckResult(name, *fn(*args, **kwargs))
+            with _form_cache():
+                return CheckResult(name, *fn(*args, **kwargs))
         CHECKS[name] = run
         return run
     return register
@@ -89,11 +92,32 @@ def lemma_corpus(max_order: int = 128) -> list[GenusSymbol]:
     return enumerate_symbols(max_order, {2, 3, 5})
 
 
-_forms: dict[str, DiscriminantForm] = {}
+# the forms built by form_of in the open cache scope; None outside one
+_forms: dict[str, DiscriminantForm] | None = None
+
+
+@contextmanager
+def _form_cache():
+    """Keep the forms ``form_of`` builds, with their cached spans, graphs
+    and quotients, until the outermost scope ends: one ``run_suite``
+    call, or one check run on its own."""
+    global _forms
+    if _forms is not None:
+        yield
+        return
+    _forms = {}
+    try:
+        yield
+    finally:
+        _forms = None
 
 
 def form_of(sym: GenusSymbol) -> DiscriminantForm:
-    """Process-wide form cache so spans and graphs are computed once."""
+    """The form of ``sym``, built once per cache scope (``_form_cache``) so
+    that its spans and graphs are computed once; outside a scope, built
+    afresh."""
+    if _forms is None:
+        return build_form(sym)
     key = str(sym)
     if key not in _forms:
         _forms[key] = build_form(sym)
@@ -418,12 +442,22 @@ def _check_adjointness(max_order: int = 64) -> tuple[bool, str]:
 
 def _nested_pairs(form: DiscriminantForm):
     """The pairs (H, K) of isotropic subgroups with H properly inside K,
-    in the order of ``isotropic_subgroups``, by H and then by K."""
+    in the order of ``isotropic_subgroups``, by H and then by K.
+
+    H lies in K exactly when they share |H| elements; the shared counts
+    of all pairs are one product of the subgroups' 0/1 membership table
+    with its transpose, in float32: exact, since no count exceeds
+    |D| <= ``bounds.MAX_FORM_ORDER`` = 2^20 < 2^24."""
     subs = isotropic_subgroups(form)
-    for H in subs:
-        for K in subs:
-            if K.order > H.order and np.isin(H.indices, K.indices).all():
-                yield H, K
+    sizes = np.array([H.order for H in subs], dtype=np.int64)
+    member = np.zeros((len(subs), form.order), dtype=np.float32)
+    member[np.repeat(np.arange(len(subs)), sizes),
+           np.concatenate([H.indices for H in subs]
+                          + [np.zeros(0, dtype=np.int64)])] = 1
+    nested = ((member @ member.T == sizes[:, None])
+              & (sizes[None, :] > sizes[:, None]))
+    for h, k in zip(*np.nonzero(nested)):
+        yield subs[h], subs[k]
 
 
 @_check("lift-transitivity")
@@ -461,12 +495,15 @@ def run_suite(name: str, log=print) -> list[CheckResult]:
         raise ValueError(f"unknown suite {name!r}; "
                          f"choose from {sorted(SUITES)}")
     results = []
-    for check in SUITES[name]:
-        try:
-            res = CHECKS[check]()
-        except DftError as exc:
-            res = CheckResult(check, False, f"{type(exc).__name__}: {exc}")
-        results.append(res)
-        if log:
-            log(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")
+    with _form_cache():
+        for check in SUITES[name]:
+            try:
+                res = CHECKS[check]()
+            except DftError as exc:
+                res = CheckResult(check, False,
+                                  f"{type(exc).__name__}: {exc}")
+            results.append(res)
+            if log:
+                log(f"{'PASS' if res.passed else 'FAIL'} {res.name}: "
+                    f"{res.detail}")
     return results

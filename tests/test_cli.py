@@ -56,9 +56,10 @@ def test_image(capsys):
     assert out["rank"] == 2 and out["full_image"] is False
     assert out["graph_agrees"] is True
     assert [0, 0] in out["witnesses"] and [1, 1] in out["witnesses"]
+    # four rows: too few for the guided kernel, one prime certifies
     assert (out["primes_used"], out["fallback_used"], out["blocks"]) == (
         1, False, 1)
-    assert out["cholesky_blocks"] == 0
+    assert (out["cholesky_blocks"], out["guided_blocks"]) == (0, 0)
     code, out = run_cli(capsys, "image", "2_II^-6")
     assert out["rank"] == 64 and out["full_image"] is True
     # 729 rows in three components of q, one group each, each certified
@@ -67,14 +68,21 @@ def test_image(capsys):
     assert out["rank"] == 729 and out["full_image"] is True
     assert (out["primes_used"], out["fallback_used"], out["blocks"]) == (
         0, False, 3)
-    assert out["cholesky_blocks"] == 3
+    assert (out["cholesky_blocks"], out["guided_blocks"]) == (3, 0)
     # three components, none a copy of another
     assert (out["components"], out["distinct_components"]) == (3, 3)
     # 225 components, copies of 2: one group of representatives
     code, out = run_cli(capsys, "image", "27^-2")
     assert out["rank"] == 297 and out["full_image"] is False
     assert (out["components"], out["distinct_components"]) == (225, 2)
-    assert (out["blocks"], out["primes_used"]) == (1, 1)
+    # of 12 rows and 13 columns: one prime, as for 2_II^+2
+    assert (out["blocks"], out["primes_used"], out["guided_blocks"]) == (
+        1, 1, 0)
+    # three groups: two full rank by the Cholesky test, one deficient
+    # certified by the guided kernel; no prime at all
+    code, out = run_cli(capsys, "image", "3^-5")
+    assert (out["rank"], out["blocks"], out["cholesky_blocks"]) == (237, 3, 2)
+    assert (out["guided_blocks"], out["primes_used"]) == (1, 0)
 
 
 def test_image_per_element(capsys):
@@ -98,6 +106,16 @@ def test_bound_exceeded_exits_3(capsys, monkeypatch):
     for argv in (("image", "3^+12"), ("graph", "2_II^+14")):
         code, out = run_cli(capsys, *argv)
         assert code == 3 and out["error"]["type"] == "BoundExceeded"
+
+
+@pytest.mark.parametrize("command", ["info", "weil"])
+def test_form_order_bound_exits_3(capsys, command):
+    # 2^40 elements: refused from the symbol before any table is built
+    code = main([command, "2_II^+40"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out)["error"]["type"] == "BoundExceeded"
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

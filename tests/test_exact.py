@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from dft.exact import (_PACK_ROWS, PRIMES, IndicatorColumns,
                        annihilates, span_of_indicator_columns)
 from dft.fqm import build_form
 from dft.lifts import prime_order_subgroups, span_columns
-from dft.symbols import parse_symbol
+from dft.symbols import enumerate_symbols, parse_symbol
 
 
 def test_empty_column_set():
@@ -194,10 +195,20 @@ _PATHS = [
 
 
 # each column twice: more columns than n, so the Gram rows are eliminated
-@pytest.mark.parametrize("n, primes, fallback, copies", [
+_PATH_CASES = [
     pytest.param(*path, copies, id="-".join(map(str, path)) + suffix)
-    for copies, suffix in ((1, ""), (2, "-gram")) for path in _PATHS])
-def test_certificate_paths(n, primes, fallback, copies):
+    for copies, suffix in ((1, ""), (2, "-gram")) for path in _PATHS]
+
+
+def _modular_only(monkeypatch):
+    """Switch the guided kernel off: every deficient group goes to the
+    modular echelon."""
+    monkeypatch.setattr(exact, "_guided_kernel", lambda n, columns, G: None)
+
+
+@pytest.mark.parametrize("n, primes, fallback, copies", _PATH_CASES)
+def test_certificate_paths(n, primes, fallback, copies, monkeypatch):
+    _modular_only(monkeypatch)
     cols = fibonacci_columns(n) * copies
     res = span_of_indicator_columns(n, cols)
     assert (res.primes_used, res.fallback_used) == (primes, fallback)
@@ -233,15 +244,20 @@ def test_gram_entry_divisible_by_the_first_prime(monkeypatch):
     assert res.cholesky_blocks == 0
 
 
-def _singular_grams(count, seed):
-    """Gram matrices A A^T of random 0/1 matrices A with 3 to 11 rows and
-    40 columns whose last row repeats row 0 or is row 0 + row 1."""
+def _singular_matrices(count, seed):
+    """Random matrices A with 3 to 11 rows and 40 columns, 0/1 but for
+    the last row, which repeats row 0 or is row 0 + row 1."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         n = int(rng.integers(3, 12))
         A = rng.integers(0, 2, size=(n, 40))
         A[-1] = A[0] + (A[1] if rng.random() < 0.5 else 0)
-        yield A @ A.T
+        yield A
+
+
+def _singular_grams(count, seed):
+    """Gram matrices A A^T of ``_singular_matrices``."""
+    return (A @ A.T for A in _singular_matrices(count, seed))
 
 
 def test_cholesky_refuses_singular_grams():
@@ -285,6 +301,193 @@ def test_cholesky_accepts_only_full_rank(data):
         assert _exact_fallback(n, cols).rank == n
 
 
+def _columns_of(A):
+    """The columns of the 0/1 matrix A as ``IndicatorColumns``."""
+    return IndicatorColumns.from_supports(
+        [tuple(np.flatnonzero(A[:, j]).tolist()) for j in range(A.shape[1])])
+
+
+def _guided_always(monkeypatch):
+    """Offer the guided kernel every deficient group, however few rows the
+    modular echelon would eliminate."""
+    monkeypatch.setattr(exact, "_offers_guided", lambda n, ncols: True)
+
+
+def _routes(n, columns):
+    """The span of one group of rows by ``_span_block`` with the guided
+    kernel offered every group, and with it switched off."""
+    with pytest.MonkeyPatch.context() as m:
+        _guided_always(m)
+        guided = exact._span_block(n, columns)
+    with pytest.MonkeyPatch.context() as m:
+        _modular_only(m)
+        modular = exact._span_block(n, columns)
+    return guided, modular
+
+
+def _assert_guided_like_modular(guided, modular):
+    _assert_same_span(guided, modular)
+    assert (guided.guided_blocks, guided.primes_used) == (1, 0)
+    assert modular.guided_blocks == 0 and modular.primes_used >= 1
+
+
+def test_guided_kernel_matches_modular_on_singular_grams():
+    # the 0/1 matrices among those of the singular Gram matrices
+    checked = 0
+    for A in _singular_matrices(400, 11):
+        if A.max() <= 1:
+            _assert_guided_like_modular(*_routes(len(A), _columns_of(A)))
+            checked += 1
+    assert checked > 150
+
+
+@pytest.mark.parametrize("n, primes, fallback, copies", _PATH_CASES)
+def test_guided_kernel_on_fibonacci_columns(n, primes, fallback, copies):
+    # at n = 20 the guess is certified; at 60 and 160 G[P, P] is too
+    # ill-conditioned for the Cholesky test, and the guided kernel refuses
+    # without raising.  A refused group takes the modular route, whose
+    # answers at 160 (the exact fallback) test_certificate_paths checks.
+    columns = IndicatorColumns.from_supports(fibonacci_columns(n) * copies)
+    G = _gram(n, columns).astype(np.float64)
+    assert (exact._guided_kernel(n, columns, G) is None) == (n > 20)
+    if n == 20:
+        _assert_guided_like_modular(*_routes(n, columns))
+    elif n == 60:
+        guided, modular = _routes(n, columns)
+        _assert_same_span(guided, modular)
+        assert (guided.primes_used, guided.fallback_used,
+                guided.guided_blocks) == (primes, fallback, 0)
+
+
+def test_guided_kernel_matches_modular_on_deficient_groups():
+    # every group of representatives with columns and a deficient span in
+    # the lift spans of {2, 3, 5} <= 128, as span_of_indicator_columns
+    # certifies it with the guided kernel offered every group, against the
+    # modular route; of the 2,053 groups 216 are distinct, and each is
+    # compared once
+    groups = {}
+    block = exact._span_block
+
+    def record(n, columns):
+        res = block(n, columns)
+        if len(columns) and not res.full:
+            key = (n, columns.indices.tobytes(), columns.indptr.tobytes())
+            groups.setdefault(key, (n, columns, res))
+        return res
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(exact, "_span_block", record)
+        _guided_always(m)
+        for sym in enumerate_symbols(128, {2, 3, 5}):
+            form = build_form(sym)
+            span_of_indicator_columns(
+                form.order, span_columns(form, prime_order_subgroups(form)))
+    assert len(groups) > 200
+    with pytest.MonkeyPatch.context() as m:
+        _modular_only(m)
+        for n, columns, res in groups.values():
+            _assert_guided_like_modular(res, block(n, columns))
+
+
+def test_guided_kernel_scales_a_fractional_row():
+    # row 3 = (row 0 + row 1 + row 2) / 2, with fewer columns than rows
+    A = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]])
+    guided, modular = _routes(4, _columns_of(A))
+    _assert_guided_like_modular(guided, modular)
+    assert guided.kernel.tolist() == [[-1, -1, -1, 2]]
+
+
+# rows 0 to 3 are independent and row 4 = row 0 + row 1
+_ONE_RELATION = np.array([[1, 1, 0, 0, 0, 0, 0],
+                          [0, 0, 1, 1, 0, 0, 0],
+                          [0, 0, 0, 0, 1, 1, 0],
+                          [0, 1, 0, 0, 0, 1, 1],
+                          [1, 1, 1, 1, 0, 0, 0]])
+# rows 0 to 3 are independent, row 4 = row 0 + row 1, row 5 = row 2 + row 3
+_TWO_RELATIONS = np.array([[1, 1, 0, 0, 0, 0, 0, 0],
+                           [0, 0, 1, 1, 0, 0, 0, 0],
+                           [0, 0, 0, 0, 1, 1, 0, 0],
+                           [0, 0, 0, 0, 0, 0, 1, 1],
+                           [1, 1, 1, 1, 0, 0, 0, 0],
+                           [0, 0, 0, 0, 1, 1, 1, 1]])
+
+
+def _min_norm_solve(a, b):
+    """A solver that answers a singular but consistent system too."""
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def _planted(kind):
+    """The matrix, and replacements for steps of the guided kernel that
+    plant a wrong guess of the kind named; each is refused by one test."""
+    scaled_rows = exact._scaled_rows
+
+    def free_of(*rows):
+        return lambda G: np.isin(np.arange(len(G)), rows)
+
+    def plus(row, col, K):
+        R = scaled_rows(K)
+        R[row, col] += 1
+        return R
+
+    def first_plus_second(K):
+        R = scaled_rows(K)
+        R[0] += R[1]
+        return R
+
+    one, two = _ONE_RELATION, _TWO_RELATIONS
+    return {
+        # row 4 free and row 2 a pivot traded: the pivot rows are dependent
+        "swapped": (one, [(exact, "_free_rows", free_of(2))]),
+        # row 0 free, rows 1 to 4 pivots: a basis, but not the greedy one
+        "non-greedy": (one, [(exact, "_free_rows", free_of(0))]),
+        "gcd-2": (one, [(exact, "_scaled_rows",
+                         lambda K: 2 * scaled_rows(K))]),
+        "2^52": (one, [(exact, "_scaled_rows",
+                        lambda K: scaled_rows(K) * 2.0 ** 52)]),
+        "2^64": (one, [(exact, "_scaled_rows",
+                        lambda K: scaled_rows(K) * 2.0 ** 64)]),
+        # row 0 - row 1 + row 4 is not zero
+        "not-annihilating": (one, [(exact, "_scaled_rows",
+                                    lambda K: plus(0, 0, K))]),
+        # the sum of both kernel rows: it annihilates, but is not 0 at the
+        # other free row
+        "off-diagonal": (two, [(exact, "_scaled_rows", first_plus_second)]),
+        # only row 5 free: the pivot rows 0 to 4 are dependent, yet a
+        # minimum-norm solve gives row 5's true kernel row
+        "dependent-pivots": (two, [(exact, "_free_rows", free_of(5)),
+                                   (np.linalg, "solve", _min_norm_solve)]),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["swapped", "non-greedy", "gcd-2", "2^52",
+                                  "2^64", "not-annihilating", "off-diagonal",
+                                  "dependent-pivots"])
+def test_guided_kernel_refusals_fall_back(kind, monkeypatch):
+    A, patches = _planted(kind)
+    n, columns = len(A), _columns_of(A)
+    guided, want = _routes(n, columns)
+    _assert_guided_like_modular(guided, want)
+    _guided_always(monkeypatch)
+    for patch in patches:
+        monkeypatch.setattr(*patch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")       # no overflowing cast either
+        G = _gram(n, columns).astype(np.float64)
+        assert exact._guided_kernel(n, columns, G) is None
+        res = exact._span_block(n, columns)
+    _assert_same_span(res, want)
+    assert (res.guided_blocks, res.primes_used) == (0, 1)
+
+
+def test_guided_kernel_rows_of_planted_matrices():
+    for A, want in ((_ONE_RELATION, [[-1, -1, 0, 0, 1]]),
+                    (_TWO_RELATIONS, [[-1, -1, 0, 0, 1, 0],
+                                      [0, 0, -1, -1, 0, 1]])):
+        guided, _ = _routes(len(A), _columns_of(A))
+        assert guided.kernel.tolist() == want
+
+
 def _free_columns(kernel):
     """The free column of each kernel row: its last nonzero entry."""
     n = kernel.shape[1]
@@ -318,7 +521,13 @@ def test_row_groups_match_block_by_block_fallback(data):
     cols = [tuple(sorted(rows[i] for i in c))
             for rows, local in blocks for c in local]
     cols = data.draw(st.permutations(cols))
-    res = span_of_indicator_columns(n, cols)
+    guided = data.draw(st.booleans())
+    with pytest.MonkeyPatch.context() as m:
+        if guided:
+            _guided_always(m)
+        else:
+            _modular_only(m)
+        res = span_of_indicator_columns(n, cols)
 
     rank, membership = 0, np.zeros(n, dtype=bool)
     kernels = [np.zeros((0, n), dtype=object)]
@@ -338,8 +547,9 @@ def test_row_groups_match_block_by_block_fallback(data):
     assert free == sorted(set(free))
     assert annihilates(res.kernel, cols)
     # the Cholesky test certifies every full-rank group of representatives
-    # (its blocks are small and well conditioned); one prime serves every
-    # other such group with columns, and copies (group -1) run neither
+    # (its blocks are small and well conditioned); the guided kernel
+    # offered every group, or when it is off one prime, serves every other
+    # such group with columns, and copies (group -1) run neither
     columns = IndicatorColumns.from_supports(cols)
     lab = _component_labels(n, columns)
     group, src = _row_groups(lab, columns)
@@ -347,8 +557,10 @@ def test_row_groups_match_block_by_block_fallback(data):
     with_cols = set(group[[c[0] for c in cols]].tolist()) - {-1}
     full = {g for g in with_cols if membership[group == g].all()}
     assert res.cholesky_blocks == len(full)
-    assert (res.primes_used, res.fallback_used) == (int(with_cols > full),
-                                                    False)
+    deficient = len(with_cols - full)
+    assert res.guided_blocks == (deficient if guided else 0)
+    assert (res.primes_used, res.fallback_used) == (
+        int(deficient > 0 and not guided), False)
     if cols:        # without columns the rows are one block
         roots = np.flatnonzero(lab == np.arange(n))
         assert res.components == len(roots)
@@ -450,9 +662,10 @@ def test_long_path_is_one_component(shuffle):
     assert (along[1:] == -along[:-1]).all()
 
 
-def test_groups_aggregate_their_certificates():
-    # fibonacci_columns(20) needs two primes, a connected full-rank block
-    # of 150 rows the Cholesky test; on interleaved rows they are two groups
+def _aggregated_certificates(guided):
+    """fibonacci_columns(20), which needs the guided kernel or two primes,
+    and a connected full-rank block of 150 rows, which the Cholesky test
+    certifies, on interleaved rows: two groups."""
     fib, size = 20, 150
     n = fib + size
     mine = np.zeros(n, dtype=bool)
@@ -462,15 +675,27 @@ def test_groups_aggregate_their_certificates():
              + [(fib + i,) for i in range(size)]
              + [(fib + i, fib + i + 1) for i in range(size - 1)])
     cols = [tuple(sorted(int(perm[i]) for i in c)) for c in local]
-    res = span_of_indicator_columns(n, cols)
-    assert (res.primes_used, res.fallback_used, res.blocks) == (2, False, 2)
-    assert res.cholesky_blocks == 1
+    with pytest.MonkeyPatch.context() as m:
+        if not guided:
+            _modular_only(m)
+        res = span_of_indicator_columns(n, cols)
+    assert (res.primes_used, res.fallback_used, res.blocks) == (
+        0 if guided else 2, False, 2)
+    assert (res.cholesky_blocks, res.guided_blocks) == (1, int(guided))
     assert res.rank == n - 1
     slow = _exact_fallback(fib, fibonacci_columns(fib))
     want = np.zeros((1, n), dtype=object)
     want[:, perm[:fib]] = slow.kernel
     assert np.array_equal(res.kernel, want)
     assert np.array_equal(res.membership, ~(want != 0).any(axis=0))
+
+
+def test_groups_aggregate_their_certificates():
+    _aggregated_certificates(guided=True)
+
+
+def test_groups_aggregate_their_modular_certificates():
+    _aggregated_certificates(guided=False)
 
 
 def test_a_column_across_two_groups_is_refused(monkeypatch):

@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dft.errors import (DegenerateForm, DimensionMismatch, NotIsotropic,
-                        ValidityError)
+from dft import bounds
+from dft.errors import (BoundExceeded, DegenerateForm, DimensionMismatch,
+                        NotIsotropic, ValidityError)
 from dft.fqm import (DiscriminantForm, build_form, direct_sum,
                      orthogonal_complement, p_part, perp_indices, q_value,
                      quotient_form, subgroup, subgroup_from_generators)
@@ -303,3 +304,14 @@ def test_anisotropic_plane_anchors():
     assert isotropic_elements(build("3^-4")) != []
     assert not contains_isotropic_elementary(build("3^-4"), 3, 2)
     assert contains_isotropic_elementary(build("3^+4"), 3, 2)
+
+
+def test_build_form_checks_the_form_bound():
+    bounds.check_form_order(bounds.MAX_FORM_ORDER)
+    with pytest.raises(BoundExceeded):
+        bounds.check_form_order(bounds.MAX_FORM_ORDER + 1)
+    # above the default span bound and the largest reach row, 5^+6
+    assert bounds.MAX_FORM_ORDER > max(bounds.DEFAULT_SPAN_ORDER, 5 ** 6)
+    # 2^22 elements: refused before a table is built
+    with pytest.raises(BoundExceeded):
+        build("2_II^+22")
