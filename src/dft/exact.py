@@ -4,17 +4,8 @@ The columns to be spanned are supports in Z^n, held as CSR index arrays
 (``IndicatorColumns``); A is the n x ncols 0/1 matrix they form.  Full
 rank is first tried by a float64 Cholesky certificate, and a deficient
 span by a kernel guessed in float64 and certified exactly (both below);
-otherwise rank is computed by row reduction modulo a word-size prime, of
-one of two row sources, chosen by the shape of A:
-
-* ncols <= n: the columns themselves, one 0/1 row each (the rows of A^T);
-* ncols > n: the n rows of the Gram matrix G = A A^T, built by counting
-  the pairs in each column's support.  Over Q, ker A A^T = ker A^T (if
-  A A^T x = 0 then |A^T x|^2 = 0), so G and A^T have the same row space.
-  Modulo p every row of G is a combination of rows of A^T, so
-  rank_p(G) <= rank_p(A^T) <= rank_Q(A).  A prime that divides a minor of
-  G can only make the modular rank smaller; it costs a prime, never a
-  wrong answer.
+otherwise rank is computed by row reduction, modulo word-size primes, of
+the columns themselves, one 0/1 row each (the rows of A^T).
 
 Two rows are linked when some column holds both, so up to a permutation
 of its rows A is block-diagonal over the connected components of the
@@ -312,40 +303,38 @@ def _rref_rows(block: np.ndarray, p: int):
             B[hit] -= np.outer(B[hit, c] % p, row)
         pos.append(i)
         cols.append(c)
-    return pos, cols, B[pos] % p
+    return cols, B[pos] % p
 
 
 def _rref(block: np.ndarray, p: int):
     """Reduced row echelon form of the residue rows of ``block``.
 
-    Returns (pos, cols, R): the positions in ``block`` of the rows that are
-    independent of the rows before them, their pivot columns and the rows
-    of R, one per pivot with a 1 at its own pivot column and 0 at the
-    others.  Pivot ``cols[k]`` is the first nonzero column of row
-    ``pos[k]`` reduced by the rows before it, exactly as when the rows are
-    inserted one by one.  Halves are eliminated recursively: the second
-    half is reduced by the first half's pivots in one product, and the
-    first half is back-substituted by the second half's in another.
+    Returns (cols, R): the pivot columns and the rows of R, one per pivot
+    with a 1 at its own pivot column and 0 at the others.  Pivot
+    ``cols[k]`` is the first nonzero column of the k-th row that is
+    independent of the rows before it, reduced by those rows, exactly as
+    when the rows are inserted one by one.  Halves are eliminated
+    recursively: the second half is reduced by the first half's pivots in
+    one product, and the first half is back-substituted by the second
+    half's in another.
     """
-    keep = np.flatnonzero(block.any(axis=1))
-    if len(keep) < len(block):
-        block = block[keep]
+    nonzero = block.any(axis=1)
+    if not nonzero.all():
+        block = block[nonzero]
     if len(block) <= _BASE_ROWS:
-        pos, cols, R = _rref_rows(block, p)
-    else:
-        half = len(block) // 2
-        pos, cols, R = _rref(block[:half], p)
-        low = block[half:]
+        return _rref_rows(block, p)
+    half = len(block) // 2
+    cols, R = _rref(block[:half], p)
+    low = block[half:]
+    if cols:
+        low = _eliminate(low, cols, R, p)
+    cols2, R2 = _rref(low, p)
+    if cols2:
         if cols:
-            low = _eliminate(low, cols, R, p)
-        pos2, cols2, R2 = _rref(low, p)
-        if cols2:
-            if cols:
-                R = _eliminate(R, cols2, R2, p)
-            pos = pos + [half + i for i in pos2]
-            cols = cols + cols2
-            R = np.vstack([R, R2])
-    return keep[pos].tolist(), cols, R
+            R = _eliminate(R, cols2, R2, p)
+        cols = cols + cols2
+        R = np.vstack([R, R2])
+    return cols, R
 
 
 def _rational_reconstruct(x: int, m: int):
@@ -451,7 +440,10 @@ def annihilates(K: np.ndarray, columns) -> bool:
 
 def _gram(n: int, columns: IndicatorColumns) -> np.ndarray:
     """G = A A^T for the n x ncols 0/1 matrix A of the columns: G[i, j]
-    counts the columns that contain both i and j."""
+    counts the columns that contain both i and j.
+
+    It needs at least one column (with none it raises ``ValueError``);
+    ``_span_block`` answers a group without columns before building G."""
     lengths = np.diff(columns.indptr)
     keys = []
     for size in np.flatnonzero(np.bincount(lengths)):
@@ -547,9 +539,9 @@ def _offers_guided(n: int, ncols: int) -> bool:
     """Whether a group of n rows and ncols columns that the full-rank test
     does not certify goes to ``_guided_kernel`` before the modular echelon.
 
-    It does when the echelon would eliminate more than ``_BASE_ROWS`` rows
-    (min(n, ncols) of them), since one row-at-a-time base case costs less
-    than the guided kernel's fixed overhead, and when there are at least
+    It does when the echelon could find more than ``_BASE_ROWS`` pivots
+    (min(n, ncols) at most), since a few pivots cost less than the guided
+    kernel's fixed overhead, and when there are at least
     n / 3 columns: a few rows of a wide matrix eliminate faster than the
     n x n Gram matrix factors.  Both limits were measured on the groups of
     the lift spans of {2, 3, 5} forms.
@@ -601,28 +593,25 @@ def _guided_kernel(n: int, columns: IndicatorColumns,
 
 def _run_echelon(n, count, block, p):
     """RREF modulo p of the ``count`` rows given by ``block``, inserted
-    ``_BLOCK`` at a time: (ids, cols, R) as for ``_rref``, with ids the
-    numbers of the pivot rows among all ``count``.
+    ``_BLOCK`` at a time: (cols, R) as for ``_rref``.
 
     Each block is reduced by the stored pivots in one product and put into
     RREF, and the stored rows are back-substituted by its new pivots."""
     # rows of a fresh zero array take memory only once written to
     store = np.zeros((n, n), dtype=np.int64)
-    ids: list[int] = []
     cols: list[int] = []
     for start in range(0, count, _BLOCK):
         x = block(start, min(start + _BLOCK, count), p)
         rank = len(cols)
         S = store[:rank]
-        pos, new, R = _rref(_eliminate(x, cols, S, p) if rank else x, p)
+        new, R = _rref(_eliminate(x, cols, S, p) if rank else x, p)
         if not new:
             continue
         for s in range(0, rank, _BLOCK):
             S[s:s + _BLOCK] = _eliminate(S[s:s + _BLOCK], new, R, p)
         store[rank:rank + len(R)] = R
-        ids += [start + i for i in pos]
         cols += new
-    return ids, cols, store[:len(cols)]
+    return cols, store[:len(cols)]
 
 
 def _kernel_residues(n: int, cols: list[int], R: np.ndarray, p: int):
@@ -647,9 +636,8 @@ def _span_block(n: int, columns: IndicatorColumns) -> SpanResult:
     With at least n columns the Gram matrix G is built and offered to
     ``_cholesky_certifies``.  Otherwise, or if it refuses, G is offered to
     ``_guided_kernel`` when ``_offers_guided`` says so.  If that refuses
-    too, or does not run, rows are eliminated modulo primes: with more
-    columns than n the n rows of G, which over Q span the same space as
-    the columns, else one 0/1 row per column.
+    too, or does not run, the columns, one 0/1 row each, are eliminated
+    modulo one prime after another.
     """
     if not len(columns):
         return SpanResult(n, 0, np.eye(n, dtype=np.int64),
@@ -658,7 +646,7 @@ def _span_block(n: int, columns: IndicatorColumns) -> SpanResult:
     guided = _offers_guided(n, len(columns))
     if len(columns) >= n or guided:
         # one float64 copy only: each entry counts columns, so it is far
-        # below 2^53 and exact, and the echelon reads it back block by block
+        # below 2^53 and exact
         G = _gram(n, columns).astype(np.float64)
     if len(columns) >= n and _cholesky_certifies(G):
         return _full(n, 0, cholesky_blocks=1)
@@ -666,35 +654,26 @@ def _span_block(n: int, columns: IndicatorColumns) -> SpanResult:
     if kernel is not None:
         return SpanResult(n, n - len(kernel), kernel,
                           ~(kernel != 0).any(axis=0), guided_blocks=1)
-    if len(columns) > n:
-        count, block = n, (
-            lambda start, stop, p: G[start:stop].astype(np.int64) % p)
-    else:
-        count, block = len(columns), (
-            lambda start, stop, p: columns.block(start, stop, n))
-    _, cols, R = _run_echelon(n, count, block, PRIMES[0])
-    if len(cols) == n:
-        return _full(n, 1)
 
-    # Deficient modulo the first prime: reconstruct and verify the kernel.
-    free, residues = _kernel_residues(n, cols, R, PRIMES[0])
-    modulus = PRIMES[0]
-    used = 1
-    for extra in (None,) + PRIMES[1:]:
-        if extra is not None:
-            used += 1
-            _, run_cols, R = _run_echelon(n, count, block, extra)
-            if len(run_cols) == n:
-                return _full(n, used)
-            if run_cols == cols:
-                residues = _crt(residues, modulus,
-                                _kernel_residues(n, cols, R, extra)[1], extra)
-                modulus *= extra
-            elif len(run_cols) > len(cols):
-                cols, modulus = run_cols, extra
-                free, residues = _kernel_residues(n, cols, R, extra)
-            else:
-                continue
+    def block(start, stop, p):
+        return columns.block(start, stop, n)
+
+    # the kernel residues of the highest modular rank so far, combined by
+    # CRT over the primes that reach it
+    cols, modulus = None, 1
+    for used, p in enumerate(PRIMES, 1):
+        run_cols, R = _run_echelon(n, len(columns), block, p)
+        if len(run_cols) == n:
+            return _full(n, used)
+        if run_cols == cols:
+            residues = _crt(residues, modulus,
+                            _kernel_residues(n, cols, R, p)[1], p)
+            modulus *= p
+        elif cols is None or len(run_cols) > len(cols):
+            cols, modulus = run_cols, p
+            free, residues = _kernel_residues(n, cols, R, p)
+        else:
+            continue
         kernel = _reconstruct_kernel(residues, modulus, free, cols, n)
         if kernel is not None and annihilates(kernel, columns):
             return SpanResult(n, n - len(kernel), kernel,
@@ -877,10 +856,6 @@ def span_of_indicator_columns(n: int, columns) -> SpanResult:
     roots = np.flatnonzero(lab == np.arange(n))
     distinct = int(np.count_nonzero(src[roots] == roots))
     count = int(group.max()) + 1
-    if count == 1 and distinct == len(roots):
-        res = _span_block(n, columns)
-        res.components = res.distinct_components = len(roots)
-        return res
 
     lengths = np.diff(columns.indptr)
     lengths = lengths[lengths > 0]

@@ -23,10 +23,11 @@ every other isotropic subgroup, with the generators ``_minimal_generators``
 would pick.  That search (greedy generators by decreasing order, then
 index, on ``cyclic_indices`` and ``sum_indices``, and the check that the
 set is closed) serves only subgroups handed in at the API: ``subgroup``,
-``subgroup_from_generators``, ``orthogonal_complement`` and the K/H of
-``lifts.check_transitivity``.  ``Subgroup`` carries the index array beside
-the members' coefficient rows and the generators; its sorted element
-tuples, the form subgroups take at the API, are built on first use.
+``subgroup_from_generators`` and ``orthogonal_complement``;
+``lifts.check_transitivity`` gives K/H the images of K's generators.
+``Subgroup`` carries the index array beside the members' coefficient
+rows and the generators; its sorted element tuples, the form subgroups
+take at the API, are built on first use.
 
 ``Fraction`` appears only at the API boundary: the public constructor
 takes the values on the generators as rationals, and ``q`` / ``b`` and

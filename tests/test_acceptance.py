@@ -18,7 +18,16 @@ from dft.errors import ValidityError
 from dft.fqm import build_form, direct_sum
 from dft.lifts import check_transitivity, lift_span, perp_pair_table
 from dft.symbols import enumerate_symbols, format_symbol, parse_symbol
-from dft.verify import CHECKS, _nested_pairs, form_of, weil_corpus
+from dft.verify import (CHECKS, _form_cache, _nested_pairs, form_of,
+                        weil_corpus)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _shared_forms():
+    """One form cache for the module: criteria that revisit a corpus reuse
+    its forms, with their spans, graphs and quotients."""
+    with _form_cache():
+        yield
 
 
 def _ok(line):

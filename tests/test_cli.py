@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import dft
+from dft import sweep
 from dft.classify import IsotropyGraph
 from dft.cli import main
 from dft.errors import BoundExceeded
@@ -245,16 +246,35 @@ def test_sweep_resume_config_mismatch(tmp_path, capsys):
                                            ("--primes", ""),
                                            ("--primes", "1"),
                                            ("--primes", "2,4"),
-                                           ("--jobs", "0")])
-def test_sweep_bad_option_exits_2(tmp_path, capsys, option, value):
+                                           ("--jobs", "0"),
+                                           ("--out", "no/such/dir/o.jsonl"),
+                                           ("--out", "d")])
+def test_sweep_bad_option_exits_2(tmp_path, capsys, monkeypatch, option,
+                                  value):
+    # refused before any record is computed; an --out value is a path
+    # under tmp_path, where "d" is a directory
+    def refuse(*args, **kwargs):
+        raise AssertionError("a record was computed")
+
+    monkeypatch.setattr(sweep, "evaluate_symbol", refuse)
+    (tmp_path / "d").mkdir()
     argv = {"--max-order": "9", "--primes": "3",
-            "--out": str(tmp_path / "s.jsonl"), option: value}
+            "--out": str(tmp_path / "s.jsonl")}
+    argv[option] = str(tmp_path / value) if option == "--out" else value
     code = main(["classify-sweep"] + [x for kv in argv.items() for x in kv])
     captured = capsys.readouterr()
     assert code == 2
     assert json.loads(captured.out)["error"]["type"] == "ConfigError"
     assert "Traceback" not in captured.err
-    assert not (tmp_path / "s.jsonl").exists()
+    assert [p.name for p in tmp_path.rglob("*")] == ["d"]
+
+
+def test_sweep_bound_exit_leaves_no_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DFT_MAX_SPAN_ORDER", "16")
+    code, err = run_cli(capsys, "classify-sweep", "--max-order", "32",
+                        "--primes", "2", "--out", str(tmp_path / "s.jsonl"))
+    assert code == 3 and err["error"]["type"] == "BoundExceeded"
+    assert not list(tmp_path.iterdir())
 
 
 def test_sweep_records_do_not_import_numpy_ma():
@@ -271,3 +291,12 @@ def test_sweep_records_do_not_import_numpy_ma():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_sweep_records_share_witnesses_and_rules():
+    # a sweep holds every record: a witness list or rule seen before is
+    # the same object (the JSON is checked by the determinism tests)
+    first, again = (sweep.evaluate_symbol("3^-3") for _ in range(2))
+    assert first["witness_count"] > 0
+    assert again["witnesses"] is first["witnesses"]
+    assert again["rule"] is first["rule"]

@@ -64,7 +64,7 @@ def test_matches_exact_fallback(data):
     slow = _exact_fallback(n, cols)
     assert fast.rank == slow.rank
     assert np.array_equal(fast.membership, slow.membership)
-    # twice the columns: the Gram rows once they outnumber n, same answer
+    # twice the columns: more column rows than n, same answer
     twice = span_of_indicator_columns(n, cols + cols)
     assert twice.rank == fast.rank
     assert np.array_equal(twice.kernel, fast.kernel)
@@ -81,18 +81,18 @@ def test_pivot_columns_are_a_basis():
     res = span_of_indicator_columns(4, cols)
     assert res.rank == 4
     columns = IndicatorColumns.from_supports(cols)
-    ids, cols, _ = _run_echelon(
+    cols, R = _run_echelon(
         4, len(columns), lambda start, stop, _: columns.block(start, stop, 4),
         PRIMES[0])
-    assert sorted(cols) == [0, 1, 2, 3]
-    assert sorted(ids) == [0, 1, 2, 3]
+    assert cols == [0, 1, 2, 3]
+    assert np.array_equal(R, np.eye(4, dtype=np.int64))
 
 
 def _rref_one_by_one(M, p):
     """Reference: insert the rows one at a time, back-substituting each new
     pivot into every earlier row."""
-    ids, cols, rows = [], [], []
-    for i, row in enumerate(M):
+    cols, rows = [], []
+    for row in M:
         row = row % p
         for c, r in zip(cols, rows):
             row = (row - row[c] * r) % p
@@ -102,10 +102,8 @@ def _rref_one_by_one(M, p):
         c = int(nz[0])
         row = (row * pow(int(row[c]), -1, p)) % p
         rows = [(r - r[c] * row) % p for r in rows] + [row]
-        ids.append(i)
         cols.append(c)
-    return ids, cols, np.array(rows, dtype=np.int64).reshape(len(rows),
-                                                             M.shape[1])
+    return cols, np.array(rows, dtype=np.int64).reshape(len(rows), M.shape[1])
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -124,14 +122,13 @@ def test_recursive_rref_matches_one_by_one(seed, monkeypatch):
         M[j] = (M[k] * int(rng.integers(1, p + 1))) % p
         M[k] = (M[i] + M[j]) % p
         M[int(rng.integers(0, m))] = rng.random(n) < 0.1
-    ids, cols, rows = _rref_one_by_one(M, p)
-    pos, got_cols, R = _rref(M, p)
-    assert (pos, got_cols) == (ids, cols) and np.array_equal(R, rows)
+    cols, rows = _rref_one_by_one(M, p)
+    got_cols, R = _rref(M, p)
+    assert got_cols == cols and np.array_equal(R, rows)
     # the echelon over several blocks of rows gives the same pivots
     monkeypatch.setattr(exact, "_BLOCK", int(rng.integers(3, 40)))
-    run_ids, run_cols, R = _run_echelon(n, m,
-                                        lambda start, stop, q: M[start:stop], p)
-    assert (run_ids, run_cols) == (ids, cols)
+    run_cols, R = _run_echelon(n, m, lambda start, stop, q: M[start:stop], p)
+    assert run_cols == cols
     assert np.array_equal(R, rows)
 
 
@@ -194,7 +191,7 @@ _PATHS = [
 ]
 
 
-# each column twice: more columns than n, so the Gram rows are eliminated
+# each column twice: more columns than n, all eliminated as 0/1 rows
 _PATH_CASES = [
     pytest.param(*path, copies, id="-".join(map(str, path)) + suffix)
     for copies, suffix in ((1, ""), (2, "-gram")) for path in _PATHS]
@@ -230,8 +227,9 @@ def test_gram_matrix_counts_shared_columns():
     assert np.array_equal(_gram(n, cols), A @ A.T)
 
 
-def test_gram_entry_divisible_by_the_first_prime(monkeypatch):
-    # G = [[PRIMES[0]]] is 0 mod the first prime: one more prime certifies
+def test_column_count_divisible_by_the_first_prime(monkeypatch):
+    # PRIMES[0] copies of one column: G = [[PRIMES[0]]] is 0 mod the first
+    # prime, but the echelon sees the column rows, each 1 mod every prime
     p = PRIMES[0]
     cols = IndicatorColumns(np.zeros(p, dtype=np.int64),
                             np.arange(p + 1, dtype=np.int64))
@@ -240,7 +238,7 @@ def test_gram_entry_divisible_by_the_first_prime(monkeypatch):
     monkeypatch.setattr(exact, "_cholesky_certifies", lambda G: False)
     res = span_of_indicator_columns(1, cols)
     assert res.full and res.rank == 1
-    assert (res.primes_used, res.fallback_used) == (2, False)
+    assert (res.primes_used, res.fallback_used) == (1, False)
     assert res.cholesky_blocks == 0
 
 

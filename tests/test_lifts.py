@@ -22,7 +22,7 @@ from dft.lifts import (_perp_has_pair, check_transitivity, descent_matrix,
 from dft.ntheory import prime_power_factors
 from dft.sweep import evaluate_symbol
 from dft.symbols import enumerate_symbols, parse_symbol
-from dft.verify import CHECKS, form_of, lemma_corpus
+from dft.verify import CHECKS, _nested_pairs, form_of, lemma_corpus
 
 
 def build(text):
@@ -214,6 +214,9 @@ def test_subgroup_walks_never_search_for_generators(monkeypatch):
     assert not contains_isotropic_elementary(d, 3, 4)
     result = CHECKS["kernel-vector"]()
     assert result.passed, result.detail
+    d = build("2_II^+4")
+    pairs = list(_nested_pairs(d))
+    assert pairs and all(check_transitivity(d, H, K) for H, K in pairs)
 
 
 def test_lift_matrix_anchors():
