@@ -2,6 +2,12 @@
 
 Commands emit JSON on stdout (JSONL for sweeps).  Exit codes: 0 success,
 1 property failure, 2 input error, 3 enumeration bound exceeded.
+``classify-sweep`` streams into ``--out``: a sweep that stops (exit 3, an
+error, a kill) keeps the header and the records before the stop, and no
+summary.  ``--resume`` re-uses them, or a finished run's records, when
+the configuration hash matches; the span bound is in it, so after exit 3
+the records are for inspection.  Without ``--resume``, ``--out`` is
+truncated when the sweep starts.
 """
 
 from __future__ import annotations
@@ -209,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", required=True, help="comma-separated primes")
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--resume", action="store_true")
+    p.add_argument("--resume", action="store_true", help="re-use the "
+                   "records of a finished or stopped sweep in --out")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("verify", help="run a named invariant suite")

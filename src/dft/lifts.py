@@ -182,8 +182,8 @@ class LiftMap:
     """The 0/1 matrix of the isotropic lift from H_perp/H into D.
 
     Column j (one per coset, indexed by the source form's elements) has
-    ones exactly at the rows of that coset's members; the descent matrix
-    is the transpose.
+    ones exactly at the rows of that coset's members; ``descent`` builds
+    the transpose from its definition, not from the columns.
     """
 
     form: DiscriminantForm
@@ -197,7 +197,14 @@ class LiftMap:
         return U
 
     def descent(self) -> np.ndarray:
-        return self.matrix().T
+        """e_gamma -> e_j for gamma in s(j) + H, s the quotient's section,
+        and -> 0 for gamma outside H_perp."""
+        section = _quotient(self.form, self.H).section
+        s = self.form.indices(section.rows(self.source.coeff_matrix()))
+        D = np.zeros((self.source.order, self.form.order), dtype=np.int64)
+        D[np.arange(self.source.order)[:, None],
+          self.form.add_indices(s[:, None], self.H.indices)] = 1
+        return D
 
 
 def lift_matrix(form: DiscriminantForm, H: Subgroup) -> LiftMap:
@@ -343,14 +350,6 @@ def perp_pair_table(form: DiscriminantForm, p: int) -> np.ndarray:
     return ((pair_ok @ Z) & Z).any(axis=0)
 
 
-def _perp_has_pair(form: DiscriminantForm, p: int, g: int) -> bool:
-    """``perp_pair_table(form, p)[g]``, by a walk to depth 2 over the
-    isotropic elements of order p in g_perp."""
-    cand = isotropic_indices(form, p)
-    walk = _greedy_walk(form, cand[form.b_row_num(g)[cand] == 0], 2)
-    return any(len(gens) == 2 for gens, _ in walk)
-
-
 def kernel_vector(form: DiscriminantForm, gamma: Element) -> dict[Element, Fraction]:
     """The descent-annihilated vector pinned to e^gamma.
 
@@ -478,7 +477,7 @@ def rank5_expression(form: DiscriminantForm, gamma: Element):
     if not np.isin(form.order_array()[block], (1, p)).all():
         raise HypothesisFailed("gamma_perp is not of level p")
     iso = block[qnum[block] == 0][1:]           # block[0] is 0
-    if not len(iso) or _perp_has_pair(form, p, g):
+    if not len(iso) or perp_pair_table(form, p)[g]:
         raise HypothesisFailed("the block must be anisotropic of its rank")
 
     # numerators over L: b(mu, -) for mu in iso, and the norms -2 l j / p

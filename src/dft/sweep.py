@@ -1,21 +1,22 @@
 """Batch verification sweep: classifier verdict vs. the rank oracle.
 
-One JSONL record per enumerated symbol, preceded by a header line that
-carries a hash of the mathematically relevant configuration and followed
-by a summary line.  Record content is deterministic (the timing field
-aside), so files are byte-comparable across runs and parallelism
-degrees; resume re-uses records whose symbols are already present under
-a matching config hash.
+The JSONL output is written as the sweep goes: a header with a hash of
+the mathematically relevant configuration, then one record per symbol in
+enumeration order, each flushed once known, and a summary last.  Records
+are deterministic (the timing field aside), so files are byte-comparable
+across runs and parallelism degrees.  A stopped sweep (an error, an
+exceeded bound, a kill) leaves the header and the records before the
+stop.  Resume re-uses the records of an earlier run with the same hash,
+finished or not; without it an existing output file is truncated.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
 import time
-from contextlib import suppress
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -32,7 +33,7 @@ FORMAT_VERSION = 2
 class _Record:
     """The fields of one sweep record, set as attributes.
 
-    A sweep holds one record per symbol.  The ``__dict__`` of instances of
+    A caller may keep every record.  The ``__dict__`` of instances of
     one class share a single key table (PEP 412), so ``vars(record)``, a
     plain dict, stores only its values: about 200 bytes in CPython 3.11,
     against about 470 for a dict literal of the same 13 fields.  Every
@@ -103,90 +104,86 @@ def evaluate_symbol(text: str, span_order: int | None = None) -> dict:
     return vars(record)
 
 
-def _load_existing(path: str, config_hash: str) -> dict[str, dict]:
-    existing: dict[str, dict] = {}
-    if not os.path.exists(path):
-        return existing
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first:
-            return existing
-        header = json.loads(first)
-        if header.get("kind") != "header" or header.get("hash") != config_hash:
-            raise ValueError("existing sweep file has a different configuration")
-        for line in fh:
-            rec = json.loads(line)
-            if rec.get("kind") == "record":
-                existing[rec["symbol"]] = rec
-    return existing
+def _load_existing(fh, config_hash: str) -> dict[str, dict]:
+    """The records an earlier run left in ``fh``, by symbol.  A line
+    without its newline, as a kill mid-write leaves, is ignored; a cut
+    header counts as an empty file."""
+    fh.seek(0)
+    first = fh.readline()
+    if not first.endswith("\n"):
+        return {}
+    header = json.loads(first)
+    if header.get("kind") != "header" or header.get("hash") != config_hash:
+        raise ValueError("existing sweep file has a different configuration")
+    records = (json.loads(line) for line in fh if line.endswith("\n"))
+    return {r["symbol"]: r for r in records if r.get("kind") == "record"}
+
+
+def _record_or_error(text: str, span_order: int) -> dict | Exception:
+    """``evaluate_symbol``, returning a failure rather than raising it,
+    which would fail its whole chunk of pool tasks and lose the records
+    before it; from a pool worker the failure comes without traceback."""
+    try:
+        return evaluate_symbol(text, span_order)
+    except Exception as exc:
+        return exc
+
+
+def _write(fh, obj: dict) -> None:
+    fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    fh.flush()
 
 
 def run_sweep(config: SweepConfig, log=None) -> dict:
-    """Execute the sweep, write the JSONL output, return the summary."""
+    """Run the sweep, streaming its JSONL output into ``config.out``, and
+    return the summary.  Bad options raise ``ValueError`` before the file
+    is touched, and so does a resume of another configuration."""
     if config.jobs < 1:
         raise ValueError(f"jobs = {config.jobs}: the sweep needs a worker")
-    tmp = _claim_output(config.out)
-    try:
-        return _sweep(config, tmp, log)
-    finally:
-        # gone after a finished run's os.replace; any other exit drops it
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
-
-
-def _claim_output(out: str) -> str:
-    """Create the empty temporary file the sweep writes before it replaces
-    ``out``, so that an unwritable ``out`` fails before any work;
-    ``ValueError`` when it cannot be created or ``out`` is a directory."""
-    if os.path.isdir(out):
-        raise ValueError(f"output path {out} is a directory")
-    tmp = out + ".tmp"
-    try:
-        open(tmp, "w", encoding="utf-8").close()
-    except OSError as exc:
-        raise ValueError(f"cannot write {tmp}: {exc.strerror}") from None
-    return tmp
-
-
-def _sweep(config: SweepConfig, tmp: str, log) -> dict:
-    """Compute the records, write them to ``tmp`` and move it onto
-    ``config.out``."""
     t0 = time.perf_counter()
     symbols = [str(s) for s in enumerate_symbols(config.max_order,
                                                  config.primes)]
     chash = config.config_hash()
-    existing = _load_existing(config.out, chash) if config.resume else {}
-    todo = [s for s in symbols if s not in existing]
-    if log:
-        log(f"sweep: {len(symbols)} symbols, {len(todo)} to compute, "
-            f"jobs={config.jobs}")
-    evaluate = partial(evaluate_symbol, span_order=config.span_order)
-    if config.jobs > 1 and len(todo) > 1:
-        # imported only here: a one-process sweep does not pay for it
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            fresh = list(pool.map(evaluate, todo, chunksize=8))
-    else:
-        fresh = [evaluate(s) for s in todo]
-    records = dict(existing)
-    records.update({rec["symbol"]: rec for rec in fresh})
-
-    disagreements = [s for s in symbols if not records[s]["agreement"]]
-    deficient = sum(1 for s in symbols if not records[s]["full_image"])
-    if log:
-        log(f"sweep: computed {len(todo)}, reused {len(existing)}")
-    summary = {
-        "kind": "summary",
-        "records": len(symbols),
-        "deficient": deficient,
-        "disagreements": disagreements,
-        "elapsed_ms": round(1000 * (time.perf_counter() - t0), 3),
-    }
-    header = {"kind": "header", "hash": chash, "config": config.math_config()}
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
+    try:
+        fh = open(config.out, "a+", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {config.out}: {exc.strerror}") from None
+    with fh, ExitStack() as stack:
+        existing = _load_existing(fh, chash) if config.resume else {}
+        fh.seek(0)
+        fh.truncate()
+        todo = [s for s in symbols if s not in existing]
+        if log:
+            log(f"sweep: {len(symbols)} symbols, reused "
+                f"{len(symbols) - len(todo)}, {len(todo)} to compute, "
+                f"jobs={config.jobs}")
+        _write(fh, {"kind": "header", "hash": chash,
+                    "config": config.math_config()})
+        task = partial(_record_or_error, span_order=config.span_order)
+        if config.jobs > 1 and len(todo) > 1:
+            # imported only here: a one-process sweep does not pay for it
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(max_workers=config.jobs)
+            # a stop drops the tasks not yet started
+            stack.callback(pool.shutdown, cancel_futures=True)
+            fresh = pool.map(task, todo, chunksize=8)
+        else:
+            fresh = map(task, todo)
+        disagreements, deficient = [], 0
         for s in symbols:
-            fh.write(json.dumps(records[s], sort_keys=True) + "\n")
-        fh.write(json.dumps(summary, sort_keys=True) + "\n")
-    os.replace(tmp, config.out)
+            rec = existing.pop(s) if s in existing else next(fresh)
+            if isinstance(rec, Exception):
+                raise rec
+            _write(fh, rec)
+            deficient += not rec["full_image"]
+            if not rec["agreement"]:
+                disagreements.append(s)
+        summary = {
+            "kind": "summary",
+            "records": len(symbols),
+            "deficient": deficient,
+            "disagreements": disagreements,
+            "elapsed_ms": round(1000 * (time.perf_counter() - t0), 3),
+        }
+        _write(fh, summary)
     return summary

@@ -45,7 +45,7 @@ import numpy as np
 from . import bounds, cyclo
 from .errors import BoundExceeded, RelationFailed
 from .exact import _submul_mod
-from .fqm import DiscriminantForm, Subgroup
+from .fqm import DiscriminantForm, Subgroup, milgram_vector_vanishes
 from .lifts import lift_matrix
 from .ntheory import is_prime, prime_power_factors
 
@@ -211,14 +211,10 @@ def check_relations(form: DiscriminantForm, conductor: int | None = None) -> dic
         _require(form, name, _nonzero_mask(M, bound, residues))
 
     # Gauss-sum consistency at the matrix level: the first row of
-    # W rho_T^{-1} sums to e(-sign/8) * conj(G); its square is |D| e(-sign/2)
+    # W rho_T^{-1} sums to e(-sign/8) conj(G), of square |D| e(-2 sign/4)
     row = np.zeros(M, dtype=np.int64)
     np.add.at(row, (expW[0] - expT) % M, 1)
-    sq = np.convolve(row, row)
-    vec = np.zeros(M, dtype=np.int64)
-    np.add.at(vec, np.arange(len(sq)) % M, sq)
-    vec[(-s * (M // 2)) % M] -= n
-    if not cyclo.vanishes(M, vec):
+    if not milgram_vector_vanishes(M, row, n, -2 * s % 8):
         raise RelationFailed("gauss-row", entry=None)
     return dict.fromkeys(("unitarity", "s-square", "braid", "gauss-row"), True)
 

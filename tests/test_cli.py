@@ -2,6 +2,9 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from functools import partial
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from dft.classify import IsotropyGraph
 from dft.cli import main
 from dft.errors import BoundExceeded
 from dft.sweep import SweepConfig, run_sweep
+from dft.symbols import enumerate_symbols
 
 
 def run_cli(capsys, *argv):
@@ -186,6 +190,16 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert exc.value.code == 2
 
 
+def _strip_timing(path):
+    """The lines of a sweep file without their ``elapsed_ms`` fields."""
+    lines = []
+    for line in path.read_text().splitlines():
+        rec = json.loads(line)
+        rec.pop("elapsed_ms", None)
+        lines.append(json.dumps(rec, sort_keys=True))
+    return lines
+
+
 def test_sweep_cli_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.jsonl"
     out2 = tmp_path / "b.jsonl"
@@ -196,16 +210,7 @@ def test_sweep_cli_and_determinism(tmp_path, capsys):
     code, _ = run_cli(capsys, "classify-sweep", "--max-order", "27",
                       "--primes", "3", "--out", str(out2), "--jobs", "3")
     assert code == 0
-
-    def strip_timing(path):
-        lines = []
-        for line in path.read_text().splitlines():
-            rec = json.loads(line)
-            rec.pop("elapsed_ms", None)
-            lines.append(json.dumps(rec, sort_keys=True))
-        return lines
-
-    assert strip_timing(out1) == strip_timing(out2)
+    assert _strip_timing(out1) == _strip_timing(out2)
 
 
 def test_sweep_resume_equals_fresh(tmp_path):
@@ -221,16 +226,7 @@ def test_sweep_resume_equals_fresh(tmp_path):
                         log=reused.append)
     assert summary["disagreements"] == []
     assert any("reused 4" in line for line in reused)
-
-    def strip(path):
-        out = []
-        for line in path.read_text().splitlines():
-            rec = json.loads(line)
-            rec.pop("elapsed_ms", None)
-            out.append(json.dumps(rec, sort_keys=True))
-        return out
-
-    assert strip(fresh) == strip(partial)
+    assert _strip_timing(fresh) == _strip_timing(partial)
 
 
 def test_sweep_resume_config_mismatch(tmp_path, capsys):
@@ -269,12 +265,72 @@ def test_sweep_bad_option_exits_2(tmp_path, capsys, monkeypatch, option,
     assert [p.name for p in tmp_path.rglob("*")] == ["d"]
 
 
-def test_sweep_bound_exit_leaves_no_file(tmp_path, capsys, monkeypatch):
+def test_sweep_bound_exit_keeps_its_records(tmp_path, capsys, monkeypatch):
+    # the sweep stops at the first |D| = 32 symbol; the header and the
+    # records before it stay, and no summary is written
     monkeypatch.setenv("DFT_MAX_SPAN_ORDER", "16")
+    out = tmp_path / "s.jsonl"
     code, err = run_cli(capsys, "classify-sweep", "--max-order", "32",
-                        "--primes", "2", "--out", str(tmp_path / "s.jsonl"))
+                        "--primes", "2", "--out", str(out))
     assert code == 3 and err["error"]["type"] == "BoundExceeded"
-    assert not list(tmp_path.iterdir())
+    header, *records = map(json.loads, out.read_text().splitlines())
+    assert header["kind"] == "header"
+    within = takewhile(lambda s: s.order <= 16, enumerate_symbols(32, (2,)))
+    assert [rec["symbol"] for rec in records] == [str(s) for s in within]
+    assert records and all(rec["kind"] == "record" for rec in records)
+
+
+_evaluate = sweep.evaluate_symbol
+
+
+def _evaluate_or_fail(bad, text, span_order=None):
+    """``evaluate_symbol``, raising at the symbol ``bad``: a partial of it
+    pickles, and forked pool workers fail at the same symbol."""
+    if text == bad:
+        raise RuntimeError(f"injected failure at {text}")
+    return _evaluate(text, span_order)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_failure_keeps_records_and_resumes(tmp_path, monkeypatch, jobs):
+    fresh = tmp_path / "fresh.jsonl"
+    config = SweepConfig(max_order=81, primes=(3,), jobs=jobs, out=str(fresh))
+    run_sweep(config)
+    symbols = [json.loads(line)["symbol"]
+               for line in fresh.read_text().splitlines()[1:-1]]
+    # inside the second chunk of eight tasks of a pool
+    k = 11
+    assert len(symbols) > k + 8
+    out = tmp_path / "s.jsonl"
+    monkeypatch.setattr(sweep, "evaluate_symbol",
+                        partial(_evaluate_or_fail, symbols[k]))
+    with pytest.raises(RuntimeError, match="injected failure"):
+        run_sweep(replace(config, out=str(out)))
+    header, *records = map(json.loads, out.read_text().splitlines())
+    assert header["kind"] == "header"
+    assert [rec["symbol"] for rec in records] == symbols[:k]
+
+    monkeypatch.setattr(sweep, "evaluate_symbol", _evaluate)
+    log = []
+    run_sweep(replace(config, out=str(out), resume=True), log=log.append)
+    assert f"reused {k}," in log[0]
+    assert _strip_timing(out) == _strip_timing(fresh)
+
+
+@pytest.mark.parametrize("keep", [5, 0])
+def test_sweep_resumes_past_a_cut_line(tmp_path, keep):
+    # a kill mid-write leaves a last line without its newline: a record
+    # after the header and four records, or the header itself
+    fresh = tmp_path / "fresh.jsonl"
+    config = SweepConfig(max_order=16, primes=(2,), out=str(fresh))
+    run_sweep(config)
+    lines = fresh.read_text().splitlines(keepends=True)
+    out = tmp_path / "s.jsonl"
+    out.write_text("".join(lines[:keep]) + lines[keep][:-9])
+    log = []
+    run_sweep(replace(config, out=str(out), resume=True), log=log.append)
+    assert f"reused {max(keep - 1, 0)}," in log[0]
+    assert _strip_timing(out) == _strip_timing(fresh)
 
 
 def test_sweep_records_do_not_import_numpy_ma():
@@ -300,3 +356,69 @@ def test_sweep_records_share_witnesses_and_rules():
     assert first["witness_count"] > 0
     assert again["witnesses"] is first["witnesses"]
     assert again["rule"] is first["rule"]
+
+
+_SWEEP = ["classify-sweep", "--max-order", "9", "--primes", "3",
+          "--out", "{tmp}/s.jsonl"]
+_OTHER = "{tmp}/other.jsonl"        # a finished sweep of another config
+
+# (environment, argv, exit code, JSON error type); None for an argparse
+# usage error, which prints its message on stderr and no JSON
+_CONTRACT = [
+    ({}, ["classify", "2_^1"], 2, "SymbolSyntaxError"),
+    ({}, ["info", "6^+1"], 2, "ValidityError"),
+    ({}, ["classify", "2_1^-1"], 2, "ValidityError"),
+    ({}, ["info", "2_II^+40"], 3, "BoundExceeded"),
+    ({}, ["image", "2_II^+14"], 3, "BoundExceeded"),
+    ({}, ["graph", "2_II^+14"], 3, "BoundExceeded"),
+    ({}, ["graph", "3^+1"], 1, "NotTwoAdic"),
+    ({"DFT_MAX_SPAN_ORDER": "abc"}, ["image", "3^+1"], 2, "ValidityError"),
+    ({"DFT_MAX_ENUM_ORDER": "abc"}, ["info", "3^+1"], 2, "ValidityError"),
+    ({"DFT_MAX_CYCLO_ORDER": "0"}, ["weil", "3^+1", "--check"], 2,
+     "ValidityError"),
+    ({"DFT_MAX_SPAN_ORDER": "-3"}, _SWEEP, 2, "ValidityError"),
+    ({}, _SWEEP + ["--primes", "x"], 2, "ConfigError"),
+    ({}, _SWEEP + ["--primes", "1"], 2, "ConfigError"),
+    ({}, _SWEEP + ["--primes", "2,4"], 2, "ConfigError"),
+    ({}, _SWEEP + ["--jobs", "0"], 2, "ConfigError"),
+    ({}, _SWEEP + ["--out", "{tmp}/no/such/o.jsonl"], 2, "ConfigError"),
+    ({}, _SWEEP + ["--out", "{tmp}/no/such/o.jsonl", "--resume"], 2,
+     "ConfigError"),
+    ({}, _SWEEP + ["--out", "{tmp}/d"], 2, "ConfigError"),
+    ({}, _SWEEP + ["--out", "{tmp}/d", "--resume"], 2, "ConfigError"),
+    ({}, _SWEEP + ["--out", _OTHER, "--resume"], 2, "ConfigError"),
+    ({}, ["verify", "--suite", "nope"], 2, None),
+]
+
+
+@pytest.mark.parametrize(
+    "env, argv, code, error", _CONTRACT,
+    ids=[" ".join([*(f"{k}={v}" for k, v in env.items()), *argv[:1],
+                   *argv[len(_SWEEP) if argv[0] == "classify-sweep" else 1:]])
+         for env, argv, _, _ in _CONTRACT])
+def test_exit_code_contract(tmp_path, capsys, monkeypatch, env, argv, code,
+                            error):
+    for name in ("DFT_MAX_SPAN_ORDER", "DFT_MAX_ENUM_ORDER",
+                 "DFT_MAX_CYCLO_ORDER"):
+        monkeypatch.delenv(name, raising=False)
+    (tmp_path / "d").mkdir()
+    other = tmp_path / "other.jsonl"
+    run_sweep(SweepConfig(max_order=4, primes=(2,), out=str(other)))
+    before = other.read_bytes()
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(sweep, "evaluate_symbol", _no_build)
+    try:
+        got = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    if error:
+        assert json.loads(captured.out)["error"]["type"] == error
+    else:
+        assert not captured.out and "usage:" in captured.err
+    assert "Traceback" not in captured.err
+    # no file is made, and a refused resume leaves its file as it was
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "other.jsonl"]
+    assert other.read_bytes() == before

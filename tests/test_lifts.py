@@ -12,7 +12,7 @@ from dft.classify import contains_isotropic_elementary
 from dft.exact import IndicatorColumns
 from dft.fqm import (build_form, direct_sum, index_subgroup, perp_indices,
                      subgroup_from_generators)
-from dft.lifts import (_perp_has_pair, check_transitivity, descent_matrix,
+from dft.lifts import (check_transitivity, descent_matrix,
                        e_gamma_in_image, isotropic_elements,
                        isotropic_indices, isotropic_subgroups,
                        kernel_vector, lift_matrix,
@@ -219,6 +219,17 @@ def test_subgroup_walks_never_search_for_generators(monkeypatch):
     assert pairs and all(check_transitivity(d, H, K) for H, K in pairs)
 
 
+def test_descent_is_built_from_the_section():
+    # descent() does not read the lift map's columns, so columns out of
+    # order fail the comparison of descent-is-transpose
+    d = build("2_1^+3")
+    lm = lift_matrix(d, prime_order_subgroups(d)[0])
+    assert lm.source.order == 2
+    assert np.array_equal(lm.descent(), lm.matrix().T)
+    lm.columns[[0, 1]] = lm.columns[[1, 0]]
+    assert not np.array_equal(lm.descent(), lm.matrix().T)
+
+
 def test_lift_matrix_anchors():
     d = build("2_II^+2")
     H = subgroup_from_generators(d, [(1, 0)])
@@ -415,6 +426,14 @@ def test_pair_table_matches_the_cyclic_closures():
         form = form_of(sym)
         assert np.array_equal(perp_pair_table(form, p),
                               _pair_table_by_cyclic_closures(form, p)), str(sym)
+
+
+def _perp_has_pair(form, p, g):
+    """``perp_pair_table(form, p)[g]``, by a walk to depth 2 over the
+    isotropic elements of order p in g_perp."""
+    cand = isotropic_indices(form, p)
+    walk = lifts._greedy_walk(form, cand[form.b_row_num(g)[cand] == 0], 2)
+    return any(len(gens) == 2 for gens, _ in walk)
 
 
 @pytest.mark.parametrize("text", ["3^-3", "3^+4", "3^-5", "9^+1.3^-1", "5^+2",
