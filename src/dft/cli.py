@@ -99,6 +99,7 @@ def cmd_image(args) -> int:
         "guided_blocks": span.guided_blocks,
         "components": span.components,
         "distinct_components": span.distinct_components,
+        "lone_columns": span.lone_columns,
     }
     two_adic = all(p == 2 for p in prime_power_factors(form.level))
     if two_adic:

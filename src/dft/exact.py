@@ -9,19 +9,51 @@ the columns themselves, one 0/1 row each (the rows of A^T).
 
 Two rows are linked when some column holds both, so up to a permutation
 of its rows A is block-diagonal over the connected components of the
-rows.  Above ``_PACK_ROWS`` rows the components, or only their
+rows.  A block's rows, kept in increasing order, have as RREF the
+restriction of the RREF of all of A, so rank, membership and kernel rows
+can be read off each block alone.
+
+Two kinds of block are answered in closed form, before any certificate
+(``_peel``, one ``bincount`` of the columns on each row).  A row that no
+column holds is a zero row of A: it is free, its kernel row is e_i, and
+e_i is not in the span.  A lone column, one with at least one row and
+whose rows S no other column holds, is a component of its own: the span
+of its rows is the line through 1_S, whose RREF is the one row 1_S, with
+rank 1 and its pivot at s = min S.  For every other f in S the kernel row
+x = e_f - e_s has x . 1_S = 0, vanishes on every other column (none
+holds a row of S), and has x_f = 1 and x_g = 0 at every other free
+column g, so it is the RREF kernel row; it has gcd 1 and a positive
+entry at f, so it is entry for entry what the modular route returns.  No
+row of S is a member, unless S is one row {s}: then e_s = 1_S is.
+
+For lift columns these are the rows the hypothesis of
+``lifts.kernel_vector`` settles.  The column x + H (x in H_perp) holds
+gamma exactly when gamma is in x + H; for each isotropic line H with
+gamma in H_perp, that is with H inside gamma_perp, exactly one coset of H
+holds gamma.  So the number of columns on row gamma is the number of
+isotropic lines in gamma_perp: an untouched row has none, and every row
+of a lone column gamma + H has H as the one isotropic line in its
+gamma_perp.  On ``27^-2`` 216 of the 225 components are lone columns,
+and 81 of 729 rows are left.
+
+The rows left go to the route below: as one block when the whole input
+has at most ``_PACK_ROWS`` rows, else split into components even when
+few rows are left, since the split is what finds the copies.  At most
+``_PACK_ROWS`` rows without a lone column are one block either way, and
+are certified as they come, untouched rows and all.  Above
+``_PACK_ROWS`` rows the components, or only their
 representatives when some are copies of others (below), are packed in
 the order of their least rows into groups of at most ``_PACK_ROWS`` rows
 (a larger component is a group of its own), and each group's columns are
 certified on their own by everything below.  The rank of A is the sum
-of the groups' ranks, ker A^T is the direct sum of the groups' kernels,
-and a group's verified kernel vanishes on every other group's columns,
-so the assembled answer is exact.  A group keeps its rows in increasing
-order, so its RREF is the restriction of the RREF of all of A, and the
-kernel rows are the same as without the split.  For lift columns q is
-constant on every component (q(gamma + h) = q(gamma) for h in H, gamma
-in H_perp), so the components refine the split by the value of q; on
-``27^-2`` the largest of 225 components has 9 of 729 rows.
+of the groups' and the closed form's ranks, ker A^T is the direct sum of
+their kernels, and a group's verified kernel vanishes on every other
+group's columns, so the assembled answer is exact.  A group keeps its
+rows in increasing order, so its kernel rows are the same as without the
+split.  For lift columns q is constant on every component
+(q(gamma + h) = q(gamma) for h in H, gamma in H_perp), so the components
+refine the split by the value of q; on ``27^-2`` the 81 rows left form 9
+components of 9 rows.
 
 Most components are copies of a few.  Number a component's rows 0, 1, ...
 in increasing order; its local columns are its columns in those numbers.
@@ -38,7 +70,7 @@ exact fallback) certifies the copy.  Classes are found by cheap
 order-free keys and confirmed by an exact comparison of the sorted local
 columns; two unequal components that share a key each keep their own
 echelon, so a collision of keys can cost time, never an answer.  On
-``27^-2`` the 225 components are copies of 2.
+``27^-2`` the 9 components left are copies of 1.
 
 A group with at least as many columns as rows is first offered to a
 floating-point certificate of full rank.  G = A A^T is an integer PSD
@@ -230,12 +262,16 @@ class SpanResult:
     fallback_used: bool = False      # every prime failed: _exact_fallback ran
     blocks: int = 1                  # groups of rows certified one by one
     cholesky_blocks: int = 0         # groups certified by _cholesky_certifies
-    # connected components of the rows, and how many of them were
-    # certified rather than copied; 1 and 1 when the rows are certified as
-    # one block: at or below _PACK_ROWS rows, or without columns
+    # connected components of the rows left after the closed form, and how
+    # many of them were certified rather than copied; 1 and 1 when those
+    # rows are certified as one block (the whole input has at most
+    # _PACK_ROWS rows), 0 and 0 (and 0 blocks) when none is left
     components: int = 1
     distinct_components: int = 1
     guided_blocks: int = 0           # groups certified by _guided_kernel
+    # columns whose rows no other column holds, each a component of its
+    # own answered in closed form; the untouched rows are not counted
+    lone_columns: int = 0
 
     @property
     def full(self) -> bool:
@@ -440,12 +476,9 @@ def annihilates(K: np.ndarray, columns) -> bool:
 
 def _gram(n: int, columns: IndicatorColumns) -> np.ndarray:
     """G = A A^T for the n x ncols 0/1 matrix A of the columns: G[i, j]
-    counts the columns that contain both i and j.
-
-    It needs at least one column (with none it raises ``ValueError``);
-    ``_span_block`` answers a group without columns before building G."""
+    counts the columns that contain both i and j."""
     lengths = np.diff(columns.indptr)
-    keys = []
+    keys = [np.zeros(0, dtype=np.int64)]
     for size in np.flatnonzero(np.bincount(lengths)):
         starts = columns.indptr[:-1][lengths == size]
         support = columns.indices[starts[:, None] + np.arange(size)]
@@ -838,78 +871,159 @@ def _row_groups(lab: np.ndarray, columns: IndicatorColumns):
     return group[comp], src
 
 
-def span_of_indicator_columns(n: int, columns) -> SpanResult:
-    """Certified span data for 0/1 columns, given as ``IndicatorColumns``
-    or as a list of index tuples.
+def _peel(n: int, columns: IndicatorColumns):
+    """(rest, lone): the rows left after the closed form, as a mask over
+    the rows, and the lone columns, as a mask over the columns.
 
-    Above ``_PACK_ROWS`` rows the rows are split into connected components.
-    Only one representative of each class of equal components is
-    certified, in the groups of ``_row_groups``; A is block-diagonal over
-    the components, so the results add up, and each copy takes its
-    representative's membership and kernel by local index.
-    """
-    columns = _as_columns(columns)
-    if n <= _PACK_ROWS or not len(columns):
-        return _span_block(n, columns)
+    One ``bincount`` counts the columns on each row.  A column is lone
+    when it holds a row and each of its rows has count 1; a row is left
+    when some column that is not lone holds it."""
+    lengths = np.diff(columns.indptr)
+    hits = np.bincount(columns.indices, minlength=n)
+    rest = hits > 0
+    lone = np.zeros(len(lengths), dtype=bool)
+    if (hits == 1).any():
+        # the entries on rows of count 1, and their columns
+        at = np.flatnonzero(hits[columns.indices] == 1)
+        col = np.searchsorted(columns.indptr, at, side="right") - 1
+        lone = (np.bincount(col, minlength=len(lengths)) == lengths) & (
+            lengths > 0)
+        rest[columns.indices[at[lone[col]]]] = False
+    return rest, lone
+
+
+def _certify_components(n: int, columns: IndicatorColumns):
+    """The span of the columns, split into the connected components of
+    the rows: (blocks, lab, src, components, distinct).
+
+    ``blocks`` holds the rows and the ``_span_block`` result of each group
+    of ``_row_groups``; ``lab`` the labels of ``_component_labels``;
+    ``src`` the row each row copies (itself on the representatives); the
+    counts are those of the components and of their representatives."""
     lab = _component_labels(n, columns)
     group, src = _row_groups(lab, columns)
     roots = np.flatnonzero(lab == np.arange(n))
-    distinct = int(np.count_nonzero(src[roots] == roots))
-    count = int(group.max()) + 1
-
     lengths = np.diff(columns.indptr)
     lengths = lengths[lengths > 0]
     entry_group = group[columns.indices]
     col_group = entry_group[np.cumsum(lengths) - lengths]
     if not np.array_equal(entry_group, np.repeat(col_group, lengths)):
         raise ArithmeticError("a column meets two row groups")
+    blocks = []
+    local = np.empty(n, dtype=np.int64)
+    for g in range(int(group.max()) + 1):
+        # the group's rows in increasing order, its columns in given order
+        rows = np.flatnonzero(group == g)
+        local[rows] = np.arange(len(rows))
+        blocks.append((rows, _span_block(len(rows), IndicatorColumns(
+            local[columns.indices[entry_group == g]],
+            np.append(0, np.cumsum(lengths[col_group == g]))))))
+    return (blocks, lab, src, len(roots),
+            int(np.count_nonzero(src[roots] == roots)))
+
+
+def span_of_indicator_columns(n: int, columns) -> SpanResult:
+    """Certified span data for 0/1 columns, given as ``IndicatorColumns``
+    or as a list of index tuples.
+
+    The rows that no column holds and the lone columns (``_peel``) are
+    answered in closed form (see the module docstring).  The rows left
+    are certified as one block when the whole input has at most
+    ``_PACK_ROWS`` rows; otherwise they are split into connected
+    components, and only one representative of each class of equal
+    components is certified, in the groups of ``_row_groups``.  A is
+    block-diagonal over the components, so the results add up, and each
+    copy takes its representative's membership and kernel by local index.
+    """
+    columns = _as_columns(columns)
+    split = n > _PACK_ROWS
+    rest, lone = _peel(n, columns)
+    if not split and not lone.any():
+        # one block either way: untouched rows cost it nothing
+        return _span_block(n, columns)
+    # the rows left, numbered 0, 1, ... in increasing order, and their
+    # columns; the lone columns are read from ``given``
+    given, rows = columns, np.flatnonzero(rest)
+    m = len(rows)
+    lengths = np.diff(given.indptr)
+    if m < n:
+        local = np.empty(n, dtype=np.int64)
+        local[rows] = np.arange(m)
+        indptr = np.zeros(len(lengths) - np.count_nonzero(lone) + 1,
+                          dtype=np.int64)
+        np.cumsum(lengths[~lone], out=indptr[1:])
+        columns = IndicatorColumns(
+            local[given.indices[np.repeat(~lone, lengths)]], indptr)
+    src = None
+    if split and len(columns.indices):
+        blocks, lab, src, components, distinct = _certify_components(
+            m, columns)
+    else:
+        # one block of every row left, or none
+        blocks = [(np.arange(m), _span_block(m, columns))] if m else []
+        components = distinct = len(blocks)
 
     used, fallback, chol, guided = 0, False, 0, 0
     membership = np.zeros(n, dtype=bool)
     free = np.zeros(n, dtype=bool)
     parts = []
-    local = np.empty(n, dtype=np.int64)
-    for g in range(count):
-        # the group's rows in increasing order, its columns in given order
-        rows = np.flatnonzero(group == g)
-        local[rows] = np.arange(len(rows))
-        res = _span_block(len(rows), IndicatorColumns(
-            local[columns.indices[entry_group == g]],
-            np.append(0, np.cumsum(lengths[col_group == g]))))
+    for mine, res in blocks:
         used = max(used, res.primes_used)
         fallback |= res.fallback_used
         chol += res.cholesky_blocks
         guided += res.guided_blocks
-        membership[rows] = res.membership
+        mine = rows[mine]
+        membership[mine] = res.membership
         if len(res.kernel):
             # a kernel row's free column is its last nonzero entry
-            last = len(rows) - 1 - np.argmax(res.kernel[:, ::-1] != 0, axis=1)
-            parts.append((rows, res.kernel, rows[last]))
-            free[rows[last]] = True
-    # a copy's row is what its representative's row is
-    membership, free = membership[src], free[src]
+            last = len(mine) - 1 - np.argmax(res.kernel[:, ::-1] != 0, axis=1)
+            parts.append((mine, res.kernel, mine[last]))
+            free[mine[last]] = True
+    if src is not None:
+        # a copy's row is what its representative's row is
+        copied = np.arange(n)
+        copied[rows] = rows[src]
+        membership, free = membership[copied], free[copied]
+    # the closed form: every untouched row is free, and so is every row of
+    # a lone column but its least, the pivot; the one row of a column of
+    # length 1 is a member
+    free[~rest] = True
+    if lone.any():
+        held = given.indices[np.repeat(lone, lengths)]
+        lengths = lengths[lone]
+        pivots = np.minimum.reduceat(held, np.cumsum(lengths) - lengths)
+        free[pivots] = False
+        membership[pivots[lengths == 1]] = True
+        pivots = np.repeat(pivots, lengths)
+        below = held != pivots
     # the kernel rows in order of their free columns, each group's written
     # once into one array, then each copy's read from its representative's
     dest = np.cumsum(free) - 1
     dtype = object if any(K.dtype == object for _, K, _ in parts) else np.int64
-    kernel = np.zeros((int(free.sum()), n), dtype=dtype)
-    for rows, K, frees in parts:
-        kernel[np.ix_(dest[frees], rows)] = K
-    copy = np.flatnonzero(src != np.arange(n))
+    kernel = np.zeros((int(dest[-1]) + 1, n), dtype=dtype)
+    for mine, K, frees in parts:
+        kernel[np.ix_(dest[frees], mine)] = K
+    # e_f, and e_f - e_pivot on the rows f of a lone column
+    closed = np.flatnonzero(free & ~rest)
+    kernel[dest[closed], closed] = 1
+    if lone.any():
+        kernel[dest[held[below]], pivots[below]] = -1
+    copy = np.flatnonzero(src != np.arange(m)) if src is not None else []
     if len(copy) and len(kernel):
         # a kernel row lies on its free column's component: pair each free
         # row of a copy with every row of its component
         copy = copy[np.argsort(lab[copy], kind="stable")]
-        f = copy[free[copy]]
+        f = copy[free[rows[copy]]]
         lo = np.searchsorted(lab[copy], lab[f])
         width = np.searchsorted(lab[copy], lab[f], side="right") - lo
         fr = np.repeat(f, width)
         step = np.arange(len(fr)) - np.repeat(np.cumsum(width) - width, width)
         at = copy[np.repeat(lo, width) + step]
-        kernel[dest[fr], at] = kernel[dest[src[fr]], src[at]]
+        kernel[dest[rows[fr]], rows[at]] = kernel[dest[rows[src[fr]]],
+                                                  rows[src[at]]]
     return SpanResult(n, n - len(kernel), _int_matrix(kernel), membership,
-                      used, fallback, count, chol, len(roots), distinct,
-                      guided)
+                      used, fallback, len(blocks), chol, components, distinct,
+                      guided, int(np.count_nonzero(lone)))
 
 
 def _integer_rref(n: int, columns):

@@ -20,6 +20,8 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 
+import numpy as np
+
 from . import bounds
 from .classify import small_type
 from .fqm import build_form
@@ -82,7 +84,7 @@ def evaluate_symbol(text: str, span_order: int | None = None) -> dict:
     form = build_form(sym)
     verdict = small_type(sym)
     span = lift_span(form, span_order)
-    missing = [int(i) for i in (~span.membership).nonzero()[0]]
+    missing = np.flatnonzero(~span.membership)
     record = _Record()
     record.kind = "record"
     record.symbol = text
@@ -96,7 +98,7 @@ def evaluate_symbol(text: str, span_order: int | None = None) -> dict:
     record.agreement = verdict.small == (not span.full)
     record.witness_count = len(missing)
     # tuples: the JSON is the same as for lists, and they are smaller
-    witnesses = tuple(map(form.element, missing[:MAX_WITNESSES]))
+    witnesses = tuple(map(form.element, missing[:MAX_WITNESSES].tolist()))
     record.witnesses = _WITNESSES.setdefault(witnesses, witnesses)
     if span.full:
         del record.witness_count, record.witnesses
@@ -112,11 +114,30 @@ def _load_existing(fh, config_hash: str) -> dict[str, dict]:
     first = fh.readline()
     if not first.endswith("\n"):
         return {}
-    header = json.loads(first)
+    header = _json_object(first)
     if header.get("kind") != "header" or header.get("hash") != config_hash:
         raise ValueError("existing sweep file has a different configuration")
-    records = (json.loads(line) for line in fh if line.endswith("\n"))
-    return {r["symbol"]: r for r in records if r.get("kind") == "record"}
+    records = {}
+    for line in fh:
+        if not line.endswith("\n"):
+            continue
+        r = _json_object(line)
+        if r.get("kind") == "record":
+            if "symbol" not in r:
+                raise ValueError("existing sweep file has a record without "
+                                 "a symbol")
+            records[r["symbol"]] = r
+    return records
+
+
+def _json_object(line: str) -> dict:
+    """The JSON object on one line of a sweep file; any other line raises
+    ``ValueError``, as malformed JSON does."""
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError("existing sweep file has a line that is not a "
+                         "JSON object")
+    return obj
 
 
 def _record_or_error(text: str, span_order: int) -> dict | Exception:

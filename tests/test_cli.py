@@ -76,13 +76,16 @@ def test_image(capsys):
     assert (out["cholesky_blocks"], out["guided_blocks"]) == (3, 0)
     # three components, none a copy of another
     assert (out["components"], out["distinct_components"]) == (3, 3)
-    # 225 components, copies of 2: one group of representatives
+    # 225 components: 216 lone columns, answered in closed form, and 9
+    # copies of 1, one group of representatives
     code, out = run_cli(capsys, "image", "27^-2")
     assert out["rank"] == 297 and out["full_image"] is False
-    assert (out["components"], out["distinct_components"]) == (225, 2)
-    # of 12 rows and 13 columns: one prime, as for 2_II^+2
+    assert (out["components"], out["distinct_components"]) == (9, 1)
+    assert out["lone_columns"] == 216
+    # of 9 rows and 9 columns, full rank: the Cholesky test certifies it
     assert (out["blocks"], out["primes_used"], out["guided_blocks"]) == (
-        1, 1, 0)
+        1, 0, 0)
+    assert out["cholesky_blocks"] == 1
     # three groups: two full rank by the Cholesky test, one deficient
     # certified by the guided kernel; no prime at all
     code, out = run_cli(capsys, "image", "3^-5")
@@ -361,6 +364,15 @@ def test_sweep_records_share_witnesses_and_rules():
 _SWEEP = ["classify-sweep", "--max-order", "9", "--primes", "3",
           "--out", "{tmp}/s.jsonl"]
 _OTHER = "{tmp}/other.jsonl"        # a finished sweep of another config
+# a resume of the configuration of other.jsonl, then the file to resume
+_RESUME_OTHER = ["classify-sweep", "--max-order", "4", "--primes", "2",
+                 "--resume", "--out"]
+# resume files whose lines are valid JSON but no sweep lines: a header,
+# then a record, that is no JSON object, and a record without a symbol;
+# {header} is the header of other.jsonl
+_DAMAGED = {"bad-header.jsonl": "[1]\n",
+            "bad-record.jsonl": "{header}5\n",
+            "no-symbol.jsonl": '{header}{{"kind": "record"}}\n'}
 
 # (environment, argv, exit code, JSON error type); None for an argparse
 # usage error, which prints its message on stderr and no JSON
@@ -387,6 +399,8 @@ _CONTRACT = [
     ({}, _SWEEP + ["--out", "{tmp}/d"], 2, "ConfigError"),
     ({}, _SWEEP + ["--out", "{tmp}/d", "--resume"], 2, "ConfigError"),
     ({}, _SWEEP + ["--out", _OTHER, "--resume"], 2, "ConfigError"),
+    *(({}, _RESUME_OTHER + ["{tmp}/" + name], 2, "ConfigError")
+      for name in _DAMAGED),
     ({}, ["verify", "--suite", "nope"], 2, None),
 ]
 
@@ -404,7 +418,12 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch, env, argv, code,
     (tmp_path / "d").mkdir()
     other = tmp_path / "other.jsonl"
     run_sweep(SweepConfig(max_order=4, primes=(2,), out=str(other)))
-    before = other.read_bytes()
+    header = other.read_text().splitlines(keepends=True)[0]
+    for name, text in _DAMAGED.items():
+        (tmp_path / name).write_text(text.format(header=header))
+    files = sorted(p.name for p in tmp_path.iterdir())
+    before = {name: (tmp_path / name).read_bytes()
+              for name in files if name != "d"}
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     monkeypatch.setattr(sweep, "evaluate_symbol", _no_build)
@@ -420,5 +439,5 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch, env, argv, code,
         assert not captured.out and "usage:" in captured.err
     assert "Traceback" not in captured.err
     # no file is made, and a refused resume leaves its file as it was
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "other.jsonl"]
-    assert other.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before

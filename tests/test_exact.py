@@ -227,6 +227,10 @@ def test_gram_matrix_counts_shared_columns():
     assert np.array_equal(_gram(n, cols), A @ A.T)
 
 
+def test_gram_of_no_columns_is_zero():
+    assert not _gram(3, IndicatorColumns.from_supports([])).any()
+
+
 def test_column_count_divisible_by_the_first_prime(monkeypatch):
     # PRIMES[0] copies of one column: G = [[PRIMES[0]]] is 0 mod the first
     # prime, but the echelon sees the column rows, each 1 mod every prime
@@ -305,6 +309,12 @@ def _columns_of(A):
         [tuple(np.flatnonzero(A[:, j]).tolist()) for j in range(A.shape[1])])
 
 
+def _peel_off(monkeypatch):
+    """Switch the closed form off: every row goes to the certified route."""
+    monkeypatch.setattr(exact, "_peel", lambda n, columns: (
+        np.ones(n, dtype=bool), np.zeros(len(columns), dtype=bool)))
+
+
 def _guided_always(monkeypatch):
     """Offer the guided kernel every deficient group, however few rows the
     modular echelon would eliminate."""
@@ -361,8 +371,9 @@ def test_guided_kernel_matches_modular_on_deficient_groups():
     # every group of representatives with columns and a deficient span in
     # the lift spans of {2, 3, 5} <= 128, as span_of_indicator_columns
     # certifies it with the guided kernel offered every group, against the
-    # modular route; of the 2,053 groups 216 are distinct, and each is
-    # compared once
+    # modular route, both with the closed form (647 groups, 124 distinct)
+    # and without it (2,053 groups, 216 distinct); each of the 258 distinct
+    # groups is compared once
     groups = {}
     block = exact._span_block
 
@@ -373,14 +384,18 @@ def test_guided_kernel_matches_modular_on_deficient_groups():
             groups.setdefault(key, (n, columns, res))
         return res
 
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(exact, "_span_block", record)
-        _guided_always(m)
-        for sym in enumerate_symbols(128, {2, 3, 5}):
-            form = build_form(sym)
-            span_of_indicator_columns(
-                form.order, span_columns(form, prime_order_subgroups(form)))
-    assert len(groups) > 200
+    for peel in (True, False):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(exact, "_span_block", record)
+            _guided_always(m)
+            if not peel:
+                _peel_off(m)
+            for sym in enumerate_symbols(128, {2, 3, 5}):
+                form = build_form(sym)
+                span_of_indicator_columns(
+                    form.order,
+                    span_columns(form, prime_order_subgroups(form)))
+    assert len(groups) > 250
     with pytest.MonkeyPatch.context() as m:
         _modular_only(m)
         for n, columns, res in groups.values():
@@ -547,22 +562,29 @@ def test_row_groups_match_block_by_block_fallback(data):
     # the Cholesky test certifies every full-rank group of representatives
     # (its blocks are small and well conditioned); the guided kernel
     # offered every group, or when it is off one prime, serves every other
-    # such group with columns, and copies (group -1) run neither
+    # such group with columns, and copies (group -1) run neither.  The
+    # groups are those of the rows and columns the closed form leaves.
     columns = IndicatorColumns.from_supports(cols)
-    lab = _component_labels(n, columns)
-    group, src = _row_groups(lab, columns)
-    assert np.array_equal(group < 0, src != np.arange(n))
-    with_cols = set(group[[c[0] for c in cols]].tolist()) - {-1}
-    full = {g for g in with_cols if membership[group == g].all()}
+    rest, lone = exact._peel(n, columns)
+    assert res.lone_columns == np.count_nonzero(lone)
+    rows = np.flatnonzero(rest)
+    local = np.empty(n, dtype=np.int64)
+    local[rows] = np.arange(len(rows))
+    left = IndicatorColumns.from_supports(
+        [local[list(c)] for c, alone in zip(cols, lone) if not alone])
+    lab = _component_labels(len(rows), left)
+    group, src = _row_groups(lab, left)
+    assert np.array_equal(group < 0, src != np.arange(len(rows)))
+    with_cols = set(group[[c[0] for c in left]].tolist()) - {-1}
+    full = {g for g in with_cols if membership[rows][group == g].all()}
     assert res.cholesky_blocks == len(full)
     deficient = len(with_cols - full)
     assert res.guided_blocks == (deficient if guided else 0)
     assert (res.primes_used, res.fallback_used) == (
         int(deficient > 0 and not guided), False)
-    if cols:        # without columns the rows are one block
-        roots = np.flatnonzero(lab == np.arange(n))
-        assert res.components == len(roots)
-        assert res.distinct_components == np.count_nonzero(group[roots] >= 0)
+    roots = np.flatnonzero(lab == np.arange(len(rows)))
+    assert res.components == len(roots)
+    assert res.distinct_components == np.count_nonzero(group[roots] >= 0)
 
 
 def _spans_apart(n, columns):
@@ -597,8 +619,10 @@ def test_a_collision_of_keys_changes_no_answer(data):
     cols = first + draw(2 * base, n) + [tuple(i + base for i in c)
                                         for c in first]
     columns = IndicatorColumns.from_supports(data.draw(st.permutations(cols)))
-    want = _spans_apart(n, columns)
     with pytest.MonkeyPatch.context() as m:
+        # with the closed form on, lone copies would never be compared
+        _peel_off(m)
+        want = _spans_apart(n, columns)
         m.setattr(exact, "_component_keys",
                   lambda size, *rest: np.zeros((1, len(size))))
         got = span_of_indicator_columns(n, columns)
@@ -627,9 +651,10 @@ def test_long_columns_are_compared_without_overflow(collide):
     _assert_same_span(got, _spans_apart(300, columns))
 
 
+# the components of the rows left after the closed form
 @pytest.mark.parametrize("symbol, components, distinct", [
-    ("27^-2", 225, 2), ("25^+2", 121, 2), ("16_1^+1.9^+1", 84, 4),
-    ("3^+6", 3, 3)])
+    ("27^-2", 9, 1), ("25^+2", 1, 1), ("16_1^+1.9^+1", 4, 1),
+    ("3^+6", 3, 3), ("9^+2.3^+3", 32, 4)])
 def test_copies_match_every_component_apart(symbol, components, distinct):
     form = build_form(parse_symbol(symbol))
     columns = span_columns(form, prime_order_subgroups(form))
@@ -699,9 +724,63 @@ def test_groups_aggregate_their_modular_certificates():
 def test_a_column_across_two_groups_is_refused(monkeypatch):
     n = _PACK_ROWS + 2
     cols = [(0, n - 1)]
+    # a lone column: the closed form would answer it before any group
+    _peel_off(monkeypatch)
     monkeypatch.setattr(exact, "_row_groups",
                         lambda lab, columns: (
                             (np.arange(len(lab)) >= _PACK_ROWS).astype(
                                 np.int64), np.arange(len(lab))))
     with pytest.raises(ArithmeticError):
         span_of_indicator_columns(n, cols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_closed_form_matches_the_certified_route(data):
+    # lone columns (length 1 included, rows in any order), untouched rows,
+    # repeated columns and connected blocks on shuffled rows, on either
+    # side of _PACK_ROWS: the same answers as with the closed form off
+    n = data.draw(st.integers(1, 2 * _PACK_ROWS + 40))
+    perm = data.draw(st.permutations(range(n)))
+    cols, used = [], 0
+    while used < n:
+        size = min(data.draw(st.integers(1, 6)), n - used)
+        rows = perm[used:used + size]
+        used += size
+        kind = data.draw(st.sampled_from(["lone", "untouched", "repeated",
+                                          "block"]))
+        if kind == "lone":
+            cols.append(tuple(rows))
+        elif kind == "repeated":
+            cols += [tuple(sorted(rows))] * data.draw(st.integers(2, 3))
+        elif kind == "block":
+            for _ in range(data.draw(st.integers(1, 2 * size))):
+                cols.append(tuple(sorted(data.draw(st.sets(
+                    st.sampled_from(rows), min_size=1, max_size=size)))))
+    columns = IndicatorColumns.from_supports(data.draw(st.permutations(cols)))
+    got = span_of_indicator_columns(n, columns)
+    with pytest.MonkeyPatch.context() as m:
+        _peel_off(m)
+        want = span_of_indicator_columns(n, columns)
+    _assert_same_span(got, want)
+    assert annihilates(got.kernel, columns)
+    assert want.lone_columns == 0
+
+
+@pytest.mark.parametrize("symbol, lone", [
+    ("27^-2", 216), ("25^+2", 120), ("16_6^-2", 96), ("2_0^+2.32_7^+1", 48)])
+def test_closed_form_on_forms_with_lone_columns(symbol, lone):
+    form = build_form(parse_symbol(symbol))
+    lines = prime_order_subgroups(form)
+    columns = span_columns(form, lines)
+    # the columns on row gamma are the isotropic lines in gamma_perp
+    gens = np.array([H.indices[1] for H in lines])
+    assert np.array_equal(np.bincount(columns.indices, minlength=form.order),
+                          (form.b_row_num(gens) == 0).sum(axis=0))
+    got = span_of_indicator_columns(form.order, columns)
+    assert got.lone_columns == lone
+    with pytest.MonkeyPatch.context() as m:
+        _peel_off(m)
+        want = span_of_indicator_columns(form.order, columns)
+    _assert_same_span(got, want)
+    assert annihilates(got.kernel, columns)
