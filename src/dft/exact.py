@@ -4,7 +4,7 @@ The columns to be spanned are supports in Z^n, held as CSR index arrays
 (``IndicatorColumns``); A is the n x ncols 0/1 matrix they form.  Full
 rank is first tried by a float64 Cholesky certificate, and a deficient
 span by a kernel guessed in float64 and certified exactly (both below);
-otherwise rank is computed by row reduction, modulo word-size primes, of
+otherwise rank is computed by row reduction, modulo a word-size prime, of
 the columns themselves, one 0/1 row each (the rows of A^T).
 
 Two rows are linked when some column holds both, so up to a permutation
@@ -126,18 +126,22 @@ Rank is then certified from both sides, as below.  A wrong guess can only
 make a test refuse, and a refused group goes to the modular echelon, so
 the guess costs time, never an answer.
 
-A full modular rank already certifies full rational rank.  When the span
-is deficient, the kernel of the modular RREF (free columns set to 1, one
-at a time) is reconstructed by rational reconstruction (combined over
-further primes by CRT when one prime is not enough), each kernel vector is
-scaled to integers, and the k x n integer matrix K is then *verified
-exactly* against every column, which certifies the rank from both sides:
+The modular route eliminates the columns modulo one prime, ``PRIME``.  A
+full modular rank certifies full rational rank.  Otherwise the kernel of
+the modular RREF (free columns set to 1, one at a time) is rebuilt by
+rational reconstruction and scaled to integers, and the k x n integer
+matrix K is *verified exactly* against every column, which certifies the
+rank from both sides:
 
     rank_mod_p <= rank_Q <= n - #(rows of the verified K).
 
-Verification is the only gate; a wrong prime can cost time, never
-correctness.  Its column sums run in int64 only while max|K| times the
-longest column stays below 2^63, and in Python integers otherwise.
+Verification is the only gate.  A prime that divides a minor that
+matters, or a kernel entry beyond the reconstruction bound, makes a test
+refuse, and the exact fraction-free RREF (``_exact_fallback``) answers: a
+wrong prime costs time, never correctness, though much time (52 s against
+0.21 s for the prime on the largest group of ``5^+5``, 650 x 4,680, on a
+2-vCPU x86-64 VM).  The check's column sums run in int64 while max|K|
+times the longest column stays below 2^63, in Python integers otherwise.
 
 Rows enter the echelon in blocks of ``_BLOCK``.  A block is reduced by the
 stored pivots in one matrix product and then put into RREF recursively:
@@ -156,7 +160,7 @@ exact; longer contractions are cut into chunks of 4096 terms with a
 reduction mod p between chunks (``_submul_mod``).
 
 Pivot choices are deterministic, so bases and membership vectors are
-reproducible.  References: for modular rank, CRT and rational
+reproducible.  References: for modular rank and rational
 reconstruction, von zur Gathen & Gerhard, *Modern Computer Algebra*,
 ch. 5; for recursive block elimination over word-size primes, Dumas,
 Giorgi & Pernet, *Dense linear algebra over word-size prime fields: the
@@ -165,15 +169,16 @@ FFLAS and FFPACK packages*, ACM TOMS 2008.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from math import gcd, isqrt, lcm
 
 import numpy as np
 
-PRIMES = (1048573, 1048571, 1048559, 1048549, 1048517,
-          1048507, 1048447, 1048433, 1048423, 1048391)
+# the largest prime below _PRIME_LIMIT
+PRIME = 1048573
 
 _BLOCK = 512
 # rows per group of connected components, certified on its own
@@ -182,6 +187,8 @@ _PACK_ROWS = 128
 _BASE_ROWS = 16
 # terms per float64 contraction: 4096 * (2^20)^2 = 2^52 < 2^53
 _TERMS = 4096
+# _submul_mod is exact only for primes below this
+_PRIME_LIMIT = 1 << 20
 # entries gathered per step of the bulk annihilation check
 _CHECK_ENTRIES = 1 << 16
 # residues and kernel entries stay int64 below this; Python ints above
@@ -258,8 +265,8 @@ class SpanResult:
     # primes_used, blocks, cholesky_blocks and guided_blocks count the
     # groups of the representatives only: a copy of a component runs no
     # certificate of its own (see span_of_indicator_columns)
-    primes_used: int = 0             # primes whose modular echelon ran
-    fallback_used: bool = False      # every prime failed: _exact_fallback ran
+    primes_used: int = 0             # 1 when some group's echelon mod PRIME ran
+    fallback_used: bool = False      # the prime was refused: _exact_fallback ran
     blocks: int = 1                  # groups of rows certified one by one
     cholesky_blocks: int = 0         # groups certified by _cholesky_certifies
     # connected components of the rows left after the closed form, and how
@@ -280,12 +287,16 @@ class SpanResult:
 
 def _submul_mod(x: np.ndarray, a: np.ndarray, b: np.ndarray,
                 p: int) -> np.ndarray:
-    """(x - a @ b) mod p for residue matrices, exact for primes below 2^20.
+    """(x - a @ b) mod p for residue matrices, exact for primes below
+    ``_PRIME_LIMIT``; a larger p raises ``ValueError``.
 
     Products over strips of ``_BLOCK`` terms are summed in float64, so no
     float64 copy of all of b is made, and x is reduced once per
     ``_TERMS`` terms.
     """
+    if p >= _PRIME_LIMIT:
+        raise ValueError(f"p = {p}: float64 products are exact only for "
+                         f"p < {_PRIME_LIMIT}")
     k = a.shape[1]
     for s in range(0, k, _TERMS):
         acc = None
@@ -389,15 +400,6 @@ def _rational_reconstruct(x: int, m: int):
     return Fraction(a1, b1)
 
 
-def _crt(r1: np.ndarray, m1: int, r2: np.ndarray, m2: int) -> np.ndarray:
-    """Residues mod m1*m2 from residues mod coprime m1 and m2 (< 2^20)."""
-    inv = pow(m1 % m2, -1, m2)
-    t = ((r2 - r1 % m2) * inv) % m2
-    if m1 * m2 >= _INT64_SAFE:
-        r1, t = r1.astype(object), t.astype(object)
-    return r1 + m1 * t
-
-
 def _int_matrix(K: np.ndarray) -> np.ndarray:
     """K as int64 when its entries allow, else as Python integers."""
     if K.dtype == object and (not K.size or np.abs(K).max() < _INT64_SAFE):
@@ -405,24 +407,27 @@ def _int_matrix(K: np.ndarray) -> np.ndarray:
     return K
 
 
-def _reconstruct_kernel(residues, modulus, free, pivcols, n):
-    """Integer kernel rows from their residues mod ``modulus``, or None if
+def _reconstruct_kernel(n, cols, R, p):
+    """The integer kernel rows of the RREF (cols, R) modulo p, or None if
     an entry has no rational preimage within the reconstruction bound.
 
-    Row j is scaled by the lcm of its denominators, so its entry at
-    free[j] is that lcm.  Entries within +-sqrt(modulus/2) are their own
-    preimages; only the rest go through ``_rational_reconstruct``.
+    Row j is 1 at the free column free[j] and -R[r, free[j]] at cols[r],
+    scaled by the lcm of its denominators, so its entry at free[j] is that
+    lcm.  Entries within +-sqrt(p/2) are their own preimages; only the
+    rest go through ``_rational_reconstruct``.
     """
-    bound = isqrt(modulus // 2)
-    high = residues >= modulus - bound
-    num = np.where(high, residues - modulus, residues)
+    free = np.setdiff1d(np.arange(n), cols)
+    residues = (-R[:, free].T) % p
+    bound = isqrt(p // 2)
+    high = residues >= p - bound
+    num = np.where(high, residues - p, residues)
     hard = np.argwhere(~(high | (residues <= bound)))
     scale = np.ones(len(free), dtype=np.int64)
     if len(hard):
         vals = {}
         lcms: dict[int, int] = {}
         for i, j in hard.tolist():
-            val = _rational_reconstruct(int(residues[i, j]), modulus)
+            val = _rational_reconstruct(int(residues[i, j]), p)
             if val is None:
                 return None
             vals[i, j] = val
@@ -435,7 +440,7 @@ def _reconstruct_kernel(residues, modulus, free, pivcols, n):
         for (i, j), val in vals.items():
             num[i, j] = val.numerator * (lcms[i] // val.denominator)
     K = np.zeros((len(free), n), dtype=num.dtype)
-    K[:, pivcols] = num
+    K[:, cols] = num
     K[np.arange(len(free)), free] = scale
     return _int_matrix(K)
 
@@ -625,8 +630,8 @@ def _guided_kernel(n: int, columns: IndicatorColumns,
 
 
 def _run_echelon(n, count, block, p):
-    """RREF modulo p of the ``count`` rows given by ``block``, inserted
-    ``_BLOCK`` at a time: (cols, R) as for ``_rref``.
+    """RREF modulo p of the ``count`` rows that ``block(start, stop)``
+    gives, inserted ``_BLOCK`` at a time: (cols, R) as for ``_rref``.
 
     Each block is reduced by the stored pivots in one product and put into
     RREF, and the stored rows are back-substituted by its new pivots."""
@@ -634,7 +639,7 @@ def _run_echelon(n, count, block, p):
     store = np.zeros((n, n), dtype=np.int64)
     cols: list[int] = []
     for start in range(0, count, _BLOCK):
-        x = block(start, min(start + _BLOCK, count), p)
+        x = block(start, min(start + _BLOCK, count))
         rank = len(cols)
         S = store[:rank]
         new, R = _rref(_eliminate(x, cols, S, p) if rank else x, p)
@@ -647,20 +652,9 @@ def _run_echelon(n, count, block, p):
     return cols, store[:len(cols)]
 
 
-def _kernel_residues(n: int, cols: list[int], R: np.ndarray, p: int):
-    """Free columns and the k x rank residue matrix of the kernel of the
-    RREF (cols, R) modulo p: vector j is 1 at free[j] and residues[j, r]
-    at cols[r]."""
-    free = np.ones(n, dtype=bool)
-    free[cols] = False
-    free = np.flatnonzero(free)
-    return free, np.ascontiguousarray((-R[:, free].T) % p)
-
-
-def _full(n, primes_used, cholesky_blocks=0) -> SpanResult:
+def _full(n, **counts) -> SpanResult:
     return SpanResult(n, n, np.zeros((0, n), dtype=np.int64),
-                      np.ones(n, dtype=bool), primes_used,
-                      cholesky_blocks=cholesky_blocks)
+                      np.ones(n, dtype=bool), **counts)
 
 
 def _span_block(n: int, columns: IndicatorColumns) -> SpanResult:
@@ -670,7 +664,8 @@ def _span_block(n: int, columns: IndicatorColumns) -> SpanResult:
     ``_cholesky_certifies``.  Otherwise, or if it refuses, G is offered to
     ``_guided_kernel`` when ``_offers_guided`` says so.  If that refuses
     too, or does not run, the columns, one 0/1 row each, are eliminated
-    modulo one prime after another.
+    modulo ``PRIME``, and ``_exact_fallback`` answers when the prime's
+    kernel is refused.
     """
     if not len(columns):
         return SpanResult(n, 0, np.eye(n, dtype=np.int64),
@@ -682,39 +677,21 @@ def _span_block(n: int, columns: IndicatorColumns) -> SpanResult:
         # below 2^53 and exact
         G = _gram(n, columns).astype(np.float64)
     if len(columns) >= n and _cholesky_certifies(G):
-        return _full(n, 0, cholesky_blocks=1)
+        return _full(n, cholesky_blocks=1)
     kernel = _guided_kernel(n, columns, G) if guided else None
     if kernel is not None:
         return SpanResult(n, n - len(kernel), kernel,
                           ~(kernel != 0).any(axis=0), guided_blocks=1)
 
-    def block(start, stop, p):
-        return columns.block(start, stop, n)
-
-    # the kernel residues of the highest modular rank so far, combined by
-    # CRT over the primes that reach it
-    cols, modulus = None, 1
-    for used, p in enumerate(PRIMES, 1):
-        run_cols, R = _run_echelon(n, len(columns), block, p)
-        if len(run_cols) == n:
-            return _full(n, used)
-        if run_cols == cols:
-            residues = _crt(residues, modulus,
-                            _kernel_residues(n, cols, R, p)[1], p)
-            modulus *= p
-        elif cols is None or len(run_cols) > len(cols):
-            cols, modulus = run_cols, p
-            free, residues = _kernel_residues(n, cols, R, p)
-        else:
-            continue
-        kernel = _reconstruct_kernel(residues, modulus, free, cols, n)
-        if kernel is not None and annihilates(kernel, columns):
-            return SpanResult(n, n - len(kernel), kernel,
-                              ~(kernel != 0).any(axis=0), used)
-
-    res = _exact_fallback(n, columns)
-    res.primes_used = used
-    return res
+    cols, R = _run_echelon(n, len(columns), partial(columns.block, n=n),
+                           PRIME)
+    if len(cols) == n:
+        return _full(n, primes_used=1)
+    kernel = _reconstruct_kernel(n, cols, R, PRIME)
+    if kernel is not None and annihilates(kernel, columns):
+        return SpanResult(n, n - len(kernel), kernel,
+                          ~(kernel != 0).any(axis=0), 1)
+    return replace(_exact_fallback(n, columns), primes_used=1)
 
 
 def component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -1057,9 +1034,9 @@ def _integer_rref(n: int, columns):
 
 
 def _exact_fallback(n: int, columns) -> SpanResult:
-    """Span data from the exact integer RREF; only reached if every prime
-    failed.  The RREF of a row space is canonical, so each distinct
-    support goes in once."""
+    """Span data from the exact integer RREF; only reached when the
+    kernel modulo ``PRIME`` is refused.  The RREF of a row space is
+    canonical, so each distinct support goes in once."""
     M, d, pivcols = _integer_rref(n, dict.fromkeys(_as_columns(columns)))
     free = np.setdiff1d(np.arange(n), pivcols)
     kernel = np.zeros((len(free), n), dtype=object)

@@ -477,12 +477,13 @@ def rank5_expression(form: DiscriminantForm, gamma: Element):
     if not np.isin(form.order_array()[block], (1, p)).all():
         raise HypothesisFailed("gamma_perp is not of level p")
     iso = block[qnum[block] == 0][1:]           # block[0] is 0
-    if not len(iso) or perp_pair_table(form, p)[g]:
+    # numerators over L: b(mu, -) for mu in iso; orthogonal mu on distinct
+    # lines would span an isotropic (Z/pZ)^2 in gamma_perp
+    B, line = form.b_row_num(iso), _multiples(form, iso, p)[:, 0]
+    if not len(iso) or ((B[:, iso] == 0) & (line[:, None] != line)).any():
         raise HypothesisFailed("the block must be anisotropic of its rank")
 
-    # numerators over L: b(mu, -) for mu in iso, and the norms -2 l j / p
-    # mod 1 of the shifted classes; l = 1 gives the pair target
-    B = form.b_row_num(iso)
+    # the norms -2 l j / p mod 1 of the shifted classes (l = 1: the pairs)
     norm = [(-2 * el * j % p) * (L // p) for el in range(p)]
     pairs = B[:, iso] == norm[1]
     a0 = pairs.sum(axis=1)

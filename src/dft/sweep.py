@@ -12,6 +12,7 @@ finished or not; without it an existing output file is truncated.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import sys
@@ -150,6 +151,24 @@ def _record_or_error(text: str, span_order: int) -> dict | Exception:
         return exc
 
 
+def _blas_threads_setter():
+    """numpy's bundled ``scipy_openblas_set_num_threads64_`` through
+    ctypes, or None when numpy has no such library."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        setter = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    return setter
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: one OpenBLAS thread in the worker, which would
+    otherwise keep its parent's count and oversubscribe the cores."""
+    _blas_threads_setter()(1)
+
+
 def _write(fh, obj: dict) -> None:
     fh.write(json.dumps(obj, sort_keys=True) + "\n")
     fh.flush()
@@ -184,7 +203,12 @@ def run_sweep(config: SweepConfig, log=None) -> dict:
         if config.jobs > 1 and len(todo) > 1:
             # imported only here: a one-process sweep does not pay for it
             from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(max_workers=config.jobs)
+            init = _one_blas_thread if _blas_threads_setter() else None
+            if init is None:
+                print("sweep: no OpenBLAS thread setter in numpy; workers "
+                      "keep the default BLAS threads", file=sys.stderr)
+            pool = ProcessPoolExecutor(max_workers=config.jobs,
+                                       initializer=init)
             # a stop drops the tasks not yet started
             stack.callback(pool.shutdown, cancel_futures=True)
             fresh = pool.map(task, todo, chunksize=8)

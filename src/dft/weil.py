@@ -44,13 +44,10 @@ import numpy as np
 
 from . import bounds, cyclo
 from .errors import BoundExceeded, RelationFailed
-from .exact import _submul_mod
+from .exact import _PRIME_LIMIT, _submul_mod
 from .fqm import DiscriminantForm, Subgroup, milgram_vector_vanishes
 from .lifts import lift_matrix
 from .ntheory import is_prime, prime_power_factors
-
-# the float64 products of exact._submul_mod are exact for primes below this
-_PRIME_LIMIT = 1 << 20
 
 
 def _conductor(form: DiscriminantForm) -> int:

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from functools import partial
 from itertools import takewhile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dft
@@ -318,6 +320,32 @@ def test_sweep_failure_keeps_records_and_resumes(tmp_path, monkeypatch, jobs):
     run_sweep(replace(config, out=str(out), resume=True), log=log.append)
     assert f"reused {k}," in log[0]
     assert _strip_timing(out) == _strip_timing(fresh)
+
+
+def _blas_threads():
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    get = lib.scipy_openblas_get_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
+def _evaluate_with_threads(text, span_order=None):
+    """``evaluate_symbol``, with the BLAS threads of the process that ran
+    it."""
+    return {**_evaluate(text, span_order), "blas_threads": _blas_threads()}
+
+
+@pytest.mark.skipif(sweep._blas_threads_setter() is None,
+                    reason="numpy has no bundled OpenBLAS")
+def test_sweep_workers_run_one_blas_thread(tmp_path, monkeypatch):
+    before = _blas_threads()
+    monkeypatch.setattr(sweep, "evaluate_symbol", _evaluate_with_threads)
+    out = tmp_path / "s.jsonl"
+    run_sweep(SweepConfig(max_order=27, primes=(3,), jobs=2, out=str(out)))
+    records = [json.loads(line) for line in out.read_text().splitlines()[1:-1]]
+    assert len(records) > 1
+    assert {rec["blas_threads"] for rec in records} == {1}
+    assert _blas_threads() == before
 
 
 @pytest.mark.parametrize("keep", [5, 0])

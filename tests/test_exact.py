@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dft.exact as exact
-from dft.exact import (_PACK_ROWS, PRIMES, IndicatorColumns,
+from dft.exact import (_PACK_ROWS, _PRIME_LIMIT, PRIME, IndicatorColumns,
                        _cholesky_certifies, _component_labels,
                        _exact_fallback, _gram, _rational_reconstruct,
                        _row_groups, _rref, _run_echelon, _submul_mod,
@@ -82,8 +82,8 @@ def test_pivot_columns_are_a_basis():
     assert res.rank == 4
     columns = IndicatorColumns.from_supports(cols)
     cols, R = _run_echelon(
-        4, len(columns), lambda start, stop, _: columns.block(start, stop, 4),
-        PRIMES[0])
+        4, len(columns), lambda start, stop: columns.block(start, stop, 4),
+        PRIME)
     assert cols == [0, 1, 2, 3]
     assert np.array_equal(R, np.eye(4, dtype=np.int64))
 
@@ -109,7 +109,7 @@ def _rref_one_by_one(M, p):
 @pytest.mark.parametrize("seed", range(12))
 def test_recursive_rref_matches_one_by_one(seed, monkeypatch):
     rng = np.random.default_rng(seed)
-    p = (PRIMES[0], 7, 2)[seed % 3]
+    p = (PRIME, 7, 2)[seed % 3]
     n, rank = int(rng.integers(5, 70)), int(rng.integers(1, 40))
     m = int(rng.integers(40, 150))
     # rows drawn from a rank-limited space, then planted dependencies:
@@ -127,7 +127,7 @@ def test_recursive_rref_matches_one_by_one(seed, monkeypatch):
     assert got_cols == cols and np.array_equal(R, rows)
     # the echelon over several blocks of rows gives the same pivots
     monkeypatch.setattr(exact, "_BLOCK", int(rng.integers(3, 40)))
-    run_cols, R = _run_echelon(n, m, lambda start, stop, q: M[start:stop], p)
+    run_cols, R = _run_echelon(n, m, lambda start, stop: M[start:stop], p)
     assert run_cols == cols
     assert np.array_equal(R, rows)
 
@@ -136,12 +136,21 @@ def test_recursive_rref_matches_one_by_one(seed, monkeypatch):
 def test_matmul_mod_is_exact_past_one_float64_chunk(shift):
     # 9000 products near 2^40 sum past 2^53; one float64 product rounds
     # the odd residue p - 2 (36000 in place of 35992 mod p)
-    p = PRIMES[0]
+    p = PRIME
     r = p - shift
     a = np.full((1, 9000), r, dtype=np.int64)
     b = np.full((9000, 1), r, dtype=np.int64)
     x = np.zeros((1, 1), dtype=np.int64)
     assert _submul_mod(x, a, b, p)[0, 0] == (-9000 * r * r) % p
+
+
+@pytest.mark.parametrize("p", [_PRIME_LIMIT, 1048583])
+def test_matmul_mod_refuses_primes_past_the_float64_bound(p):
+    # 1048583 is the least prime above 2^20: one residue product can reach
+    # 2^40 and more, and 4096 of them no longer sum exactly in float64
+    one = np.ones((1, 1), dtype=np.int64)
+    with pytest.raises(ValueError):
+        _submul_mod(one, one, one, p)
 
 
 def test_indicator_columns_round_trip():
@@ -184,17 +193,23 @@ def fibonacci_columns(n):
     return cols
 
 
+# (n, primes_used, fallback_used): the largest kernel entry exceeds the
+# prime's reconstruction bound sqrt(p / 2) at n = 20, and 2^63 at n = 160,
+# so the prime is refused and the exact fallback answers.  Each id is the
+# name the case has had since the route tried up to ten primes, so that
+# results stay comparable by name across versions.
 _PATHS = [
-    (20, 2, False),                   # two primes and one CRT step
-    (60, 5, False),                   # CRT modulus past 2^63: Python ints
-    (160, len(PRIMES), True),         # every prime fails: Fraction RREF
+    (20, 1, True, "20-2-False"),
+    (60, 1, True, "60-5-False"),
+    (160, 1, True, "160-10-True"),
 ]
 
 
 # each column twice: more columns than n, all eliminated as 0/1 rows
 _PATH_CASES = [
-    pytest.param(*path, copies, id="-".join(map(str, path)) + suffix)
-    for copies, suffix in ((1, ""), (2, "-gram")) for path in _PATHS]
+    pytest.param(n, primes, fallback, copies, id=name + suffix)
+    for copies, suffix in ((1, ""), (2, "-gram"))
+    for n, primes, fallback, name in _PATHS]
 
 
 def _modular_only(monkeypatch):
@@ -217,6 +232,38 @@ def test_certificate_paths(n, primes, fallback, copies, monkeypatch):
             assert sum(int(row[i]) for i in support) == 0
 
 
+def _planted_refusal(kind, monkeypatch):
+    """Columns and a patch that make the kernel modulo PRIME wrong or
+    missing, of the kind named."""
+    reconstruct = exact._reconstruct_kernel
+
+    def changed(*args):
+        K = reconstruct(*args).copy()
+        K[0, 0] += 1
+        return K
+
+    if kind == "prime-2":
+        # each column is the sum of the other two mod 2: rank 2 mod 2, 3
+        # over Q, and the Cholesky test would certify it before the prime
+        monkeypatch.setattr(exact, "PRIME", 2)
+        monkeypatch.setattr(exact, "_cholesky_certifies", lambda G: False)
+        return 3, IndicatorColumns.from_supports([(0, 1), (1, 2), (0, 2)])
+    monkeypatch.setattr(exact, "_reconstruct_kernel", {
+        "no-preimage": lambda *args: None, "changed-entry": changed}[kind])
+    return len(_ONE_RELATION), _columns_of(_ONE_RELATION)
+
+
+@pytest.mark.parametrize("kind", ["no-preimage", "changed-entry", "prime-2"])
+def test_a_refused_prime_costs_time_never_an_answer(kind, monkeypatch):
+    _modular_only(monkeypatch)
+    n, columns = _planted_refusal(kind, monkeypatch)
+    res = span_of_indicator_columns(n, columns)
+    assert (res.primes_used, res.fallback_used) == (1, True)
+    want = _exact_fallback(n, columns)
+    _assert_same_span(res, want)
+    assert want.rank == (3 if kind == "prime-2" else 4)
+
+
 def test_gram_matrix_counts_shared_columns():
     rng = np.random.default_rng(3)
     n = 9
@@ -232,9 +279,9 @@ def test_gram_of_no_columns_is_zero():
 
 
 def test_column_count_divisible_by_the_first_prime(monkeypatch):
-    # PRIMES[0] copies of one column: G = [[PRIMES[0]]] is 0 mod the first
-    # prime, but the echelon sees the column rows, each 1 mod every prime
-    p = PRIMES[0]
+    # PRIME copies of one column: G = [[PRIME]] is 0 mod the prime, but the
+    # echelon sees the column rows, each 1 mod the prime
+    p = PRIME
     cols = IndicatorColumns(np.zeros(p, dtype=np.int64),
                             np.arange(p + 1, dtype=np.int64))
     res = span_of_indicator_columns(1, cols)
@@ -686,9 +733,9 @@ def test_long_path_is_one_component(shuffle):
 
 
 def _aggregated_certificates(guided):
-    """fibonacci_columns(20), which needs the guided kernel or two primes,
-    and a connected full-rank block of 150 rows, which the Cholesky test
-    certifies, on interleaved rows: two groups."""
+    """fibonacci_columns(20), which needs the guided kernel or the exact
+    fallback after the prime, and a connected full-rank block of 150 rows,
+    which the Cholesky test certifies, on interleaved rows: two groups."""
     fib, size = 20, 150
     n = fib + size
     mine = np.zeros(n, dtype=bool)
@@ -703,7 +750,7 @@ def _aggregated_certificates(guided):
             _modular_only(m)
         res = span_of_indicator_columns(n, cols)
     assert (res.primes_used, res.fallback_used, res.blocks) == (
-        0 if guided else 2, False, 2)
+        (0, False, 2) if guided else (1, True, 2))
     assert (res.cholesky_blocks, res.guided_blocks) == (1, int(guided))
     assert res.rank == n - 1
     slow = _exact_fallback(fib, fibonacci_columns(fib))

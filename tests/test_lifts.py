@@ -458,6 +458,19 @@ def test_rank5_expression():
         rank5_expression(d, (1, 0, 0, 0, 0))  # gamma of order p
 
 
+def test_rank5_expression_reads_only_the_block_of_gamma(monkeypatch):
+    # the anisotropy of gamma_perp is tested on its own block, without the
+    # pair table of the whole form
+    def whole_table(form, p):
+        raise AssertionError("perp_pair_table built")
+
+    monkeypatch.setattr(lifts, "perp_pair_table", whole_table)
+    gamma = (0, 0, 0, 0, 1)
+    assert rank5_expression(build("5^-4.25^+1"), gamma)
+    with pytest.raises(HypothesisFailed):
+        rank5_expression(build("5^+4.25^-1"), gamma)
+
+
 def test_rank5_on_shifted_generator():
     # any element with unit q-numerator and full order admits the expression
     d = direct_sum(build("3^-4"), build("9^+1"))
