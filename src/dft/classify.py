@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bounds
 from .errors import NotTwoAdic, ValidityError
-from .exact import component_labels
+from .exact import bipartite_components
 from .fqm import DiscriminantForm, Element
 from .lifts import _greedy_walk, isotropic_indices
 from .ntheory import legendre, kronecker2, prime_power, prime_power_factors
@@ -306,27 +306,12 @@ class IsotropyGraph:
     ``edges`` with gamma < gamma + mu.  The relation is symmetric:
     b(mu, gamma + mu) = b(mu, gamma) + 2 q(mu) = b(mu, gamma).
 
-    Components and bipartiteness are read off the bipartite double cover,
-    whose vertices are the pairs (gamma, c), c in {0, 1}, numbered
-    2 gamma + c, with the edges (gamma, c) -- (gamma + mu, 1 - c).  A
-    component holds an odd closed walk through gamma exactly when (gamma, 0)
-    and (gamma, 1) are joined in the cover: an odd closed walk
-    gamma = v_0, v_1, ..., v_k = gamma lifts, step by step, to the path
-    (v_0, 0), (v_1, 1), ..., (v_k, k mod 2) = (gamma, 1); and a path from
-    (gamma, 0) to (gamma, 1) flips c at every step, so it has odd length
-    and projects to an odd closed walk through gamma.  A component is
-    connected, so it holds an odd closed walk through one of its vertices
-    exactly when it does through every one of them.
-
-    One labelling of the cover (``exact.component_labels``) gives it all.
-    The least vertex of gamma's component is
-    min(cover[2 gamma], cover[2 gamma + 1]) // 2, since the lifts of a
-    component are the cover vertices over it; components are numbered in
-    the order of their least vertices.  A component with least vertex r is
-    bipartite exactly when (r, 0) and (r, 1) carry different labels, and
-    then gamma's colour is 1 exactly when (gamma, 0) is not joined to
-    (r, 0), that is when every walk from r to gamma is odd.  Colours are
-    0 on the other components.
+    Components, bipartiteness and colours come from one labelling of the
+    bipartite double cover (``exact.bipartite_components``), the labelling
+    that also answers the lift span of a 2-adic form: components are
+    numbered in the order of their least vertices, and gamma's colour is 1
+    exactly when every walk from the least vertex of its component to
+    gamma is odd, 0 on the components that are not bipartite.
 
     ``neighbors`` is built from ``edges`` on first use, and so is the
     breadth-first search of one component's cover in ``odd_walk_through``.
@@ -337,19 +322,11 @@ class IsotropyGraph:
             raise NotTwoAdic(f"level {form.level} is not a power of 2")
         bounds.check_span_order(form.order)
         self.form = form
-        n = form.order
         self.edges = _graph_edges(form)
-        a, b = 2 * self.edges[:, 0], 2 * self.edges[:, 1]
-        cover = component_labels(2 * n, np.concatenate([a, a + 1]),
-                                 np.concatenate([b + 1, b]))
-        least = np.minimum(cover[0::2], cover[1::2]) // 2
-        is_root = least == np.arange(n)
-        roots = np.flatnonzero(is_root)
-        self.component = (np.cumsum(is_root) - 1)[least]
-        self.bipartite: list[bool] = (cover[2 * roots]
-                                      != cover[2 * roots + 1]).tolist()
-        self.color = (cover[0::2] != cover[2 * least]).astype(np.int64)
-        self.n_components = len(roots)
+        self.component, bipartite, self.color = bipartite_components(
+            form.order, self.edges[:, 0], self.edges[:, 1])
+        self.bipartite: list[bool] = bipartite.tolist()
+        self.n_components = len(bipartite)
         self._adjacency = self._neighbors = None
 
     @property

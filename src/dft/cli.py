@@ -100,6 +100,7 @@ def cmd_image(args) -> int:
         "components": span.components,
         "distinct_components": span.distinct_components,
         "lone_columns": span.lone_columns,
+        "pair_components": span.pair_components,
     }
     two_adic = all(p == 2 for p in prime_power_factors(form.level))
     if two_adic:

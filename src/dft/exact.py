@@ -1,11 +1,49 @@
 """Certified rank and kernel for collections of 0/1 indicator columns.
 
 The columns to be spanned are supports in Z^n, held as CSR index arrays
-(``IndicatorColumns``); A is the n x ncols 0/1 matrix they form.  Full
-rank is first tried by a float64 Cholesky certificate, and a deficient
-span by a kernel guessed in float64 and certified exactly (both below);
-otherwise rank is computed by row reduction, modulo a word-size prime, of
-the columns themselves, one 0/1 row each (the rows of A^T).
+(``IndicatorColumns``); A is the n x ncols 0/1 matrix they form.  When
+every column holds exactly two distinct rows, the answer is read off one
+labelling of a graph (below).  Any other input goes to the certified
+route (``_certified_span``): full rank is first tried by a float64
+Cholesky certificate, and a deficient span by a kernel guessed in
+float64 and certified exactly (both below); otherwise rank is computed
+by row reduction, modulo a word-size prime, of the columns themselves,
+one 0/1 row each (the rows of A^T).
+
+Columns of two distinct rows each are the edges of a multigraph on the
+rows, and A is its unsigned vertex-edge incidence matrix: row a_i of A
+is the indicator of the edges at i.  A combination x with x^T A = 0 has
+x_u + x_v = 0 on every edge uv, so along any walk from u to v,
+x_v = (-1)^length x_u.  On a component that holds an odd closed walk
+through u this gives x_u = -x_u, so x vanishes there and its rows are
+independent.  On a bipartite component C with colour classes C_0 and
+C_1, x is a multiple of s_C = 1_{C_0} - 1_{C_1}, which is a relation:
+every edge of C joins the two classes.  An isolated row is a zero row of
+A, a bipartite component of one row with s_C = e_i.  Components share no
+edge, so ker A^T is spanned by the s_C of the bipartite components and
+
+    rank A = n - #(bipartite components, isolated rows included)
+
+(Grossman, Kulkarni and Schochetman, *LAA* 218 (1995) 213-224; over Q
+this is the multiplicity of 0 in the signless Laplacian A A^T,
+Cvetkovic, Rowlinson and Simic, *LAA* 423 (2007) 155-171).  e_i is in
+the span, the orthogonal complement of ker A^T, exactly when i lies on
+no bipartite component.  The RREF of the span has a pivot at c exactly
+when a_c is not in the span of a_0, ..., a_{c-1} (see the guided kernel
+below).  The one relation among a bipartite component's rows has every
+entry nonzero, so every proper subset of them is independent, and the
+rows of other components share no edge with them: the component's one
+free column is its largest row m.  Its RREF kernel row is s_C / s_C[m]:
++1 on m's colour class and -1 on the other, integral, with gcd 1 and a
+positive entry at m, so entry for entry what the certified route
+returns, rows in order of their free columns.
+
+The colour classes come from one labelling of the bipartite double cover
+(``bipartite_components``).  For lift columns at 2-power level every
+prime-order line is {0, mu}, each column is a pair {x, x + mu}, and the
+graph is the order-2 isotropy graph of ``classify.IsotropyGraph``: its
+rank and membership are the paper's criterion that e^gamma is in the
+span exactly when gamma's component is not bipartite.
 
 Two rows are linked when some column holds both, so up to a permutation
 of its rows A is block-diagonal over the connected components of the
@@ -279,6 +317,9 @@ class SpanResult:
     # columns whose rows no other column holds, each a component of its
     # own answered in closed form; the untouched rows are not counted
     lone_columns: int = 0
+    # components, isolated rows included, of an input of two-row columns
+    # answered by one labelling (_pair_span); 0 on the certified route
+    pair_components: int = 0
 
     @property
     def full(self) -> bool:
@@ -721,6 +762,65 @@ def component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lab
 
 
+def bipartite_components(n: int, a: np.ndarray, b: np.ndarray):
+    """(component, bipartite, colour) of the graph on range(n) with the
+    edges a[k] -- b[k]: each vertex's component, numbered in the order of
+    their least vertices; whether each component is bipartite, a bool
+    array; and each vertex's colour, 0 or 1, which is 1 exactly when every
+    walk from the least vertex of its component to it is odd, and 0 on
+    the components that are not bipartite.
+
+    One labelling (``component_labels``) of the bipartite double cover
+    gives it all.  Its vertices are the pairs (v, c), c in {0, 1},
+    numbered 2 v + c, with the edges (v, c) -- (w, 1 - c) for each edge
+    v -- w.  A component holds an odd closed walk through v exactly when
+    (v, 0) and (v, 1) are joined in the cover: an odd closed walk
+    v = v_0, v_1, ..., v_k = v lifts, step by step, to the path
+    (v_0, 0), (v_1, 1), ..., (v_k, k mod 2) = (v, 1); and a path from
+    (v, 0) to (v, 1) flips c at every step, so it has odd length and
+    projects to an odd closed walk through v.  A component is connected,
+    so it holds an odd closed walk through one of its vertices exactly
+    when it does through every one of them.  The least vertex of v's
+    component is min(cover[2 v], cover[2 v + 1]) // 2, since the lifts of
+    a component are the cover vertices over it.  A component with least
+    vertex r is bipartite exactly when (r, 0) and (r, 1) carry different
+    labels, and then v's colour is 1 exactly when (v, 0) is not joined
+    to (r, 0).
+    """
+    a, b = 2 * a, 2 * b
+    cover = component_labels(2 * n, np.concatenate([a, a + 1]),
+                             np.concatenate([b + 1, b]))
+    least = np.minimum(cover[0::2], cover[1::2]) // 2
+    is_root = least == np.arange(n)
+    roots = np.flatnonzero(is_root)
+    return ((np.cumsum(is_root) - 1)[least],
+            cover[2 * roots] != cover[2 * roots + 1],
+            (cover[0::2] != cover[2 * least]).astype(np.int64))
+
+
+def _pair_span(n: int, a: np.ndarray, b: np.ndarray) -> SpanResult:
+    """Span data for the columns {a[k], b[k]}, a[k] != b[k]: one labelling
+    of the graph they form (see the module docstring).
+
+    Each bipartite component gives the kernel row +1 on the colour class
+    of its largest row, its free column, and -1 on the other class; the
+    rows go in order of their free columns."""
+    component, bipartite, colour = bipartite_components(n, a, b)
+    rows = np.arange(n)
+    last = np.zeros(len(bipartite), dtype=np.int64)
+    np.maximum.at(last, component, rows)
+    on = bipartite[component]
+    free = np.zeros(n, dtype=bool)
+    free[last[bipartite]] = True
+    kernel = np.zeros((int(np.count_nonzero(bipartite)), n), dtype=np.int64)
+    head = last[component[on]]
+    kernel[(np.cumsum(free) - 1)[head], rows[on]] = np.where(
+        colour[on] == colour[head], 1, -1)
+    return SpanResult(n, n - len(kernel), kernel, ~on, blocks=0,
+                      components=0, distinct_components=0,
+                      pair_components=len(bipartite))
+
+
 def _component_labels(n: int, columns: IndicatorColumns) -> np.ndarray:
     """The least row of every row's connected component, two rows being
     linked when a column holds both: each column links its first row to
@@ -903,6 +1003,22 @@ def span_of_indicator_columns(n: int, columns) -> SpanResult:
     """Certified span data for 0/1 columns, given as ``IndicatorColumns``
     or as a list of index tuples.
 
+    When every column holds exactly two distinct rows (no column at all
+    included), one labelling of the graph they form answers
+    (``_pair_span``, proved in the module docstring); any other input
+    goes to ``_certified_span``.
+    """
+    columns = _as_columns(columns)
+    if (np.diff(columns.indptr) == 2).all():
+        a, b = columns.indices[0::2], columns.indices[1::2]
+        if (a != b).all():
+            return _pair_span(n, a, b)
+    return _certified_span(n, columns)
+
+
+def _certified_span(n: int, columns: IndicatorColumns) -> SpanResult:
+    """Certified span data for any 0/1 columns.
+
     The rows that no column holds and the lone columns (``_peel``) are
     answered in closed form (see the module docstring).  The rows left
     are certified as one block when the whole input has at most
@@ -912,7 +1028,6 @@ def span_of_indicator_columns(n: int, columns) -> SpanResult:
     block-diagonal over the components, so the results add up, and each
     copy takes its representative's membership and kernel by local index.
     """
-    columns = _as_columns(columns)
     split = n > _PACK_ROWS
     rest, lone = _peel(n, columns)
     if not split and not lone.any():

@@ -17,6 +17,7 @@ import hashlib
 import json
 import sys
 import time
+from collections.abc import Mapping
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
@@ -33,16 +34,43 @@ MAX_WITNESSES = 8
 FORMAT_VERSION = 2
 
 
-class _Record:
-    """The fields of one sweep record, set as attributes.
+class _Record(Mapping):
+    """One sweep record: a read-only mapping over its 13 fields.  A full
+    span's record leaves the witness fields unset, and they are not among
+    its keys.
 
-    A caller may keep every record.  The ``__dict__`` of instances of
-    one class share a single key table (PEP 412), so ``vars(record)``, a
-    plain dict, stores only its values: about 200 bytes in CPython 3.11,
-    against about 470 for a dict literal of the same 13 fields.  Every
-    record sets its fields in one order, so that the shared table never
-    has to change; a full span's record then drops the witness fields.
+    A caller may keep every record.  The fields set on the record live in
+    slots, and the three that follow from the others are read on demand:
+    112 bytes in CPython 3.11 by ``sys.getsizeof``, against 272 to 296
+    for the ``vars()`` dict of an instance with a ``__dict__``.
     """
+
+    __slots__ = ("symbol", "order", "level", "signature", "small", "rule",
+                 "image_rank", "witness_count", "witnesses", "elapsed_ms")
+    _FIELDS = ("kind", "symbol", "order", "level", "signature", "small",
+               "rule", "image_rank", "full_image", "agreement",
+               "witness_count", "witnesses", "elapsed_ms")
+    kind = "record"
+
+    @property
+    def full_image(self) -> bool:
+        # the span's dimension is the form's order
+        return self.image_rank == self.order
+
+    @property
+    def agreement(self) -> bool:
+        return self.small != self.full_image
+
+    def __getitem__(self, key):
+        if key in self._FIELDS and hasattr(self, key):
+            return getattr(self, key)
+        raise KeyError(key)
+
+    def __iter__(self):
+        return (key for key in self._FIELDS if hasattr(self, key))
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 # The witnesses are the first elements outside the span, so a few lists
@@ -77,7 +105,7 @@ class SweepConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def evaluate_symbol(text: str, span_order: int | None = None) -> dict:
+def evaluate_symbol(text: str, span_order: int | None = None) -> Mapping:
     """Self-contained verification record for one symbol; ``span_order``
     overrides the process-wide span bound."""
     t0 = time.perf_counter()
@@ -85,9 +113,7 @@ def evaluate_symbol(text: str, span_order: int | None = None) -> dict:
     form = build_form(sym)
     verdict = small_type(sym)
     span = lift_span(form, span_order)
-    missing = np.flatnonzero(~span.membership)
     record = _Record()
-    record.kind = "record"
     record.symbol = text
     record.order = form.order
     record.level = form.level
@@ -95,16 +121,15 @@ def evaluate_symbol(text: str, span_order: int | None = None) -> dict:
     record.small = verdict.small
     record.rule = sys.intern(verdict.rule)
     record.image_rank = span.rank
-    record.full_image = span.full
-    record.agreement = verdict.small == (not span.full)
-    record.witness_count = len(missing)
-    # tuples: the JSON is the same as for lists, and they are smaller
-    witnesses = tuple(map(form.element, missing[:MAX_WITNESSES].tolist()))
-    record.witnesses = _WITNESSES.setdefault(witnesses, witnesses)
-    if span.full:
-        del record.witness_count, record.witnesses
+    if not span.full:
+        missing = np.flatnonzero(~span.membership)
+        record.witness_count = len(missing)
+        # tuples: the JSON is the same as for lists, and they are smaller
+        witnesses = tuple(map(form.element,
+                              missing[:MAX_WITNESSES].tolist()))
+        record.witnesses = _WITNESSES.setdefault(witnesses, witnesses)
     record.elapsed_ms = round(1000 * (time.perf_counter() - t0), 3)
-    return vars(record)
+    return record
 
 
 def _load_existing(fh, config_hash: str) -> dict[str, dict]:
@@ -141,7 +166,7 @@ def _json_object(line: str) -> dict:
     return obj
 
 
-def _record_or_error(text: str, span_order: int) -> dict | Exception:
+def _record_or_error(text: str, span_order: int) -> Mapping | Exception:
     """``evaluate_symbol``, returning a failure rather than raising it,
     which would fail its whole chunk of pool tasks and lose the records
     before it; from a pool worker the failure comes without traceback."""
@@ -169,8 +194,8 @@ def _one_blas_thread() -> None:
     _blas_threads_setter()(1)
 
 
-def _write(fh, obj: dict) -> None:
-    fh.write(json.dumps(obj, sort_keys=True) + "\n")
+def _write(fh, obj: Mapping) -> None:
+    fh.write(json.dumps(dict(obj), sort_keys=True) + "\n")
     fh.flush()
 
 

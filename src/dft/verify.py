@@ -4,7 +4,8 @@ Three suites, each a list of named checks over documented corpora:
 
 * ``relations``     -- exact Weil matrix identities and lift equivariance;
 * ``lemmas``        -- structural equivalences (prime-order spans suffice,
-                       membership criteria, graph vs. algebra, duality,
+                       membership criteria, graph vs. algebra, the
+                       labelled 2-adic span vs. the certified one, duality,
                        catalogs vs. search, tail independence);
 * ``constructions`` -- the explicit certificate constructions re-evaluate
                        exactly, plus adjointness and transitivity.
@@ -29,14 +30,14 @@ import numpy as np
 from .classify import (build_graph_cached, contains_isotropic_elementary,
                        max_isotropic_rank, no_cube_catalog_check, small_type)
 from .errors import DftError, HypothesisFailed
-from .exact import IndicatorColumns, annihilates
+from .exact import IndicatorColumns, _certified_span, annihilates
 from .fqm import (DiscriminantForm, build_form, direct_sum, milgram_check,
                   subgroup_from_generators)
 from .lifts import (check_transitivity, e_gamma_in_image,
                     isotropic_subgroups, kernel_vector, lift_matrix, lift_span,
                     odd_cycle_expression, perp_pair_table,
                     prime_order_subgroups, rank5_expression,
-                    spans_agree_with_all_subgroups)
+                    span_columns, spans_agree_with_all_subgroups)
 from .symbols import GenusSymbol, enumerate_symbols, parse_symbol
 from .weil import check_lift_equivariance, check_relations
 
@@ -254,13 +255,42 @@ def _check_odd_p_iff(max_order: int = 125) -> tuple[bool, str]:
     return True, f"{checked} forms"
 
 
+def _certified_lift_span(form: DiscriminantForm):
+    """The lift span of ``form`` by the certified route (Cholesky, guided
+    kernel, prime), which ``lift_span`` bypasses on 2-adic forms."""
+    return _certified_span(form.order,
+                           span_columns(form, prime_order_subgroups(form)))
+
+
 @_check("graph-matches-algebra")
 def _check_graph_matches_algebra(max_order: int = 128) -> tuple[bool, str]:
+    """The graph's verdict against membership by linear algebra on the same
+    columns: ``lift_span`` of a 2-adic form reads the graph's own
+    labelling, so it would not test the criterion."""
     checked = 0
     for sym in enumerate_symbols(max_order, {2}):
         form = form_of(sym)
-        member = lift_span(form).membership
+        member = _certified_lift_span(form).membership
         if not np.array_equal(build_graph_cached(form).nonbipartite, member):
+            return False, str(sym)
+        checked += 1
+    return True, f"{checked} forms"
+
+
+@_check("pair-span-matches-certified")
+def _check_pair_span(max_order: int = 128) -> tuple[bool, str]:
+    """``lift_span`` of each 2-adic form, answered by one labelling of the
+    isotropy graph, against the certified route entry for entry: rank,
+    membership, kernel dtype, shape and bytes."""
+    checked = 0
+    for sym in enumerate_symbols(max_order, {2}):
+        form = form_of(sym)
+        got, want = lift_span(form), _certified_lift_span(form)
+        if not (got.rank == want.rank
+                and np.array_equal(got.membership, want.membership)
+                and got.kernel.dtype == want.kernel.dtype
+                and got.kernel.shape == want.kernel.shape
+                and got.kernel.tobytes() == want.kernel.tobytes()):
             return False, str(sym)
         checked += 1
     return True, f"{checked} forms"
@@ -481,7 +511,8 @@ SUITES: dict[str, tuple[str, ...]] = {
                   "lift-equivariance", "milgram-certificate"),
     "lemmas": ("prime-order-spans-suffice", "membership-needs-two-lines",
                "orthogonal-pair-forces-membership", "odd-p-membership-iff-pair",
-               "graph-matches-algebra", "span-kernel-duality",
+               "graph-matches-algebra", "pair-span-matches-certified",
+               "span-kernel-duality",
                "catalog-matches-search", "max-isotropic-rank",
                "tail-independence", "rank7-never-small"),
     "constructions": ("kernel-vector", "odd-cycle-expression",

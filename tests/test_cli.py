@@ -16,8 +16,11 @@ from dft import sweep
 from dft.classify import IsotropyGraph
 from dft.cli import main
 from dft.errors import BoundExceeded
+from dft.exact import _certified_span
+from dft.fqm import build_form
+from dft.lifts import prime_order_subgroups, span_columns
 from dft.sweep import SweepConfig, run_sweep
-from dft.symbols import enumerate_symbols
+from dft.symbols import enumerate_symbols, parse_symbol
 
 
 def run_cli(capsys, *argv):
@@ -63,16 +66,26 @@ def test_image(capsys):
     assert out["rank"] == 2 and out["full_image"] is False
     assert out["graph_agrees"] is True
     assert [0, 0] in out["witnesses"] and [1, 1] in out["witnesses"]
-    # four rows: too few for the guided kernel, one prime certifies
-    assert (out["primes_used"], out["fallback_used"], out["blocks"]) == (
+    # two pair columns on four rows: two bipartite components, a path of
+    # three rows and an isolated row, answered by one labelling
+    assert (out["pair_components"], out["primes_used"], out["blocks"]) == (
+        2, 0, 0)
+    # the certified route on the same columns: four rows, too few for the
+    # guided kernel, one prime certifies
+    form = build_form(parse_symbol("2_II^+2"))
+    span = _certified_span(form.order,
+                           span_columns(form, prime_order_subgroups(form)))
+    assert (span.primes_used, span.fallback_used, span.blocks) == (
         1, False, 1)
-    assert (out["cholesky_blocks"], out["guided_blocks"]) == (0, 0)
+    assert (span.cholesky_blocks, span.guided_blocks) == (0, 0)
+    assert span.pair_components == 0
     code, out = run_cli(capsys, "image", "2_II^-6")
     assert out["rank"] == 64 and out["full_image"] is True
     # 729 rows in three components of q, one group each, each certified
     # by the Cholesky test without a prime
     code, out = run_cli(capsys, "image", "3^+6")
     assert out["rank"] == 729 and out["full_image"] is True
+    assert out["pair_components"] == 0
     assert (out["primes_used"], out["fallback_used"], out["blocks"]) == (
         0, False, 3)
     assert (out["cholesky_blocks"], out["guided_blocks"]) == (3, 0)

@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 import dft.exact as exact
 from dft.exact import (_PACK_ROWS, _PRIME_LIMIT, PRIME, IndicatorColumns,
-                       _cholesky_certifies, _component_labels,
-                       _exact_fallback, _gram, _rational_reconstruct,
-                       _row_groups, _rref, _run_echelon, _submul_mod,
-                       annihilates, span_of_indicator_columns)
+                       _certified_span, _cholesky_certifies,
+                       _component_labels, _exact_fallback, _gram,
+                       _rational_reconstruct, _row_groups, _rref,
+                       _run_echelon, _submul_mod, annihilates,
+                       span_of_indicator_columns)
 from dft.fqm import build_form
 from dft.lifts import prime_order_subgroups, span_columns
 from dft.symbols import enumerate_symbols, parse_symbol
@@ -257,10 +258,12 @@ def _planted_refusal(kind, monkeypatch):
 def test_a_refused_prime_costs_time_never_an_answer(kind, monkeypatch):
     _modular_only(monkeypatch)
     n, columns = _planted_refusal(kind, monkeypatch)
-    res = span_of_indicator_columns(n, columns)
+    # the pair columns of prime-2 would be answered by one labelling
+    res = _certified_span(n, columns)
     assert (res.primes_used, res.fallback_used) == (1, True)
     want = _exact_fallback(n, columns)
     _assert_same_span(res, want)
+    _assert_same_span(span_of_indicator_columns(n, columns), want)
     assert want.rank == (3 if kind == "prime-2" else 4)
 
 
@@ -416,8 +419,9 @@ def test_guided_kernel_on_fibonacci_columns(n, primes, fallback, copies):
 
 def test_guided_kernel_matches_modular_on_deficient_groups():
     # every group of representatives with columns and a deficient span in
-    # the lift spans of {2, 3, 5} <= 128, as span_of_indicator_columns
-    # certifies it with the guided kernel offered every group, against the
+    # the lift spans of {2, 3, 5} <= 128, as _certified_span (2-adic forms
+    # included) certifies it with the guided kernel offered every group,
+    # against the
     # modular route, both with the closed form (647 groups, 124 distinct)
     # and without it (2,053 groups, 216 distinct); each of the 258 distinct
     # groups is compared once
@@ -439,7 +443,7 @@ def test_guided_kernel_matches_modular_on_deficient_groups():
                 _peel_off(m)
             for sym in enumerate_symbols(128, {2, 3, 5}):
                 form = build_form(sym)
-                span_of_indicator_columns(
+                _certified_span(
                     form.order,
                     span_columns(form, prime_order_subgroups(form)))
     assert len(groups) > 250
@@ -722,14 +726,19 @@ def test_long_path_is_one_component(shuffle):
              else np.arange(n))
     cols = [tuple(sorted((int(order[i]), int(order[i + 1]))))
             for i in range(n - 1)]
-    assert not _component_labels(n, IndicatorColumns.from_supports(cols)).any()
-    res = span_of_indicator_columns(n, cols)
+    columns = IndicatorColumns.from_supports(cols)
+    assert not _component_labels(n, columns).any()
+    # pair columns: span_of_indicator_columns would answer by one labelling
+    res = _certified_span(n, columns)
     assert (res.rank, res.blocks) == (n - 1, 1)
     # the kernel alternates in sign along the path
     assert len(res.kernel) == 1 and not res.membership.any()
     along = res.kernel[0][order]
     assert np.array_equal(np.abs(along), np.ones(n, dtype=np.int64))
     assert (along[1:] == -along[:-1]).all()
+    labelled = span_of_indicator_columns(n, columns)
+    _assert_same_span(labelled, res)
+    assert (labelled.pair_components, labelled.blocks) == (1, 0)
 
 
 def _aggregated_certificates(guided):
@@ -770,15 +779,16 @@ def test_groups_aggregate_their_modular_certificates():
 
 def test_a_column_across_two_groups_is_refused(monkeypatch):
     n = _PACK_ROWS + 2
-    cols = [(0, n - 1)]
-    # a lone column: the closed form would answer it before any group
+    cols = IndicatorColumns.from_supports([(0, n - 1)])
+    # a lone column: the closed form would answer it before any group, and
+    # a pair column: span_of_indicator_columns would answer by a labelling
     _peel_off(monkeypatch)
     monkeypatch.setattr(exact, "_row_groups",
                         lambda lab, columns: (
                             (np.arange(len(lab)) >= _PACK_ROWS).astype(
                                 np.int64), np.arange(len(lab))))
     with pytest.raises(ArithmeticError):
-        span_of_indicator_columns(n, cols)
+        _certified_span(n, cols)
 
 
 @settings(max_examples=40, deadline=None)
@@ -824,10 +834,64 @@ def test_closed_form_on_forms_with_lone_columns(symbol, lone):
     gens = np.array([H.indices[1] for H in lines])
     assert np.array_equal(np.bincount(columns.indices, minlength=form.order),
                           (form.b_row_num(gens) == 0).sum(axis=0))
-    got = span_of_indicator_columns(form.order, columns)
+    # the 2-adic forms' pair columns would be answered by one labelling
+    got = _certified_span(form.order, columns)
     assert got.lone_columns == lone
     with pytest.MonkeyPatch.context() as m:
         _peel_off(m)
-        want = span_of_indicator_columns(form.order, columns)
+        want = _certified_span(form.order, columns)
+    _assert_same_span(got, want)
+    _assert_same_span(span_of_indicator_columns(form.order, columns), want)
+    assert annihilates(got.kernel, columns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pair_columns_match_the_certified_route(data):
+    # paths, odd and even cycles (a 2-cycle is a repeated pair), random
+    # pairs and isolated rows on shuffled rows, on either side of
+    # _PACK_ROWS, each pair in either order; no columns at all included
+    n = data.draw(st.integers(1, 2 * _PACK_ROWS + 40))
+    perm = data.draw(st.permutations(range(n)))
+    pairs, used = [], 0
+    while used < n:
+        size = min(data.draw(st.integers(1, 9)), n - used)
+        rows = perm[used:used + size]
+        used += size
+        kind = data.draw(st.sampled_from(["isolated", "path", "cycle",
+                                          "random"]))
+        if size == 1 or kind == "isolated":
+            continue
+        if kind == "path":
+            pairs += list(zip(rows, rows[1:]))
+        elif kind == "cycle":
+            pairs += list(zip(rows, rows[1:] + rows[:1]))
+        else:
+            for _ in range(data.draw(st.integers(1, 2 * size))):
+                pairs.append(tuple(data.draw(st.lists(
+                    st.sampled_from(rows), min_size=2, max_size=2,
+                    unique=True))))
+    if pairs:
+        pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=3))
+    pairs = [p[::-1] if data.draw(st.booleans()) else p
+             for p in data.draw(st.permutations(pairs))]
+    columns = IndicatorColumns.from_supports(pairs)
+    got = span_of_indicator_columns(n, columns)
+    want = _certified_span(n, columns)
     _assert_same_span(got, want)
     assert annihilates(got.kernel, columns)
+    roots = np.count_nonzero(_component_labels(n, columns) == np.arange(n))
+    assert (got.pair_components, got.blocks, got.primes_used) == (roots, 0, 0)
+    assert want.pair_components == 0
+
+
+@pytest.mark.parametrize("cols", [
+    [], [(1, 3)], [(2, 2)], [(0, 1), (2, 2)], [(0, 1), (1, 2, 3)]])
+def test_only_two_distinct_rows_are_labelled(cols):
+    # a column (i, i), or one of another length, sends the whole input to
+    # the certified route
+    columns = IndicatorColumns.from_supports(cols)
+    got = span_of_indicator_columns(4, columns)
+    _assert_same_span(got, _certified_span(4, columns))
+    labelled = all(len(set(c)) == len(c) == 2 for c in cols)
+    assert got.pair_components == (4 - len(cols) if labelled else 0)

@@ -17,7 +17,7 @@ def test_suites_name_registered_checks():
 @pytest.mark.parametrize("name", [
     "membership-needs-two-lines", "orthogonal-pair-forces-membership",
     "odd-p-membership-iff-pair", "rank7-never-small",
-    "conductor-independence"])
+    "conductor-independence", "pair-span-matches-certified"])
 def test_check_passes_at_its_default(name):
     res = verify.CHECKS[name]()
     assert res.passed, res.detail
