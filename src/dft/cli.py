@@ -28,7 +28,7 @@ from .lifts import isotropic_indices, isotropic_subgroups, lift_span
 from .ntheory import prime_power_factors
 from .sweep import SweepConfig, run_sweep
 from .symbols import parse_symbol
-from .verify import run_suite
+from .verify import _certified_lift_span, run_suite
 from .weil import check_relations
 
 EXIT_OK = 0
@@ -104,8 +104,11 @@ def cmd_image(args) -> int:
     }
     two_adic = all(p == 2 for p in prime_power_factors(form.level))
     if two_adic:
+        # the span of a 2-adic form is read off the graph's own labelling:
+        # the graph is checked against the certified route instead
         out["graph_agrees"] = bool(np.array_equal(
-            build_graph_cached(form).nonbipartite, span.membership))
+            build_graph_cached(form).nonbipartite,
+            _certified_lift_span(form).membership))
     if args.per_element:
         out["members"] = {str(e): bool(span.membership[i])
                           for i, e in enumerate(form.elements)}

@@ -10,7 +10,9 @@ class SymbolSyntaxError(DftError):
 
 
 class ValidityError(DftError):
-    """The symbol parses but describes no discriminant form."""
+    """The input is well formed but invalid: a symbol that describes no
+    discriminant form, or 0/1 columns that list a row twice or outside
+    the rows."""
 
 
 class DegenerateForm(DftError):

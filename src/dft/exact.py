@@ -4,11 +4,12 @@ The columns to be spanned are supports in Z^n, held as CSR index arrays
 (``IndicatorColumns``); A is the n x ncols 0/1 matrix they form.  When
 every column holds exactly two distinct rows, the answer is read off one
 labelling of a graph (below).  Any other input goes to the certified
-route (``_certified_span``): full rank is first tried by a float64
-Cholesky certificate, and a deficient span by a kernel guessed in
-float64 and certified exactly (both below); otherwise rank is computed
-by row reduction, modulo a word-size prime, of the columns themselves,
-one 0/1 row each (the rows of A^T).
+route (``_certified_span``).  There every group of rows runs the float64
+certificates: full rank by a Cholesky test, then a kernel guessed in
+float64 and certified exactly (both below).  Only a group both refuse is
+row reduced modulo a word-size prime, its columns one 0/1 row each (the
+rows of A^T).  A column lists rows of range(n) in increasing order, each
+once; any other input is refused with ``ValidityError``.
 
 Columns of two distinct rows each are the edges of a multigraph on the
 rows, and A is its unsigned vertex-edge incidence matrix: row a_i of A
@@ -110,9 +111,15 @@ columns; two unequal components that share a key each keep their own
 echelon, so a collision of keys can cost time, never an answer.  On
 ``27^-2`` the 9 components left are copies of 1.
 
+Every group with columns builds G = A A^T once, n x n in float64 (its
+entries count columns, so they are exact).  A group of more than
+``_PACK_ROWS`` rows is one component, and a lift-span component of k
+coset columns of order-p lines has at most k(p - 1) + 1 rows, so G holds
+at most about (p - 1) k n entries.
+
 A group with at least as many columns as rows is first offered to a
-floating-point certificate of full rank.  G = A A^T is an integer PSD
-matrix, and A has full rank exactly when G is positive definite.  Let
+floating-point certificate of full rank.  G is an integer PSD matrix,
+and A has full rank exactly when G is positive definite.  Let
 u = 2^-53, gamma_k = k u / (1 - k u) and
 
     c > gamma_{n+1} / (1 - gamma_{n+1}) * tr G + 4 (2(n + 1) + max G_ii) 2^-1022,
@@ -128,23 +135,21 @@ Rump, "Verification of positive definiteness", BIT 46 (2006) 433-452).
 A certified group needs no prime at all; a refused one, which may still
 have full rank, goes to the guided kernel next.
 
-The guided kernel (``_guided_kernel``) takes a group the full-rank test
-refuses, or one with fewer columns than rows, when it is large enough to
-gain (``_offers_guided``), and returns exactly the kernel the modular
-route below would.  Write a_i for row i of A.  The
-RREF of the span of the columns (the row space of A^T) has a pivot at c
-exactly when a_c is not in the span of a_0, ..., a_{c-1}, since its
-projection onto the coordinates 0..c has dimension rank A[:c+1].  Its
-kernel row for a free column f is the one x with x^T A = 0, x_f = 1 and
-x_g = 0 at every other free g; the modular route scales it by the lcm of
-its denominators, which makes it the integer vector of gcd 1 with a
-positive entry at f.  A float64 Cholesky of G + eps I (eps = 2^-30 max
-G_ii, shifted in place) guesses the free rows F: those whose squared
-pivot, the squared distance of a_i from the rows before it plus about
-eps, falls below 2^-20 max G_ii; the others are P.  Solving
-G[P, P] X = G[P, F] in float64 and rounding (scaling a row that is not
-integral by the lcm of its entries' denominators) gives an integer
-k x n matrix K, accepted only when
+The guided kernel (``_guided_kernel``) takes every group the full-rank
+test does not certify, and returns exactly the kernel the modular route
+below would.  Write a_i for row i of A.  The RREF of the span of the
+columns (the row space of A^T) has a pivot at c exactly when a_c is not
+in the span of a_0, ..., a_{c-1}, since its projection onto the
+coordinates 0..c has dimension rank A[:c+1].  Its kernel row for a free
+column f is the one x with x^T A = 0, x_f = 1 and x_g = 0 at every other
+free g; the modular route scales it by the lcm of its denominators,
+which makes it the integer vector of gcd 1 with a positive entry at f.
+A float64 Cholesky of G + eps I (eps = 2^-30 max G_ii, shifted in place)
+guesses the free rows F: those whose squared pivot, the squared distance
+of a_i from the rows before it plus about eps, falls below 2^-20 max
+G_ii; the others are P.  Solving G[P, P] X = G[P, F] in float64 and
+rounding (scaling a row that is not integral by the lcm of its entries'
+denominators) gives an integer k x n matrix K, accepted only when
 
 * every |entry| is below 2^52, so the float64 rounding is exact;
 * the Cholesky test above certifies G[P, P]: the rows a_P are
@@ -164,7 +169,9 @@ Rank is then certified from both sides, as below.  A wrong guess can only
 make a test refuse, and a refused group goes to the modular echelon, so
 the guess costs time, never an answer.
 
-The modular route eliminates the columns modulo one prime, ``PRIME``.  A
+The modular route is a net for the groups both float64 certificates
+refuse; no lift span of the A1 corpus or of {2, 3, 5} forms up to order
+256 reaches it.  It eliminates the columns modulo one prime, ``PRIME``.  A
 full modular rank certifies full rational rank.  Otherwise the kernel of
 the modular RREF (free columns set to 1, one at a time) is rebuilt by
 rational reconstruction and scaled to integers, and the k x n integer
@@ -177,20 +184,17 @@ Verification is the only gate.  A prime that divides a minor that
 matters, or a kernel entry beyond the reconstruction bound, makes a test
 refuse, and the exact fraction-free RREF (``_exact_fallback``) answers: a
 wrong prime costs time, never correctness, though much time (52 s against
-0.21 s for the prime on the largest group of ``5^+5``, 650 x 4,680, on a
-2-vCPU x86-64 VM).  The check's column sums run in int64 while max|K|
-times the longest column stays below 2^63, in Python integers otherwise.
+about 1 s for the prime on the largest group of ``5^+5``, 650 x 4,680, on
+a 2-vCPU x86-64 VM).
 
-Rows enter the echelon in blocks of ``_BLOCK``.  A block is reduced by the
-stored pivots in one matrix product and then put into RREF recursively:
-the second half is reduced by the first half's new pivots, the first half
-is back-substituted by the second half's, rows that reduce to zero are
-dropped, and only bases of at most ``_BASE_ROWS`` rows are eliminated a
-row at a time.  The stored rows are back-substituted once per block.  The
-pivot of each row is the first nonzero column of the row reduced by all
-rows before it, as if the rows were inserted one by one; with the pivot
-columns fixed the RREF is unique, so the order of elimination does not
-change the pivots or the rows.
+Rows enter the echelon in blocks of ``_BLOCK``, beside an n x n store of
+pivot rows.  A block is reduced by the stored pivots in one
+matrix product, then row by row (``_rref_rows``), and the stored rows are
+back-substituted by its new pivots.  Each pivot is the first nonzero
+column of its row reduced by all rows before it, as if the rows were
+inserted one by one.  In a block an entry is reduced mod p only when its
+row becomes a pivot: it starts below p and takes at most ``_BLOCK`` - 1
+updates below p^2, so it stays below 2^50 (guarded in code).
 
 Matrix products run in float64.  With 20-bit primes one residue product is
 below 2^40, so a sum of at most 4096 of them stays below 2^52 and is
@@ -198,11 +202,8 @@ exact; longer contractions are cut into chunks of 4096 terms with a
 reduction mod p between chunks (``_submul_mod``).
 
 Pivot choices are deterministic, so bases and membership vectors are
-reproducible.  References: for modular rank and rational
-reconstruction, von zur Gathen & Gerhard, *Modern Computer Algebra*,
-ch. 5; for recursive block elimination over word-size primes, Dumas,
-Giorgi & Pernet, *Dense linear algebra over word-size prime fields: the
-FFLAS and FFPACK packages*, ACM TOMS 2008.
+reproducible.  Reference for modular rank and rational reconstruction:
+von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5.
 """
 
 from __future__ import annotations
@@ -215,14 +216,14 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 
+from .errors import ValidityError
+
 # the largest prime below _PRIME_LIMIT
 PRIME = 1048573
 
 _BLOCK = 512
 # rows per group of connected components, certified on its own
 _PACK_ROWS = 128
-# rows of the recursive RREF's base case, eliminated one by one
-_BASE_ROWS = 16
 # terms per float64 contraction: 4096 * (2^20)^2 = 2^52 < 2^53
 _TERMS = 4096
 # _submul_mod is exact only for primes below this
@@ -245,14 +246,14 @@ _GUIDE_MAX = 2.0 ** 52
 @dataclass(frozen=True)
 class IndicatorColumns:
     """0/1 columns in CSR form: column j has ones at
-    ``indices[indptr[j]:indptr[j + 1]]``."""
+    ``indices[indptr[j]:indptr[j + 1]]``, in increasing order."""
 
     indices: np.ndarray   # int64
     indptr: np.ndarray    # int64, one more entry than there are columns
 
     @classmethod
     def from_supports(cls, supports) -> IndicatorColumns:
-        supports = [tuple(s) for s in supports]
+        supports = [sorted(s) for s in supports]
         indptr = np.zeros(len(supports) + 1, dtype=np.int64)
         np.cumsum([len(s) for s in supports], out=indptr[1:])
         indices = np.fromiter(chain.from_iterable(supports), dtype=np.int64,
@@ -261,7 +262,8 @@ class IndicatorColumns:
 
     @classmethod
     def from_blocks(cls, blocks) -> IndicatorColumns:
-        """One column per row of each 2-D integer block, in order."""
+        """One column per row of each 2-D integer block, in order; each
+        row must be increasing."""
         widths = np.array([b.shape[1] for b in blocks], dtype=np.int64)
         indptr = np.zeros(sum(len(b) for b in blocks) + 1, dtype=np.int64)
         np.cumsum(np.repeat(widths, [len(b) for b in blocks]), out=indptr[1:])
@@ -288,10 +290,21 @@ class IndicatorColumns:
         return out
 
 
-def _as_columns(columns) -> IndicatorColumns:
-    if isinstance(columns, IndicatorColumns):
-        return columns
-    return IndicatorColumns.from_supports(columns)
+def _checked(n: int, columns) -> IndicatorColumns:
+    """``columns`` as ``IndicatorColumns``; ``ValidityError`` unless every
+    column lists rows of range(n) in increasing order, each once."""
+    if not isinstance(columns, IndicatorColumns):
+        columns = IndicatorColumns.from_supports(columns)
+    idx = columns.indices
+    # the step to each entry from the one before it, which must be positive
+    # unless the entry starts a column
+    step = np.ones(len(idx) + 1, dtype=np.int64)
+    step[1:-1] = idx[1:] - idx[:-1]
+    step[columns.indptr[:-1]] = 1
+    if step.min() <= 0 or len(idx) and (idx.min() < 0 or idx.max() >= n):
+        raise ValidityError(f"a column lists a row twice, out of order or "
+                            f"outside range({n})")
+    return columns
 
 
 @dataclass
@@ -368,11 +381,17 @@ def _eliminate(x: np.ndarray, cols: list[int], R: np.ndarray,
 
 
 def _rref_rows(block: np.ndarray, p: int):
-    """``_rref`` one row at a time: the base case of the recursion.
+    """RREF of the residue rows of ``block``, inserted one by one: (cols,
+    R), the pivot columns and one row of R per pivot, 1 at its own pivot
+    column and 0 at the others.
 
-    Rows are reduced mod p only when they become pivots: with at most
-    ``_BASE_ROWS`` updates below p^2 = 2^40 each, entries stay far inside
-    int64."""
+    Rows are reduced mod p only when they become pivots.  An entry starts
+    below p and takes at most one update below p^2 from each other row, so
+    it stays below len(block) p^2; past 2^50 (``_BLOCK`` rows at p < 2^20
+    reach 2^49) the block raises ``ValueError``.
+    """
+    if len(block) * p * p > 1 << 50:
+        raise ValueError(f"{len(block)} rows at p = {p} could leave int64")
     B = block.copy()
     pos: list[int] = []
     cols: list[int] = []
@@ -392,37 +411,6 @@ def _rref_rows(block: np.ndarray, p: int):
         pos.append(i)
         cols.append(c)
     return cols, B[pos] % p
-
-
-def _rref(block: np.ndarray, p: int):
-    """Reduced row echelon form of the residue rows of ``block``.
-
-    Returns (cols, R): the pivot columns and the rows of R, one per pivot
-    with a 1 at its own pivot column and 0 at the others.  Pivot
-    ``cols[k]`` is the first nonzero column of the k-th row that is
-    independent of the rows before it, reduced by those rows, exactly as
-    when the rows are inserted one by one.  Halves are eliminated
-    recursively: the second half is reduced by the first half's pivots in
-    one product, and the first half is back-substituted by the second
-    half's in another.
-    """
-    nonzero = block.any(axis=1)
-    if not nonzero.all():
-        block = block[nonzero]
-    if len(block) <= _BASE_ROWS:
-        return _rref_rows(block, p)
-    half = len(block) // 2
-    cols, R = _rref(block[:half], p)
-    low = block[half:]
-    if cols:
-        low = _eliminate(low, cols, R, p)
-    cols2, R2 = _rref(low, p)
-    if cols2:
-        if cols:
-            R = _eliminate(R, cols2, R2, p)
-        cols = cols + cols2
-        R = np.vstack([R, R2])
-    return cols, R
 
 
 def _rational_reconstruct(x: int, m: int):
@@ -492,9 +480,10 @@ def annihilates(K: np.ndarray, columns) -> bool:
 
     Sums run in int64 while max|K| times the longest column is below 2^63,
     in Python integers otherwise.  Columns are taken in chunks so that at
-    most about 2^16 entries of K are gathered at a time.
+    most about 2^16 entries of K are gathered at a time.  Columns that
+    ``_checked`` refuses for the width of K raise ``ValidityError``.
     """
-    columns = _as_columns(columns)
+    columns = _checked(K.shape[1], columns)
     k, ncols = len(K), len(columns)
     if not k or not ncols:
         return True
@@ -614,32 +603,14 @@ def _scaled_rows(K: np.ndarray) -> np.ndarray:
     return np.rint(K)
 
 
-def _offers_guided(n: int, ncols: int) -> bool:
-    """Whether a group of n rows and ncols columns that the full-rank test
-    does not certify goes to ``_guided_kernel`` before the modular echelon.
-
-    It does when the echelon could find more than ``_BASE_ROWS`` pivots
-    (min(n, ncols) at most), since a few pivots cost less than the guided
-    kernel's fixed overhead, and when there are at least
-    n / 3 columns: a few rows of a wide matrix eliminate faster than the
-    n x n Gram matrix factors.  Both limits were measured on the groups of
-    the lift spans of {2, 3, 5} forms.
-    """
-    return min(n, ncols) > _BASE_ROWS and 3 * ncols >= n
-
-
 def _guided_kernel(n: int, columns: IndicatorColumns,
                    G: np.ndarray) -> np.ndarray | None:
     """The kernel the modular route returns, found in float64 and certified
-    exactly (see the module docstring), or None when a test refuses it.
+    exactly by the tests of the module docstring, or None when one refuses.
 
     The free rows F come from ``_free_rows``, the rest are the pivot rows
-    P.  Rank >= |P| is certified by ``_cholesky_certifies(G[P, P])``; the
-    kernel row of f in F is e_f - x with G[P, P] x = G[P, f], solved in
-    float64 and made integral by ``_scaled_rows``.  The integer rows are
-    accepted only if every entry is below 2^52, K[:, F] is a positive
-    diagonal, each row has gcd 1, no row has a nonzero entry at a pivot
-    after its free row, and ``annihilates`` holds exactly.
+    P; the kernel row of f in F is e_f - x with G[P, P] x = G[P, f],
+    solved in float64 and made integral by ``_scaled_rows``.
     """
     free = _free_rows(G)
     if free is None or not free.any():
@@ -672,10 +643,8 @@ def _guided_kernel(n: int, columns: IndicatorColumns,
 
 def _run_echelon(n, count, block, p):
     """RREF modulo p of the ``count`` rows that ``block(start, stop)``
-    gives, inserted ``_BLOCK`` at a time: (cols, R) as for ``_rref``.
-
-    Each block is reduced by the stored pivots in one product and put into
-    RREF, and the stored rows are back-substituted by its new pivots."""
+    gives, ``_BLOCK`` at a time (see the module docstring): (cols, R) as
+    for ``_rref_rows``."""
     # rows of a fresh zero array take memory only once written to
     store = np.zeros((n, n), dtype=np.int64)
     cols: list[int] = []
@@ -683,7 +652,7 @@ def _run_echelon(n, count, block, p):
         x = block(start, min(start + _BLOCK, count))
         rank = len(cols)
         S = store[:rank]
-        new, R = _rref(_eliminate(x, cols, S, p) if rank else x, p)
+        new, R = _rref_rows(_eliminate(x, cols, S, p), p)
         if not new:
             continue
         for s in range(0, rank, _BLOCK):
@@ -693,45 +662,39 @@ def _run_echelon(n, count, block, p):
     return cols, store[:len(cols)]
 
 
-def _full(n, **counts) -> SpanResult:
-    return SpanResult(n, n, np.zeros((0, n), dtype=np.int64),
-                      np.ones(n, dtype=bool), **counts)
+def _from_kernel(n, kernel, **counts) -> SpanResult:
+    """Span data from a verified kernel basis: e_i is in the span exactly
+    when every kernel row vanishes at i."""
+    return SpanResult(n, n - len(kernel), kernel, ~(kernel != 0).any(axis=0),
+                      **counts)
 
 
 def _span_block(n: int, columns: IndicatorColumns) -> SpanResult:
     """Certified span data for the columns of one group of rows.
 
-    With at least n columns the Gram matrix G is built and offered to
-    ``_cholesky_certifies``.  Otherwise, or if it refuses, G is offered to
-    ``_guided_kernel`` when ``_offers_guided`` says so.  If that refuses
-    too, or does not run, the columns, one 0/1 row each, are eliminated
-    modulo ``PRIME``, and ``_exact_fallback`` answers when the prime's
-    kernel is refused.
+    The Gram matrix G is built once.  With at least n columns it is
+    offered to ``_cholesky_certifies``; if that does not certify, to
+    ``_guided_kernel``.  Only if that refuses too are the columns, one 0/1
+    row each, eliminated modulo ``PRIME``, and ``_exact_fallback`` answers
+    when the prime's kernel is refused.
     """
     if not len(columns):
-        return SpanResult(n, 0, np.eye(n, dtype=np.int64),
-                          np.zeros(n, dtype=bool))
-
-    guided = _offers_guided(n, len(columns))
-    if len(columns) >= n or guided:
-        # one float64 copy only: each entry counts columns, so it is far
-        # below 2^53 and exact
-        G = _gram(n, columns).astype(np.float64)
+        return _from_kernel(n, np.eye(n, dtype=np.int64))
+    # one float64 copy only: each entry counts columns, so it is far below
+    # 2^53 and exact
+    G = _gram(n, columns).astype(np.float64)
     if len(columns) >= n and _cholesky_certifies(G):
-        return _full(n, cholesky_blocks=1)
-    kernel = _guided_kernel(n, columns, G) if guided else None
+        return _from_kernel(n, np.zeros((0, n), dtype=np.int64),
+                            cholesky_blocks=1)
+    kernel = _guided_kernel(n, columns, G)
     if kernel is not None:
-        return SpanResult(n, n - len(kernel), kernel,
-                          ~(kernel != 0).any(axis=0), guided_blocks=1)
-
+        return _from_kernel(n, kernel, guided_blocks=1)
+    # a full modular rank leaves an empty kernel, which annihilates at once
     cols, R = _run_echelon(n, len(columns), partial(columns.block, n=n),
                            PRIME)
-    if len(cols) == n:
-        return _full(n, primes_used=1)
     kernel = _reconstruct_kernel(n, cols, R, PRIME)
     if kernel is not None and annihilates(kernel, columns):
-        return SpanResult(n, n - len(kernel), kernel,
-                          ~(kernel != 0).any(axis=0), 1)
+        return _from_kernel(n, kernel, primes_used=1)
     return replace(_exact_fallback(n, columns), primes_used=1)
 
 
@@ -1001,18 +964,16 @@ def _certify_components(n: int, columns: IndicatorColumns):
 
 def span_of_indicator_columns(n: int, columns) -> SpanResult:
     """Certified span data for 0/1 columns, given as ``IndicatorColumns``
-    or as a list of index tuples.
+    or as a list of index tuples; columns that ``_checked`` refuses raise
+    ``ValidityError``.
 
-    When every column holds exactly two distinct rows (no column at all
-    included), one labelling of the graph they form answers
-    (``_pair_span``, proved in the module docstring); any other input
-    goes to ``_certified_span``.
+    When every column holds exactly two rows (no column at all included),
+    one labelling of the graph they form answers (``_pair_span``, proved
+    in the module docstring); any other input goes to ``_certified_span``.
     """
-    columns = _as_columns(columns)
+    columns = _checked(n, columns)
     if (np.diff(columns.indptr) == 2).all():
-        a, b = columns.indices[0::2], columns.indices[1::2]
-        if (a != b).all():
-            return _pair_span(n, a, b)
+        return _pair_span(n, columns.indices[0::2], columns.indices[1::2])
     return _certified_span(n, columns)
 
 
@@ -1152,7 +1113,7 @@ def _exact_fallback(n: int, columns) -> SpanResult:
     """Span data from the exact integer RREF; only reached when the
     kernel modulo ``PRIME`` is refused.  The RREF of a row space is
     canonical, so each distinct support goes in once."""
-    M, d, pivcols = _integer_rref(n, dict.fromkeys(_as_columns(columns)))
+    M, d, pivcols = _integer_rref(n, dict.fromkeys(_checked(n, columns)))
     free = np.setdiff1d(np.arange(n), pivcols)
     kernel = np.zeros((len(free), n), dtype=object)
     for j, f in enumerate(free.tolist()):
@@ -1160,6 +1121,4 @@ def _exact_fallback(n: int, columns) -> SpanResult:
         den = abs(d) // gcd(d, *M[:, f].tolist())
         kernel[j, f] = den
         kernel[j, pivcols] = -(M[:, f] * den) // d
-    kernel = _int_matrix(kernel)
-    return SpanResult(n, len(pivcols), kernel, ~(kernel != 0).any(axis=0),
-                      fallback_used=True)
+    return _from_kernel(n, _int_matrix(kernel), fallback_used=True)

@@ -256,8 +256,11 @@ def _check_odd_p_iff(max_order: int = 125) -> tuple[bool, str]:
 
 
 def _certified_lift_span(form: DiscriminantForm):
-    """The lift span of ``form`` by the certified route (Cholesky, guided
-    kernel, prime), which ``lift_span`` bypasses on 2-adic forms."""
+    """The lift span of ``form`` by the certified route, which
+    ``lift_span`` bypasses on 2-adic forms: the closed forms, then every
+    group certified in float64 (the Cholesky test, the guided kernel),
+    the modular echelon only for a group both refuse.  A4 and
+    ``dft image`` check the isotropy graph against it."""
     return _certified_span(form.order,
                            span_columns(form, prime_order_subgroups(form)))
 

@@ -46,6 +46,12 @@ def _count(res):
     return int(res.detail.split()[0])
 
 
+def _assert_no_prime(span, sym):
+    """The float64 certificates or the closed forms answered every group:
+    no group of a routine lift span reaches the modular echelon."""
+    assert span.primes_used == 0 and not span.fallback_used, str(sym)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -57,6 +63,7 @@ def test_a1_classifier_matches_rank_oracle():
             form = form_of(sym)
             span = lift_span(form)
             assert small_type(sym).small == (span.rank < form.order), str(sym)
+            _assert_no_prime(span, sym)
             total += 1
     _ok(f"A1 classifier == rank oracle on {total} symbols "
         "(3-adic <= 729, 5-adic <= 625, 2-adic <= 256)")
@@ -85,6 +92,9 @@ def test_a2_sharp_boundary_cases():
 
 def test_a3_prime_order_spans_suffice():
     res = _run("prime-order-spans-suffice", 256)
+    # the spans the check has just cached with the module's forms
+    for sym in enumerate_symbols(256, {2, 3, 5}):
+        _assert_no_prime(lift_span(form_of(sym)), sym)
     _ok(f"A3 prime-order span == full isotropic span on {res.detail} "
         "with |D| <= 256")
 

@@ -70,14 +70,14 @@ def test_image(capsys):
     # three rows and an isolated row, answered by one labelling
     assert (out["pair_components"], out["primes_used"], out["blocks"]) == (
         2, 0, 0)
-    # the certified route on the same columns: four rows, too few for the
-    # guided kernel, one prime certifies
+    # the certified route on the same columns: two columns on four rows,
+    # deficient, certified by the guided kernel without a prime
     form = build_form(parse_symbol("2_II^+2"))
     span = _certified_span(form.order,
                            span_columns(form, prime_order_subgroups(form)))
-    assert (span.primes_used, span.fallback_used, span.blocks) == (
-        1, False, 1)
-    assert (span.cholesky_blocks, span.guided_blocks) == (0, 0)
+    assert (span.primes_used, span.guided_blocks) == (0, 1)
+    assert (span.fallback_used, span.blocks, span.cholesky_blocks) == (
+        False, 1, 0)
     assert span.pair_components == 0
     code, out = run_cli(capsys, "image", "2_II^-6")
     assert out["rank"] == 64 and out["full_image"] is True
@@ -106,6 +106,22 @@ def test_image(capsys):
     code, out = run_cli(capsys, "image", "3^-5")
     assert (out["rank"], out["blocks"], out["cholesky_blocks"]) == (237, 3, 2)
     assert (out["guided_blocks"], out["primes_used"]) == (1, 0)
+
+
+def test_image_graph_agrees_can_fail(capsys, monkeypatch):
+    # the graph is compared with the certified route, not with the span
+    # read off the graph itself: one flipped member is seen
+    certified = dft.cli._certified_lift_span
+
+    def flipped(form):
+        span = certified(form)
+        membership = span.membership.copy()
+        membership[0] = not membership[0]
+        return replace(span, membership=membership)
+
+    monkeypatch.setattr(dft.cli, "_certified_lift_span", flipped)
+    code, out = run_cli(capsys, "image", "2_II^+2")
+    assert code == 0 and out["graph_agrees"] is False
 
 
 def test_image_per_element(capsys):

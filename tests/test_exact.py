@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dft.exact as exact
-from dft.exact import (_PACK_ROWS, _PRIME_LIMIT, PRIME, IndicatorColumns,
-                       _certified_span, _cholesky_certifies,
+from dft.errors import ValidityError
+from dft.exact import (_BLOCK, _PACK_ROWS, _PRIME_LIMIT, PRIME,
+                       IndicatorColumns, _certified_span, _cholesky_certifies,
                        _component_labels, _exact_fallback, _gram,
-                       _rational_reconstruct, _row_groups, _rref,
+                       _rational_reconstruct, _row_groups, _rref_rows,
                        _run_echelon, _submul_mod, annihilates,
                        span_of_indicator_columns)
 from dft.fqm import build_form
@@ -124,13 +125,29 @@ def test_recursive_rref_matches_one_by_one(seed, monkeypatch):
         M[k] = (M[i] + M[j]) % p
         M[int(rng.integers(0, m))] = rng.random(n) < 0.1
     cols, rows = _rref_one_by_one(M, p)
-    got_cols, R = _rref(M, p)
-    assert got_cols == cols and np.array_equal(R, rows)
     # the echelon over several blocks of rows gives the same pivots
     monkeypatch.setattr(exact, "_BLOCK", int(rng.integers(3, 40)))
     run_cols, R = _run_echelon(n, m, lambda start, stop: M[start:stop], p)
     assert run_cols == cols
     assert np.array_equal(R, rows)
+
+
+def test_full_block_at_the_prime_matches_one_by_one():
+    # one block of _BLOCK independent rows of residues p - 1 and 0: rows
+    # reduced mod p only as pivots take up to _BLOCK - 1 updates below p^2
+    # each, the most the int64 bound allows for
+    p = PRIME
+    M = (p - 1) * (np.random.default_rng(0).random((_BLOCK, _BLOCK + 8))
+                   < 0.5).astype(np.int64)
+    cols, rows = _rref_one_by_one(M, p)
+    assert len(cols) == _BLOCK
+    got_cols, R = _run_echelon(M.shape[1], _BLOCK,
+                               lambda start, stop: M[start:stop], p)
+    assert got_cols == cols and np.array_equal(R, rows)
+    # one row more than 2^50 / p^2 could leave int64: refused
+    tall = np.zeros(((1 << 50) // (p * p) + 1, 1), dtype=np.int64)
+    with pytest.raises(ValueError):
+        _rref_rows(tall, p)
 
 
 @pytest.mark.parametrize("shift", [1, 2])
@@ -163,6 +180,9 @@ def test_indicator_columns_round_trip():
                                             [1, 1, 0, 1]]
     blocks = IndicatorColumns.from_blocks([np.array([[0, 2], [1, 3]])])
     assert list(blocks) == [(0, 2), (1, 3)]
+    # supports are sorted
+    assert list(IndicatorColumns.from_supports([(3, 0, 2), (1, 0)])) == [
+        (0, 2, 3), (0, 1)]
 
 
 def test_annihilates():
@@ -365,18 +385,10 @@ def _peel_off(monkeypatch):
         np.ones(n, dtype=bool), np.zeros(len(columns), dtype=bool)))
 
 
-def _guided_always(monkeypatch):
-    """Offer the guided kernel every deficient group, however few rows the
-    modular echelon would eliminate."""
-    monkeypatch.setattr(exact, "_offers_guided", lambda n, ncols: True)
-
-
 def _routes(n, columns):
-    """The span of one group of rows by ``_span_block`` with the guided
-    kernel offered every group, and with it switched off."""
-    with pytest.MonkeyPatch.context() as m:
-        _guided_always(m)
-        guided = exact._span_block(n, columns)
+    """The span of one group of rows by ``_span_block``, and with the
+    guided kernel switched off."""
+    guided = exact._span_block(n, columns)
     with pytest.MonkeyPatch.context() as m:
         _modular_only(m)
         modular = exact._span_block(n, columns)
@@ -420,11 +432,9 @@ def test_guided_kernel_on_fibonacci_columns(n, primes, fallback, copies):
 def test_guided_kernel_matches_modular_on_deficient_groups():
     # every group of representatives with columns and a deficient span in
     # the lift spans of {2, 3, 5} <= 128, as _certified_span (2-adic forms
-    # included) certifies it with the guided kernel offered every group,
-    # against the
-    # modular route, both with the closed form (647 groups, 124 distinct)
-    # and without it (2,053 groups, 216 distinct); each of the 258 distinct
-    # groups is compared once
+    # included) certifies it, against the modular route, both with the
+    # closed form (647 groups, 124 distinct) and without it (2,053 groups,
+    # 216 distinct); each of the 258 distinct groups is compared once
     groups = {}
     block = exact._span_block
 
@@ -438,7 +448,6 @@ def test_guided_kernel_matches_modular_on_deficient_groups():
     for peel in (True, False):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(exact, "_span_block", record)
-            _guided_always(m)
             if not peel:
                 _peel_off(m)
             for sym in enumerate_symbols(128, {2, 3, 5}):
@@ -532,7 +541,6 @@ def test_guided_kernel_refusals_fall_back(kind, monkeypatch):
     n, columns = len(A), _columns_of(A)
     guided, want = _routes(n, columns)
     _assert_guided_like_modular(guided, want)
-    _guided_always(monkeypatch)
     for patch in patches:
         monkeypatch.setattr(*patch)
     with warnings.catch_warnings():
@@ -587,9 +595,7 @@ def test_row_groups_match_block_by_block_fallback(data):
     cols = data.draw(st.permutations(cols))
     guided = data.draw(st.booleans())
     with pytest.MonkeyPatch.context() as m:
-        if guided:
-            _guided_always(m)
-        else:
+        if not guided:
             _modular_only(m)
         res = span_of_indicator_columns(n, cols)
 
@@ -611,10 +617,10 @@ def test_row_groups_match_block_by_block_fallback(data):
     assert free == sorted(set(free))
     assert annihilates(res.kernel, cols)
     # the Cholesky test certifies every full-rank group of representatives
-    # (its blocks are small and well conditioned); the guided kernel
-    # offered every group, or when it is off one prime, serves every other
-    # such group with columns, and copies (group -1) run neither.  The
-    # groups are those of the rows and columns the closed form leaves.
+    # (its blocks are small and well conditioned); the guided kernel, or
+    # when it is off one prime, serves every other such group with columns,
+    # and copies (group -1) run neither.  The groups are those of the rows
+    # and columns the closed form leaves.
     columns = IndicatorColumns.from_supports(cols)
     rest, lone = exact._peel(n, columns)
     assert res.lone_columns == np.count_nonzero(lone)
@@ -886,12 +892,25 @@ def test_pair_columns_match_the_certified_route(data):
 
 
 @pytest.mark.parametrize("cols", [
-    [], [(1, 3)], [(2, 2)], [(0, 1), (2, 2)], [(0, 1), (1, 2, 3)]])
+    [], [(1, 3)], [(2,)], [(0, 1), (2,)], [(0, 1), (1, 2, 3)]])
 def test_only_two_distinct_rows_are_labelled(cols):
-    # a column (i, i), or one of another length, sends the whole input to
-    # the certified route
+    # a column of another length sends the whole input to the certified
+    # route
     columns = IndicatorColumns.from_supports(cols)
     got = span_of_indicator_columns(4, columns)
     _assert_same_span(got, _certified_span(4, columns))
-    labelled = all(len(set(c)) == len(c) == 2 for c in cols)
+    labelled = all(len(c) == 2 for c in cols)
     assert got.pair_components == (4 - len(cols) if labelled else 0)
+
+
+@pytest.mark.parametrize("cols", [
+    [(0, 0, 1), (0, 1)], [(2, 2)], [(0, 2)], [(-1, 0)],
+    IndicatorColumns(np.array([1, 0]), np.array([0, 2]))])
+def test_malformed_supports_are_refused(cols):
+    # a row twice (the Cholesky test would count it twice), a row past n,
+    # a row below 0 and, given as CSR, rows out of order; on both routes
+    # and in the annihilation check
+    with pytest.raises(ValidityError):
+        span_of_indicator_columns(2, cols)
+    with pytest.raises(ValidityError):
+        annihilates(np.ones((1, 2), dtype=np.int64), cols)
