@@ -23,10 +23,10 @@ import numpy as np
 
 from . import bounds
 from .errors import NotTwoAdic, ValidityError
-from .exact import bipartite_components
 from .fqm import DiscriminantForm, Element
-from .lifts import _greedy_walk, isotropic_indices
-from .ntheory import legendre, kronecker2, prime_power, prime_power_factors
+from .lifts import (_greedy_walk, isotropic_indices, lift_span,
+                    prime_order_columns)
+from .ntheory import legendre, kronecker2, prime_power_factors
 from .symbols import EVEN, ODD, GenusSymbol
 
 # ---------------------------------------------------------------------------
@@ -300,18 +300,19 @@ class IsotropyGraph:
     """Vertices are the form's elements; edges join gamma to gamma + mu for
     isotropic order-2 mu orthogonal to gamma.
 
-    The edges are found in bulk: for a chunk of the mu, one product gives
-    the rows of mu_perp, and ``add_indices`` the partners gamma + mu.  They
-    are kept once each, as the rows (gamma, gamma + mu) of the int32 array
-    ``edges`` with gamma < gamma + mu.  The relation is symmetric:
+    A view of the form's lift span.  At 2-power level every prime-order
+    line is {0, mu}, whose lift columns are the pairs {gamma, gamma + mu},
+    gamma in mu_perp: the edges, once each.  ``edges`` views those columns
+    (``lifts.prime_order_columns``) as the rows (gamma, gamma + mu),
+    gamma < gamma + mu.  The relation is symmetric:
     b(mu, gamma + mu) = b(mu, gamma) + 2 q(mu) = b(mu, gamma).
 
-    Components, bipartiteness and colours come from one labelling of the
-    bipartite double cover (``exact.bipartite_components``), the labelling
-    that also answers the lift span of a 2-adic form: components are
-    numbered in the order of their least vertices, and gamma's colour is 1
-    exactly when every walk from the least vertex of its component to
-    gamma is odd, 0 on the components that are not bipartite.
+    Components, bipartiteness and colours are ``SpanResult.labels``, the
+    labelling that answered the span (``exact.bipartite_components``); a
+    span without one raises ``ArithmeticError``.  Components are numbered
+    in the order of their least vertices, and gamma's colour is 1 exactly
+    when every walk from the least vertex of its component to gamma is
+    odd, 0 on the components that are not bipartite.
 
     ``neighbors`` is built from ``edges`` on first use, and so is the
     breadth-first search of one component's cover in ``odd_walk_through``.
@@ -321,10 +322,13 @@ class IsotropyGraph:
         if any(p != 2 for p in prime_power_factors(form.level)):
             raise NotTwoAdic(f"level {form.level} is not a power of 2")
         bounds.check_span_order(form.order)
+        labels = lift_span(form).labels
+        if labels is None:
+            raise ArithmeticError("the lift span has no labelling of its "
+                                  "pair columns")
         self.form = form
-        self.edges = _graph_edges(form)
-        self.component, bipartite, self.color = bipartite_components(
-            form.order, self.edges[:, 0], self.edges[:, 1])
+        self.edges = prime_order_columns(form).indices.reshape(-1, 2)
+        self.component, bipartite, self.color = labels
         self.bipartite: list[bool] = bipartite.tolist()
         self.n_components = len(bipartite)
         self._adjacency = self._neighbors = None
@@ -343,7 +347,7 @@ class IsotropyGraph:
         nbrs[indptr[v]:indptr[v + 1]]."""
         if self._adjacency is None:
             n = self.form.order
-            a, b = self.edges[:, 0].astype(np.int64), self.edges[:, 1]
+            a, b = self.edges.T
             key = np.sort(np.concatenate([a * n + b, b * n + a]))
             indptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
@@ -394,27 +398,6 @@ class IsotropyGraph:
         return [self.form.element(v // 2) for v in walk[:0:-1]]
 
 
-# entries of the mu x |D| orthogonality table per chunk of _graph_edges
-_EDGE_CHUNK = 1 << 18
-
-
-def _graph_edges(form: DiscriminantForm) -> np.ndarray:
-    """The isotropy graph's edges (gamma, gamma + mu), gamma < gamma + mu,
-    as int32 rows, chunked over the isotropic order-2 mu."""
-    mus = isotropic_indices(form, 2)
-    step = max(1, _EDGE_CHUNK // form.order)
-    parts = [np.zeros((0, 2), dtype=np.int32)]
-    for s in range(0, len(mus), step):
-        mu = mus[s:s + step]
-        # mu_perp has |D| / 2 elements: one row of gamma per mu
-        gamma = np.nonzero(form.b_row_num(mu) == 0)[1].reshape(len(mu), -1)
-        partner = form.add_indices(gamma, mu[:, None])
-        keep = gamma < partner
-        parts.append(np.stack([gamma[keep], partner[keep]],
-                              axis=1).astype(np.int32))
-    return np.concatenate(parts)
-
-
 def build_isotropy_graph(form: DiscriminantForm) -> IsotropyGraph:
     return IsotropyGraph(form)
 
@@ -425,22 +408,9 @@ def gamma_in_image_by_graph(form: DiscriminantForm, gamma: Element) -> bool:
 
 
 def build_graph_cached(form: DiscriminantForm) -> IsotropyGraph:
-    """The isotropy graph, built once per form.
-
-    The form caches the graph's edges and components, not the graph:
-    the graph refers to the form, and a cycle between the two would leave
-    both, with everything else cached on the form, to the cyclic garbage
-    collector.
-    """
-    state = getattr(form, "_isotropy_graph", None)
-    if state is None:
-        graph = IsotropyGraph(form)
-        form._isotropy_graph = {k: v for k, v in vars(graph).items()
-                                if k != "form"}
-        return graph
-    graph = IsotropyGraph.__new__(IsotropyGraph)
-    graph.__dict__.update(state, form=form)
-    return graph
+    """The isotropy graph: its edges and labelling are kept on the form
+    with the lift span, so a second call builds neither again."""
+    return IsotropyGraph(form)
 
 
 def graph_to_dot(graph: IsotropyGraph) -> str:

@@ -104,8 +104,8 @@ def cmd_image(args) -> int:
     }
     two_adic = all(p == 2 for p in prime_power_factors(form.level))
     if two_adic:
-        # the span of a 2-adic form is read off the graph's own labelling:
-        # the graph is checked against the certified route instead
+        # the graph reads its labelling off the span of a 2-adic form: it
+        # is checked against the certified route instead
         out["graph_agrees"] = bool(np.array_equal(
             build_graph_cached(form).nonbipartite,
             _certified_lift_span(form).membership))
@@ -128,8 +128,13 @@ def cmd_graph(args) -> int:
     form = build_form(sym)
     graph = build_graph_cached(form)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(graph_to_dot(graph) + "\n")
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(graph_to_dot(graph) + "\n")
+        except OSError as exc:
+            return _fail("ConfigError",
+                         f"cannot write {args.dot}: {exc.strerror}",
+                         EXIT_INPUT)
     summary = {
         "symbol": str(sym),
         "vertices": form.order,

@@ -40,11 +40,12 @@ positive entry at m, so entry for entry what the certified route
 returns, rows in order of their free columns.
 
 The colour classes come from one labelling of the bipartite double cover
-(``bipartite_components``).  For lift columns at 2-power level every
-prime-order line is {0, mu}, each column is a pair {x, x + mu}, and the
-graph is the order-2 isotropy graph of ``classify.IsotropyGraph``: its
+(``bipartite_components``), kept as ``SpanResult.labels``.  For lift
+columns at 2-power level every prime-order line is {0, mu}, each column
+is a pair {x, x + mu}, and the graph is the order-2 isotropy graph: its
 rank and membership are the paper's criterion that e^gamma is in the
 span exactly when gamma's component is not bipartite.
+``classify.IsotropyGraph`` reads its edges and labelling off this span.
 
 Two rows are linked when some column holds both, so up to a permutation
 of its rows A is block-diagonal over the connected components of the
@@ -330,13 +331,20 @@ class SpanResult:
     # columns whose rows no other column holds, each a component of its
     # own answered in closed form; the untouched rows are not counted
     lone_columns: int = 0
-    # components, isolated rows included, of an input of two-row columns
-    # answered by one labelling (_pair_span); 0 on the certified route
-    pair_components: int = 0
+    # bipartite_components' (component, bipartite, colour) of the graph
+    # of two-row columns that _pair_span answered; None on the certified
+    # route
+    labels: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def full(self) -> bool:
         return self.rank == self.dim
+
+    @property
+    def pair_components(self) -> int:
+        """Components, isolated rows included, of the labelling; 0 on the
+        certified route."""
+        return 0 if self.labels is None else len(self.labels[1])
 
 
 def _submul_mod(x: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -767,8 +775,9 @@ def _pair_span(n: int, a: np.ndarray, b: np.ndarray) -> SpanResult:
 
     Each bipartite component gives the kernel row +1 on the colour class
     of its largest row, its free column, and -1 on the other class; the
-    rows go in order of their free columns."""
-    component, bipartite, colour = bipartite_components(n, a, b)
+    rows go in order of their free columns.  The labelling is kept in
+    the result's ``labels``, where the isotropy graph reads it."""
+    labels = component, bipartite, colour = bipartite_components(n, a, b)
     rows = np.arange(n)
     last = np.zeros(len(bipartite), dtype=np.int64)
     np.maximum.at(last, component, rows)
@@ -780,8 +789,7 @@ def _pair_span(n: int, a: np.ndarray, b: np.ndarray) -> SpanResult:
     kernel[(np.cumsum(free) - 1)[head], rows[on]] = np.where(
         colour[on] == colour[head], 1, -1)
     return SpanResult(n, n - len(kernel), kernel, ~on, blocks=0,
-                      components=0, distinct_components=0,
-                      pair_components=len(bipartite))
+                      components=0, distinct_components=0, labels=labels)
 
 
 def _component_labels(n: int, columns: IndicatorColumns) -> np.ndarray:

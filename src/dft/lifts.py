@@ -300,6 +300,18 @@ def _coset_columns(form: DiscriminantForm, run) -> np.ndarray:
     return np.concatenate([x[keep], np.sort(shifted[keep], axis=1)], axis=1)
 
 
+def prime_order_columns(form: DiscriminantForm) -> IndicatorColumns:
+    """The lift columns of the prime-order lines, ``span_columns`` of
+    ``prime_order_subgroups``: built once per form and kept on it, beside
+    the lines, for the lift span, the certified route and the isotropy
+    graph."""
+    cached = getattr(form, "_prime_columns", None)
+    if cached is None:
+        cached = form._prime_columns = span_columns(
+            form, prime_order_subgroups(form))
+    return cached
+
+
 def lift_span(form: DiscriminantForm, max_order=None) -> SpanResult:
     """Certified span of all prime-order isotropic lifts (cached); the span
     bound is ``max_order`` if given, else the process-wide one."""
@@ -307,7 +319,7 @@ def lift_span(form: DiscriminantForm, max_order=None) -> SpanResult:
     if cached is None:
         bounds.check_span_order(form.order, max_order)
         cached = form._lift_span = span_of_indicator_columns(
-            form.order, span_columns(form, prime_order_subgroups(form)))
+            form.order, prime_order_columns(form))
     return cached
 
 

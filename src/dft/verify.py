@@ -36,8 +36,8 @@ from .fqm import (DiscriminantForm, build_form, direct_sum, milgram_check,
 from .lifts import (check_transitivity, e_gamma_in_image,
                     isotropic_subgroups, kernel_vector, lift_matrix, lift_span,
                     odd_cycle_expression, perp_pair_table,
-                    prime_order_subgroups, rank5_expression,
-                    span_columns, spans_agree_with_all_subgroups)
+                    prime_order_columns, prime_order_subgroups,
+                    rank5_expression, spans_agree_with_all_subgroups)
 from .symbols import GenusSymbol, enumerate_symbols, parse_symbol
 from .weil import check_lift_equivariance, check_relations
 
@@ -257,19 +257,18 @@ def _check_odd_p_iff(max_order: int = 125) -> tuple[bool, str]:
 
 def _certified_lift_span(form: DiscriminantForm):
     """The lift span of ``form`` by the certified route, which
-    ``lift_span`` bypasses on 2-adic forms: the closed forms, then every
-    group certified in float64 (the Cholesky test, the guided kernel),
-    the modular echelon only for a group both refuse.  A4 and
-    ``dft image`` check the isotropy graph against it."""
-    return _certified_span(form.order,
-                           span_columns(form, prime_order_subgroups(form)))
+    ``lift_span`` bypasses on 2-adic forms, on the columns the form keeps
+    (``prime_order_columns``); the result is not kept.  A4 and ``dft
+    image`` check the isotropy graph, which reads ``lift_span``'s
+    labelling, against it."""
+    return _certified_span(form.order, prime_order_columns(form))
 
 
 @_check("graph-matches-algebra")
 def _check_graph_matches_algebra(max_order: int = 128) -> tuple[bool, str]:
     """The graph's verdict against membership by linear algebra on the same
-    columns: ``lift_span`` of a 2-adic form reads the graph's own
-    labelling, so it would not test the criterion."""
+    columns: the graph reads the labelling that answers ``lift_span`` of
+    a 2-adic form, so only the certified route tests the criterion."""
     checked = 0
     for sym in enumerate_symbols(max_order, {2}):
         form = form_of(sym)

@@ -13,10 +13,11 @@ from dft.classify import (build_graph_cached, build_isotropy_graph,
 from dft.errors import NotTwoAdic, ValidityError
 from dft.fqm import build_form
 from dft.lifts import (e_gamma_in_image, isotropic_indices, lift_span,
-                       prime_order_subgroups, span_columns)
+                       prime_order_columns, prime_order_subgroups,
+                       span_columns)
 from dft.ntheory import prime_power_factors
 from dft.symbols import enumerate_symbols, parse_symbol
-from dft.verify import CHECKS
+from dft.verify import CHECKS, _certified_lift_span
 
 
 def build(text):
@@ -180,11 +181,21 @@ def test_graph_requires_two_adic():
 
 
 def test_graph_matches_algebra_sample():
+    # against the certified route, as A4: lift_span of a 2-adic form is
+    # the labelling the graph reads
     for text in ["2_II^+2", "2_II^-2", "4_1^+1", "2_2^+2", "2_0^+4",
                  "8_1^+1.2_1^+1", "2_II^+6", "2_2^+6", "4_II^-2.2_1^+1"]:
         d = build(text)
         assert np.array_equal(build_isotropy_graph(d).nonbipartite,
-                              lift_span(d).membership), text
+                              _certified_lift_span(d).membership), text
+
+
+def test_graph_refuses_a_span_without_labels():
+    d = build("2_II^+4")
+    d._lift_span = _certified_lift_span(d)
+    assert d._lift_span.labels is None
+    with pytest.raises(ArithmeticError):
+        build_isotropy_graph(d)
 
 
 def test_odd_walk_through():
@@ -251,7 +262,9 @@ def test_graph_edges_are_the_columns_of_the_lines():
         cols = span_columns(form, prime_order_subgroups(form))
         pairs = cols.indices.reshape(-1, 2)[np.diff(cols.indptr) == 2] \
             if len(cols) else np.zeros((0, 2), dtype=np.int64)
-        assert g.edges.dtype == np.int32
+        # the edges hold no array of their own: they are the kept columns
+        assert not g.edges.size or np.shares_memory(
+            g.edges, prime_order_columns(form).indices)
         assert (g.edges[:, 0] < g.edges[:, 1]).all()
         assert sorted(map(tuple, g.edges.tolist())) == \
             sorted(map(tuple, pairs.tolist()))

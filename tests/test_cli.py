@@ -13,14 +13,15 @@ import pytest
 
 import dft
 from dft import sweep
-from dft.classify import IsotropyGraph
+from dft.classify import IsotropyGraph, build_graph_cached
 from dft.cli import main
 from dft.errors import BoundExceeded
 from dft.exact import _certified_span
 from dft.fqm import build_form
-from dft.lifts import prime_order_subgroups, span_columns
+from dft.lifts import lift_span, prime_order_subgroups, span_columns
 from dft.sweep import SweepConfig, run_sweep
 from dft.symbols import enumerate_symbols, parse_symbol
+from dft.verify import _certified_lift_span
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +123,40 @@ def test_image_graph_agrees_can_fail(capsys, monkeypatch):
     monkeypatch.setattr(dft.cli, "_certified_lift_span", flipped)
     code, out = run_cli(capsys, "image", "2_II^+2")
     assert code == 0 and out["graph_agrees"] is False
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """The calls of ``fn`` from now on, through every name a ``dft``
+    module binds it to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "dft" or name.startswith("dft."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("via_cli", [True, False])
+def test_columns_and_labelling_are_built_once(capsys, monkeypatch, via_cli):
+    # the span, the graph and the certified route (graph_agrees) share
+    # the columns the form keeps, and the graph reads the span's labelling
+    columns = _count_calls(monkeypatch, dft.lifts.span_columns)
+    labellings = _count_calls(monkeypatch, dft.exact.bipartite_components)
+    if via_cli:
+        code, out = run_cli(capsys, "image", "2_II^+4")
+        assert code == 0 and out["graph_agrees"] is True
+    else:
+        form = build_form(parse_symbol("2_II^+4"))
+        build_graph_cached(form)
+        lift_span(form)
+        _certified_lift_span(form)
+    assert (len(columns), len(labellings)) == (1, 1)
 
 
 def test_image_per_element(capsys):
@@ -441,6 +476,9 @@ _CONTRACT = [
     ({}, ["image", "2_II^+14"], 3, "BoundExceeded"),
     ({}, ["graph", "2_II^+14"], 3, "BoundExceeded"),
     ({}, ["graph", "3^+1"], 1, "NotTwoAdic"),
+    ({}, ["graph", "2_II^+2", "--dot", "{tmp}/no/such/x.dot"], 2,
+     "ConfigError"),
+    ({}, ["graph", "2_II^+2", "--dot", "{tmp}/d"], 2, "ConfigError"),
     ({"DFT_MAX_SPAN_ORDER": "abc"}, ["image", "3^+1"], 2, "ValidityError"),
     ({"DFT_MAX_ENUM_ORDER": "abc"}, ["info", "3^+1"], 2, "ValidityError"),
     ({"DFT_MAX_CYCLO_ORDER": "0"}, ["weil", "3^+1", "--check"], 2,
