@@ -9,11 +9,13 @@ vectorized methods work on arrays of indices.  ``add_indices`` is the one
 translate kernel: it adds index arrays digit by digit, without division.
 
 Forms built from a genus symbol use the Jordan block models below.  A
-quotient H_perp/H gets generators of its own, of prime-power order, from
-two diagonalisations of integer relation matrices: its elements are
-coordinates in the quotient, not representatives in the parent, and
-``project`` / ``section`` are integer coordinate maps between the two.
-p-parts keep and direct sums concatenate generators.
+quotient H_perp/H is built in index space: one coset table sends each
+element of H_perp to the least member of its coset, and a greedy basis of
+the cosets, prime by prime, gives the quotient generators of prime-power
+order.  Its elements are coordinates in the quotient, not representatives
+in the parent, and ``project`` / ``section`` are ``IndexMap`` tables
+between the two index spaces.  p-parts keep and direct sums concatenate
+generators.
 
 Inside the package a subgroup is the sorted array of its element indices,
 built from generators already known: ``lifts.prime_order_subgroups``
@@ -41,7 +43,8 @@ open.
 Every form but a quotient is certified non-degenerate when built (see
 ``DiscriminantForm``).  H_perp/H of a non-degenerate form along an
 isotropic H is non-degenerate by theory, and its tables are read off the
-parent's, so ``quotient_form`` checks only its order |D| / |H|^2.
+parent's, so ``quotient_form`` checks only its order |D| / |H|^2 and that
+its generators reach every coset once.
 
 Jordan block models (odd p, scale q = p^k): Z/q with q(x) = a x^2 / q,
 one generator per unit a; all a = 1 except the last, which is the
@@ -66,12 +69,17 @@ import numpy as np
 
 from . import cyclo
 from .bounds import check_form_order
-from .errors import (DegenerateForm, DimensionMismatch, NotIsotropic,
-                     ValidityError)
+from .errors import (BoundExceeded, DegenerateForm, DimensionMismatch,
+                     NotIsotropic, ValidityError)
 from .ntheory import legendre, prime_power, prime_power_factors
 from .symbols import ODD, GenusSymbol, unit_decomposition
 
 Element = tuple[int, ...]
+
+
+def _places(orders: Sequence[int]) -> tuple[int, ...]:
+    """Mixed-radix place values of the digits, the last varying fastest."""
+    return tuple(prod(orders[i + 1:], start=1) for i in range(len(orders)))
 
 
 def _reduce_mod(orders: Sequence[int], a) -> Element:
@@ -104,6 +112,8 @@ class DiscriminantForm:
     def __init__(self, orders: Sequence[int], qdiag: Sequence[Fraction],
                  gram: Sequence[Sequence[Fraction]]):
         """The form with q(g_i) = qdiag[i] and b(g_i, g_j) = gram[i][j] mod 1."""
+        if any(int(o) < 1 for o in orders):
+            raise ValidityError("generator orders must be at least 1")
         qdiag = [Fraction(x) for x in qdiag]
         gram = [[Fraction(x) for x in row] for row in gram]
         m = len(orders)
@@ -137,7 +147,7 @@ class DiscriminantForm:
         self._qn, self._gn = qn // g, gn // g
         self._qn.flags.writeable = self._gn.flags.writeable = False
         self._n = prod(self.orders, start=1)
-        self._places = tuple(prod(self.orders[i + 1:], start=1) for i in range(m))
+        self._places = _places(self.orders)
         self._radix = (np.array(self.orders, dtype=np.int64),
                        np.array(self._places, dtype=np.int64))
         self._coeffs: Optional[np.ndarray] = None
@@ -487,201 +497,129 @@ def orthogonal_complement(form: DiscriminantForm, S) -> Subgroup:
 # quotients, p-parts, direct sums
 # ---------------------------------------------------------------------------
 
-def _diagonalize(A: Sequence[Sequence[int]]):
-    """(d, P, P^-1) with P A Q = diag(d) for unimodular integer P and Q.
-
-    Smith's elimination (Cohen, A Course in Computational Algebraic Number
-    Theory, 2.4) without the divisibility chain, which no caller needs.
-    Only the row transform is returned.  Python ints, so entry growth
-    cannot overflow.
-    """
-    a = [[int(x) for x in row] for row in A]
-    n = len(a)
-    m = len(a[0]) if n else 0
-    P = [[int(i == j) for j in range(n)] for i in range(n)]
-    Pinv = [row[:] for row in P]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        P[i], P[j] = P[j], P[i]
-        for row in Pinv:
-            row[i], row[j] = row[j], row[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    d = []
-    for t in range(min(n, m)):
-        nonzero = [(abs(a[i][j]), i, j) for i in range(t, n)
-                   for j in range(t, m) if a[i][j]]
-        if not nonzero:
-            break
-        _, i, j = min(nonzero)
-        swap_rows(t, i)
-        swap_cols(t, j)
-        while True:
-            for i in range(t + 1, n):
-                c = a[i][t] // a[t][t]
-                if c:
-                    a[i] = [x - c * y for x, y in zip(a[i], a[t])]
-                    P[i] = [x - c * y for x, y in zip(P[i], P[t])]
-                    for row in Pinv:
-                        row[t] += c * row[i]
-            for j in range(t + 1, m):
-                c = a[t][j] // a[t][t]
-                if c:
-                    for row in a:
-                        row[j] -= c * row[t]
-            # a remainder smaller than the pivot becomes the next pivot
-            rest = [(abs(a[i][t]), i, t) for i in range(t + 1, n) if a[i][t]]
-            rest += [(abs(a[t][j]), t, j) for j in range(t + 1, m) if a[t][j]]
-            if not rest:
-                break
-            _, i, j = min(rest)
-            swap_rows(t, i)
-            swap_cols(t, j)
-        d.append(a[t][t])
-    return d, P, Pinv
-
-
-def _dot_mod(X: np.ndarray, A: np.ndarray, mod) -> np.ndarray:
-    """(X @ A.T) % mod, exact: int64 while no sum of products can reach
-    2^62, Python ints past that."""
-    bound = (int(np.abs(X).max(initial=0)) * int(np.abs(A).max(initial=0))
-             * A.shape[1])
-    dtype = np.int64 if bound < 2 ** 62 else object
-    out = np.asarray(X).astype(dtype) @ A.astype(dtype).T
-    return (out % mod).astype(np.int64)
-
-
-def _reduced(rows, moduli, width: int) -> np.ndarray:
-    """The integer rows, row i taken mod moduli[i]; int64 when every
-    modulus is at most 2^62, Python ints otherwise."""
-    out = np.array([[x % mod for x in row] for row, mod in zip(rows, moduli)],
-                   dtype=object).reshape(len(moduli), width)
-    return out.astype(np.int64) if max(moduli, default=1) <= 2 ** 62 else out
-
-
 @dataclass(frozen=True, eq=False)
-class CoordinateMap:
-    """The homomorphism x -> outer @ (inner @ x / divisors) mod
-    target_orders from coefficient vectors of a source form to those of a
-    target form, given by their generator orders.
-
-    Its domain is the set of x with inner @ x divisible by the divisors;
-    only a projection has divisors above 1, and its domain is H_perp.
-    Row j of ``inner`` is stored mod divisors[j] times the exponent of the
-    target and ``outer`` mod that exponent, and ``_dot_mod`` checks the
-    int64 bound on every product.  The map holds no form, so a quotient
-    kept on its parent form makes no reference cycle.
+class IndexMap:
+    """A homomorphism between two forms, given by their generator orders
+    and ``table``, the index of the image of each source index, with -1 at
+    the indices off the map's domain; only a projection has such indices,
+    and its domain is H_perp.  The table is read-only int64.  The map holds
+    no form, so a quotient kept on its parent form makes no reference
+    cycle.
     """
 
     source_orders: tuple[int, ...]
     target_orders: tuple[int, ...]
-    inner: np.ndarray      # k x rank(source)
-    divisors: np.ndarray   # k
-    outer: np.ndarray      # rank(target) x k
-
-    @classmethod
-    def of(cls, source, target, inner, divisors, outer) -> "CoordinateMap":
-        """The map between two forms from integer matrices given as lists
-        of rows."""
-        exponent = lcm(*target.orders)
-        return cls(source.orders, target.orders,
-                   _reduced(inner, [d * exponent for d in divisors],
-                            len(source.orders)),
-                   np.array(divisors, dtype=np.int64),
-                   _reduced(outer, [exponent] * len(target.orders),
-                            len(divisors)))
+    table: np.ndarray
 
     def rows(self, coeffs: np.ndarray) -> np.ndarray:
-        """Images of source coefficient rows, as target coefficient rows."""
-        exponent = lcm(*self.target_orders)
-        W = _dot_mod(coeffs, self.inner, self.divisors * exponent)
-        if np.any(W % self.divisors):
-            raise DimensionMismatch("element is not orthogonal to H")
-        return _dot_mod(W // self.divisors, self.outer,
-                        np.array(self.target_orders, dtype=np.int64))
+        """Images of source coefficient rows (along the last axis), as
+        target coefficient rows."""
+        coeffs = np.asarray(coeffs, dtype=np.int64) % np.array(
+            self.source_orders, dtype=np.int64)
+        image = self.table[coeffs @ np.array(_places(self.source_orders),
+                                             dtype=np.int64)]
+        if np.any(image < 0):
+            raise DimensionMismatch("element is outside the map's domain")
+        return (image[..., None] // np.array(_places(self.target_orders),
+                                             dtype=np.int64)
+                % np.array(self.target_orders, dtype=np.int64))
 
     def __call__(self, e: Element) -> Element:
         """The image of one element, in Python integers."""
-        x = _reduce_mod(self.source_orders, e)
-        exponent = lcm(*self.target_orders)
-        w = []
-        for row, d in zip(self.inner.tolist(), self.divisors.tolist()):
-            v = sum(map(mul, row, x)) % (d * exponent)
-            if v % d:
-                raise DimensionMismatch("element is not orthogonal to H")
-            w.append(v // d)
-        return tuple(sum(map(mul, row, w)) % o
-                     for row, o in zip(self.outer.tolist(), self.target_orders))
+        x = np.array(_reduce_mod(self.source_orders, e), dtype=np.int64)
+        return tuple(self.rows(x).tolist())
 
 
 class QuotientResult(NamedTuple):
     form: DiscriminantForm
-    project: CoordinateMap   # H_perp -> H_perp/H
-    section: CoordinateMap   # H_perp/H -> a representative in H_perp
+    project: IndexMap   # H_perp -> H_perp/H
+    section: IndexMap   # H_perp/H -> the least member of the coset
 
 
 def quotient_form(form: DiscriminantForm, H: Subgroup) -> QuotientResult:
     """The form on H_perp/H for isotropic H, with projection and section.
 
-    With G the Gram numerators over L = level(D) and h_1, ..., h_r the
-    generators of H, the preimage of H_perp in Z^m is the kernel of
-    x -> (h_k G x)_k mod L.  Diagonalising its transpose, P1 (h G)^T Q1 =
-    diag(d), gives that lattice the basis V diag(s) with V = P1^T and
-    s_j = L / gcd(d_j, L).  In this basis the preimage of H (the h_k and
-    the relations o_i e_i) is a full-rank relation matrix R, and
-    P2 R Q2 = diag(s') gives H_perp/H as the sum of the Z/s'_i, each split
-    into cyclic factors of prime-power order.
+    ``coset`` sends each x in H_perp to the least member of x + H, and a
+    coset stands for itself by that index.  For each prime p, P is the
+    group of cosets of p-power order, the least p^e with p^e x in H.  Its
+    cosets g are taken by decreasing order and then least member, and g is
+    kept exactly when its order-p point (ord g / p) g is not in the span S
+    of those kept before it.  Every nonzero subgroup of <g> holds that
+    point, so S + <g> = S (+) <g>, and the kept g are independent.
 
-    The quotient's tables are the parent's numerators of q and b at the new
-    generators, over L; ``_of_tables`` reduces them to the quotient's own
-    level.  They skip the form check: for isotropic H in a non-degenerate
-    D, H_perp/H is non-degenerate with |H_perp| = |D| / |H|.  Only its
-    order is checked, |Q| |H|^2 = |D|, and ``ArithmeticError`` raised
-    otherwise.
+    They span P.  Say S is a direct summand, P = S (+) C, when g comes up.
+    A nonzero c in C of order above ord g came up before g: it was kept,
+    so c is in S, or its order-p point, a nonzero element of C, was in S
+    already.  Both contradict S /\\ C = 0, so no element of C has order
+    above ord g.
+    If g is kept, its component g' in C has the order of g (k g in S only
+    for k g = 0), the largest in C, and a cyclic subgroup of maximal order
+    in a finite abelian p-group is a direct summand: C = <g'> (+) C', and
+    S (+) <g> = S (+) <g'> has the complement C'.  So S stays a direct
+    summand, and at the end the same argument with every c in C come up
+    leaves C = 0.
+
+    Element j of the quotient is sum_i j_i g_i, with j_i its digits; the
+    section sends it to the least member of that coset, and the projection
+    is its inverse on the cosets.  The quotient's tables are the parent's
+    numerators of q and b at the generators, over L; ``_of_tables`` reduces
+    them to the quotient's own level.  They skip the form check: for
+    isotropic H in a non-degenerate D, H_perp/H is non-degenerate with
+    |H_perp| = |D| / |H|.  ``ArithmeticError`` is raised unless
+    |Q| |H|^2 = |D| and the generators' combinations hit every coset once;
+    ``BoundExceeded`` if a multiple k g, k below the exponent of D, could
+    leave int64.
     """
     if not is_isotropic(form, H):
         raise NotIsotropic("q does not vanish on H")
-    m = len(form.orders)
-    L, G = form.level, form._gn.tolist()
-    hs = [form._reduce(h) for h in H.generators]
-    hG = [[sum(h[k] * G[k][j] for k in range(m)) for j in range(m)] for h in hs]
-    d, P1, P1inv = _diagonalize([[row[j] for row in hG] for j in range(m)])
-    s = [L // gcd(d[j], L) if j < len(d) else 1 for j in range(m)]
-    # coordinates in the basis V diag(s): y = diag(s)^-1 V^-1 x
-    Vinv = [[P1inv[k][j] for k in range(m)] for j in range(m)]
-    relations = hs + [tuple(o * (i == k) for k in range(m))
-                      for i, o in enumerate(form.orders)]
-    R = [[sum(Vinv[j][k] * v[k] for k in range(m)) // s[j] for v in relations]
-         for j in range(m)]
-    d2, P2, P2inv = _diagonalize(R)
-    factors = []                      # (prime, order, row of P2, generator)
-    for i, si in enumerate(abs(x) for x in d2):
-        y = [row[i] for row in P2inv]
-        g = [sum(P1[k][j] * s[k] * y[k] for k in range(m)) for j in range(m)]
-        for p in prime_power_factors(si):
-            pa = p
-            while si % (pa * p) == 0:
-                pa *= p
-            rest = si // pa
-            unit = rest * pow(rest, -1, pa)   # 1 mod pa, 0 mod si / pa
-            factors.append((p, pa, P2[i], [unit * x for x in g]))
-    factors.sort(key=lambda f: f[0])
-    gens = [form._reduce(f[3]) for f in factors]
-    gi = form.indices(np.array(gens, dtype=np.int64).reshape(len(gens), m))
+    n, C, E = form.order, form.coeff_matrix(), lcm(*form.orders)
+    if E * max(form.orders, default=1) >= 2 ** 62:
+        raise BoundExceeded("multiples of elements would leave int64")
+    perp = perp_indices(form, H.generators)
+    coset = np.full(n, -1, dtype=np.int64)
+    coset[perp] = form.indices(C[perp][:, None] + C[H.indices]).min(axis=1)
+    reps = perp[coset[perp] == perp]
+    gens: list[tuple[int, int]] = []                   # (index, order in Q)
+    # the span of the generators kept so far, in the quotient's index order;
+    # an element of p-power order lies in it exactly when it lies in the
+    # span of the p-power ones
+    section = np.zeros(1, dtype=np.int64)
+    in_span = np.zeros(n, dtype=bool)
+    for p in prime_power_factors(len(reps)):
+        order = np.zeros(len(reps), dtype=np.int64)
+        y, pe = reps, 1
+        while E % pe == 0:
+            order[(order == 0) & (coset[y] == 0)] = pe
+            y, pe = form.indices(p * C[y]), pe * p
+        cand = np.flatnonzero(order > 1)
+        cand = cand[np.argsort(-order[cand], kind="stable")]
+        g, o = reps[cand], order[cand]
+        point = coset[form.indices((o // p)[:, None] * C[g])]
+        size = len(section) * np.count_nonzero(order)
+        while len(section) < size:
+            in_span[section] = True
+            keep = ~in_span[point]
+            g, o, point = g[keep], o[keep], point[keep]
+            gens.append((int(g[0]), int(o[0])))
+            k = np.arange(o[0], dtype=np.int64)[:, None]
+            section = coset[form.indices(
+                C[section][:, None] + k * C[g[0]])].ravel()
+    gi = np.array([g for g, _ in gens], dtype=np.int64)
     quotient = DiscriminantForm._of_tables(
-        [f[1] for f in factors], L, form.qnum_array()[gi],
+        [o for _, o in gens], form.level, form.qnum_array()[gi],
         form.b_row_num(gi)[:, gi], check=False)
     if quotient.order * H.order ** 2 != form.order:
         raise ArithmeticError("|H_perp/H| |H|^2 differs from |D|")
-    project = CoordinateMap.of(form, quotient, Vinv, s, [f[2] for f in factors])
-    k = len(gens)
-    section = CoordinateMap.of(quotient, form, np.eye(k, dtype=int).tolist(),
-                               [1] * k, [[g[j] for g in gens] for j in range(m)])
-    return QuotientResult(quotient, project, section)
+    if not np.array_equal(np.sort(section), reps):
+        raise ArithmeticError("the generators' combinations miss a coset")
+    inverse = np.zeros(n, dtype=np.int64)
+    inverse[section] = np.arange(len(section))
+    project = np.full(n, -1, dtype=np.int64)
+    project[perp] = inverse[coset[perp]]
+    project.flags.writeable = section.flags.writeable = False
+    return QuotientResult(quotient,
+                          IndexMap(form.orders, quotient.orders, project),
+                          IndexMap(quotient.orders, form.orders, section))
 
 
 class PPartResult(NamedTuple):

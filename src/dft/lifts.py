@@ -35,7 +35,7 @@ from .errors import (BoundExceeded, EvenLength, HypothesisFailed, NotACycle,
 from .exact import (IndicatorColumns, SpanResult, annihilates,
                     span_of_indicator_columns)
 from .fqm import (DiscriminantForm, Element, QuotientResult, Subgroup,
-                  is_isotropic, perp_indices, quotient_form)
+                  is_isotropic, quotient_form)
 from .ntheory import prime_power, prime_power_factors
 
 # ---------------------------------------------------------------------------
@@ -199,8 +199,7 @@ class LiftMap:
     def descent(self) -> np.ndarray:
         """e_gamma -> e_j for gamma in s(j) + H, s the quotient's section,
         and -> 0 for gamma outside H_perp."""
-        section = _quotient(self.form, self.H).section
-        s = self.form.indices(section.rows(self.source.coeff_matrix()))
+        s = _quotient(self.form, self.H).section.table
         D = np.zeros((self.source.order, self.form.order), dtype=np.int64)
         D[np.arange(self.source.order)[:, None],
           self.form.add_indices(s[:, None], self.H.indices)] = 1
@@ -217,8 +216,8 @@ def lift_matrix(form: DiscriminantForm, H: Subgroup) -> LiftMap:
 
 def _quotient(form: DiscriminantForm, H: Subgroup) -> QuotientResult:
     """``quotient_form(form, H)``, built once per subgroup and kept on the
-    form.  Its coordinate maps hold generator orders, not forms, so the
-    cache makes no reference cycle and dies with the form."""
+    form.  Its index maps hold generator orders and index tables, not
+    forms, so the cache makes no reference cycle and dies with the form."""
     cache = form.__dict__.setdefault("_quotients", {})
     key = H.indices.tobytes()
     if key not in cache:
@@ -230,9 +229,8 @@ def _lift_map(form: DiscriminantForm, H: Subgroup,
               quot: QuotientResult) -> LiftMap:
     # column j is the coset projecting to quot.form.element(j): the H_perp
     # indices grouped by projected index, ascending within each group
-    perp = perp_indices(form, H.generators)
-    target = quot.form.indices(quot.project.rows(form.coeff_matrix()[perp]))
-    groups = perp[np.argsort(target, kind="stable")]
+    perp = np.flatnonzero(quot.project.table >= 0)
+    groups = perp[np.argsort(quot.project.table[perp], kind="stable")]
     return LiftMap(form, H, quot.form,
                    groups.reshape(quot.form.order, H.order))
 
@@ -549,19 +547,17 @@ def check_transitivity(form: DiscriminantForm, H: Subgroup, K: Subgroup) -> bool
     # K/H is generated by the nonzero images of K's generators; the order
     # check of quotient_form, |Q| |K/H|^2 = |H_perp/H|, would catch a set
     # that falls short
-    idx = np.flatnonzero(np.bincount(
-        QH.form.indices(QH.project.rows(form.coeff_matrix()[K.indices])),
-        minlength=QH.form.order))
-    gens = QH.project.rows(np.array(K.generators, dtype=np.int64))
-    KH = Subgroup(tuple(map(tuple, gens[gens.any(axis=1)].tolist())), idx,
-                  QH.form.coeff_matrix()[idx])
+    idx = np.flatnonzero(np.bincount(QH.project.table[K.indices],
+                                     minlength=QH.form.order))
+    gens = QH.project.table[form.indices(np.array(K.generators))]
+    C = QH.form.coeff_matrix()
+    KH = Subgroup(tuple(map(tuple, C[gens[gens > 0]].tolist())), idx, C[idx])
     QKH = _quotient(QH.form, KH)
     left = (_lift_map(form, H, QH).matrix()
             @ _lift_map(QH.form, KH, QKH).matrix())
     right = _lift_map(form, K, QK).matrix()
     # identify the two presentations of the double quotient: element j of
     # (K/H)_perp/(K/H) is project_K(section_H(section_{K/H}(j)))
-    reps = QH.section.rows(QKH.section.rows(QKH.form.coeff_matrix()))
-    perm = QK.form.indices(QK.project.rows(reps))
+    perm = QK.project.table[QH.section.table[QKH.section.table]]
     # the descent identity is the transpose of the same matrix equality
     return bool(np.array_equal(left, right[:, perm]))

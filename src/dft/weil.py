@@ -60,8 +60,8 @@ def rho_T(form: DiscriminantForm) -> np.ndarray:
     n = form.order
     out = np.empty((n, n), dtype=object)
     out[:] = cyclo.Cyclotomic.rational(M, 0)
-    for i, e in enumerate(form.elements):
-        out[i, i] = cyclo.Cyclotomic.root(M, int(form.q(e) * M))
+    for i, a in enumerate(_t_exponents(form, M).tolist()):
+        out[i, i] = cyclo.Cyclotomic.root(M, a)
     return out
 
 
@@ -171,14 +171,15 @@ def check_relations(form: DiscriminantForm, conductor: int | None = None) -> dic
     relation in scale-balanced form.  Raises RelationFailed with the
     offending entry on any mismatch.
 
-    The conductor may be any multiple of lcm(8, level); results do not
-    depend on the choice."""
+    The conductor may be any positive multiple of lcm(8, level); results
+    do not depend on the choice."""
     n = form.order
     if n > bounds.max_cyclo_order():
         raise BoundExceeded(f"|D| = {n} exceeds the cyclotomic budget")
     M = conductor or _conductor(form)
-    if M % _conductor(form):
-        raise ValueError("conductor must be a multiple of lcm(8, level)")
+    if M < 1 or M % _conductor(form):
+        raise ValueError("conductor must be a positive multiple of "
+                         "lcm(8, level)")
     s = form.signature
     expT = _t_exponents(form, M)
     expW = _w_exponents(form, M)

@@ -223,15 +223,6 @@ def test_quotient_maps_on_non_cyclic_subgroups():
             _check_quotient(d, H, rng)
 
 
-def test_dot_mod_is_exact_past_int64():
-    from dft.fqm import _dot_mod
-    X = np.array([[2 ** 40, 3]], dtype=np.int64)
-    A = np.array([[2 ** 40, 5], [1, 1]], dtype=np.int64)
-    mod = np.array([1000003, 7], dtype=np.int64)
-    want = [(2 ** 80 + 15) % 1000003, (2 ** 40 + 3) % 7]
-    assert _dot_mod(X, A, mod).tolist() == [want]
-
-
 def _dense_nondegenerate(d):
     """Reference: no nonzero element is orthogonal to every element, read
     off the dense |D| x |D| table of b."""
@@ -278,6 +269,12 @@ def test_nondegeneracy_of_built_forms():
 def test_constructor_rejects_invalid_tables(qdiag, gram, message):
     with pytest.raises(ValidityError, match=message):
         DiscriminantForm((2, 2), qdiag, gram)
+
+
+@pytest.mark.parametrize("order", [0, -2])
+def test_constructor_rejects_orders_below_one(order):
+    with pytest.raises(ValidityError, match="at least 1"):
+        DiscriminantForm((order,), (0,), ((0,),))
 
 
 @pytest.mark.parametrize("orders, qdiag", [

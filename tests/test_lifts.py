@@ -246,6 +246,20 @@ def test_lift_matrix_anchors():
         lift_matrix(d, subgroup_from_generators(d, [(1, 1)]))
 
 
+def test_lift_columns_are_the_span_columns():
+    # the quotient's index maps against the independent coset route of
+    # span_columns; the projection undoes the section on every quotient
+    for sym in enumerate_symbols(64, {2, 3, 5}):
+        form = build_form(sym)
+        for H in isotropic_subgroups(form):
+            lm = lift_matrix(form, H)
+            assert ({tuple(sorted(c)) for c in lm.columns.tolist()}
+                    == set(span_columns(form, [H]))), str(sym)
+            quot = lifts._quotient(form, H)
+            assert np.array_equal(quot.project.table[quot.section.table],
+                                  np.arange(quot.form.order)), str(sym)
+
+
 def test_image_rank_anchors():
     assert lift_span(build("2_1^+1")).rank == 0
     assert lift_span(build("2_II^+2")).rank == 2

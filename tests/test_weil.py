@@ -94,8 +94,9 @@ def test_relations_on_sample():
 def test_relations_conductor_independent():
     d = build("2_1^+1")
     assert check_relations(d, conductor=16)["braid"]
-    with pytest.raises(ValueError):
-        check_relations(d, conductor=12)
+    for conductor in (12, -8):
+        with pytest.raises(ValueError):
+            check_relations(d, conductor=conductor)
 
 
 def test_relations_budget():
